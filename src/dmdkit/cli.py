@@ -7,7 +7,7 @@ re-serializing it reproduces the bytes exactly, so reports can be
 diffed, hashed, and archived.  ``dmdkit verify`` runs the self-check
 suite on internally generated oracles and prints one pass/fail line per
 check.  Timings go to stderr only; reports stay byte-deterministic for a
-fixed seed regardless of thread count.
+fixed seed and BLAS thread count, whatever the ``--threads`` pool size.
 
 Exit codes: 0 success, 1 failed verification, 2 data error,
 3 conditioning error, 4 backend error.
@@ -63,15 +63,18 @@ def _parse_refine(text):
 
 
 def _resolve_threads(args):
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("DMD_NUM_THREADS")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise DataError("DMD_NUM_THREADS must be an integer, got %r" % (env,)) from exc
+    threads = getattr(args, "threads", None)
+    if threads is None:
+        env = os.environ.get("DMD_NUM_THREADS")
+        if env is None:
+            return None
+        try:
+            threads = int(env)
+        except ValueError as exc:
+            raise DataError("DMD_NUM_THREADS must be an integer, got %r" % (env,)) from exc
+    if threads < 1:
+        raise DataError("the refinement thread count must be at least 1, got %d" % threads)
+    return threads
 
 
 def _load_weight(path, inverse=False):
@@ -247,7 +250,8 @@ def _build_parser():
     d.add_argument("--dt", type=float, help="snapshot spacing; adds continuous-time frequencies")
     d.add_argument("--modes-out", help="write mode vectors to this DMM1 file")
     d.add_argument("--out", help="write the JSON report here instead of stdout")
-    d.add_argument("--threads", type=int, help="worker threads for the refinement loop")
+    d.add_argument("--threads", type=int,
+                   help="size of the refinement thread pool only; BLAS threads are not changed")
     d.set_defaults(func=cmd_decompose)
 
     v = sub.add_parser("verify", help="run the self-verification suite on built-in oracles")
@@ -256,7 +260,8 @@ def _build_parser():
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--out", help="write the verification report as canonical JSON")
     v.add_argument("--fixtures", help="also write the oracle fixture set to this directory")
-    v.add_argument("--threads", type=int, help="worker threads for the refinement loop")
+    v.add_argument("--threads", type=int,
+                   help="size of the refinement thread pool only; BLAS threads are not changed")
     v.set_defaults(func=cmd_verify)
     return parser
 

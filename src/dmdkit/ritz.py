@@ -11,8 +11,15 @@ A thin QR factorization of the stacked matrix (U_k  B_k) compresses the
 residual computation into 2k-dimensional triangular blocks; the smallest
 singular value of the shifted block matrix is at once the optimal residual
 achievable in the POD subspace and the certificate for the refined vector.
+
+Refinement costs one QR of the shifted stack plus one k x k SVD of its
+triangular factor per distinct shift.  When the blocks are real, the
+stack of a conjugate shift is the conjugate stack, so each conjugate
+pair of Ritz values is solved once; the solves are memoized on the
+:class:`QrStack` and every caller holding the same stack shares them.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +63,11 @@ class QrStack:
     @property
     def k(self):
         return self.r11.shape[0]
+
+    @functools.cached_property
+    def _refined(self):
+        """Memo of :func:`refine_ritz` solves, keyed by the canonical shift."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -205,20 +217,38 @@ def refine_ritz(stack, lam):
 
     Minimizes the data-driven residual over all unit vectors in the span:
     the minimizer is the right singular vector belonging to the smallest
-    singular value of the stacked shifted blocks.  The reported residual
-    is re-evaluated as || R_lambda w ||, which never exceeds the backend's
-    smallest singular value estimate in quality and is trusted instead of
-    it.
+    singular value of the stacked shifted blocks R_lambda.  It is read off
+    the SVD of the k x k triangular factor of R_lambda, which has the same
+    right singular vectors.  The reported residual is re-evaluated as
+    || R_lambda w ||, which never exceeds the backend's smallest singular
+    value estimate in quality and is trusted instead of it.
+
+    For real blocks R_conj(lambda) = conj(R_lambda), so a shift with
+    negative imaginary part returns the conjugate of the solve for its
+    partner.  Solves are memoized on ``stack``: a repeated or conjugate
+    shift returns the same bits as a fresh solve, at no cost.
     """
-    R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
-    try:
-        _, _, Vh = np.linalg.svd(R_lam)
-    except np.linalg.LinAlgError as exc:
-        raise BackendError("refinement SVD failed to converge: %s" % exc) from exc
-    w = Vh[-1, :].conj()
-    w = w / np.linalg.norm(w)
-    sigma = float(np.linalg.norm(R_lam @ w))
-    return w, sigma
+    lam = np.asarray(lam)[()]
+    flip = lam.imag < 0 and not any(np.iscomplexobj(b) for b in (stack.r11, stack.r12, stack.r22))
+    if flip:
+        lam = lam.conjugate()
+    # Keyed by the exact bits and dtype of the shift, so a hit is only ever
+    # the result a fresh solve would give.  Concurrent callers may both
+    # solve one shift; their results are identical, so either store wins.
+    key = (lam.dtype.str, lam.tobytes())
+    hit = stack._refined.get(key)
+    if hit is None:
+        R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
+        try:
+            _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))
+        except np.linalg.LinAlgError as exc:
+            raise BackendError("refinement SVD failed to converge: %s" % exc) from exc
+        w = Vh[-1, :].conj()
+        w = w / np.linalg.norm(w)
+        hit = (w, float(np.linalg.norm(R_lam @ w)))
+        stack._refined[key] = hit
+    w, sigma = hit
+    return (w.conj() if flip else w.copy()), sigma
 
 
 def refined_rayleigh_value(S_k, w):

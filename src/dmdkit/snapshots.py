@@ -151,9 +151,16 @@ def _scale_arrays(X, Y):
     """Divide matched columns of X and Y by the column norms of X.
 
     Zero columns get factor 0 and are left untouched.  Returns the scaled
-    copies and the recorded norms.
+    copies and the recorded norms.  A column whose plain norm overflows is
+    measured again as max|x| * ||x / max|x|||, so finite data scales.
     """
-    d = np.linalg.norm(X, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.norm(X, axis=0)
+    big = ~np.isfinite(d)
+    if big.any():
+        Xb = X[:, big]
+        top = np.abs(Xb).max(axis=0)
+        d[big] = top * np.linalg.norm(Xb / top, axis=0)
     inv = np.ones_like(d)
     nz = d > 0.0
     inv[nz] = 1.0 / d[nz]

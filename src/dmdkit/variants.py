@@ -9,6 +9,7 @@ live (POD subspace vs range of Y).
 
 import concurrent.futures
 import dataclasses
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -63,7 +64,8 @@ class VariantConfig:
     bool`` selecting which pairs get the refinement treatment.  ``dt`` is
     only consumed by report writers that request the Koopman log map.
     ``workers`` parallelizes the per-eigenvalue refinement loop; results
-    are merged by index and do not depend on the worker count.
+    are merged by index and do not depend on the worker count.  A worker
+    count below one or a NaN or negative cap is rejected.
     """
 
     policy: RankPolicy | None = None
@@ -74,8 +76,13 @@ class VariantConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.refine, str) and self.refine not in ("none", "all"):
-            raise DataError("refine must be 'none', 'all', a residual cap, or a predicate")
+        if isinstance(self.refine, str):
+            if self.refine not in ("none", "all"):
+                raise DataError("refine must be 'none', 'all', a residual cap, or a predicate")
+        elif not callable(self.refine):
+            _check_cap(self.refine)
+        if self.workers is not None and not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
+            raise DataError("workers must be a positive integer or None, got %r" % (self.workers,))
         if self.dt is not None and not (self.dt > 0):
             raise DataError("dt must be positive when given")
 
@@ -107,6 +114,17 @@ class SequentialDiagnostic:
 
     eta_m: complex | None
     r_norm: float
+
+
+def _check_cap(cap):
+    """A residual cap as a float; NaN, negative and non-numeric caps are rejected."""
+    try:
+        value = float(cap)
+    except (TypeError, ValueError) as exc:
+        raise DataError("residual cap must be a real number, got %r" % (cap,)) from exc
+    if not value >= 0.0:
+        raise DataError("residual cap must be nonnegative, got %r" % (cap,))
+    return value
 
 
 def _check_pair_arrays(X, Y):
@@ -477,9 +495,7 @@ def select_pairs(decomposition, residual_cap):
     Ascending order is preserved.  NaN residuals (exact-vector variant)
     survive only an infinite cap, since they certify nothing.
     """
-    cap = float(residual_cap)
-    if cap < 0:
-        raise DataError("residual cap must be nonnegative")
+    cap = _check_cap(residual_cap)
     r = decomposition.residuals
     mask = (r <= cap) | (np.isnan(r) & np.isinf(cap))
     keep = np.flatnonzero(mask)

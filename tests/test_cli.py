@@ -100,6 +100,16 @@ def test_refine_none_drops_refined_fields(traj_file, capsys):
 def test_bad_refine_spec_is_a_data_error(traj_file, capsys):
     assert main(["decompose", "--seq", traj_file, "--refine", "sometimes"]) == 2
     assert main(["decompose", "--seq", traj_file, "--refine", "cap=abc"]) == 2
+    assert main(["decompose", "--seq", traj_file, "--refine", "cap=nan"]) == 2
+
+
+def test_thread_count_below_one_is_a_data_error(traj_file, capsys, monkeypatch):
+    assert main(["decompose", "--seq", traj_file, "--threads", "0"]) == 2
+    assert main(["decompose", "--seq", traj_file, "--threads", "-2"]) == 2
+    assert main(["verify", "--n", "60", "--m", "18", "--threads", "0"]) == 2
+    monkeypatch.setenv("DMD_NUM_THREADS", "0")
+    assert main(["decompose", "--seq", traj_file]) == 2
+    assert "thread count" in capsys.readouterr().err
 
 
 def test_dt_adds_log_mapped_frequencies(traj_file, capsys):

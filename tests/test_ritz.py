@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmdkit.errors import ConditioningError, DataError
 from dmdkit.pod import RankPolicy, truncated_svd
@@ -253,3 +255,114 @@ def test_order_pairs_sorts_and_breaks_ties_deterministically():
     tied = lambdas[perm[1:]]
     assert np.all(np.diff(np.abs(tied)) >= -1e-15)  # then ascending modulus
     assert np.abs(tied[0]) == np.abs(lambdas[3])
+
+
+# ---------------------------------------------------------------------------
+# the refinement kernel against the full SVD of the 2k x k stack
+
+
+def _full_svd_reference(stack, lam):
+    """The original kernel: full SVD of the stacked shifted blocks."""
+    R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
+    _, _, Vh = np.linalg.svd(R_lam)
+    w = Vh[-1, :].conj()
+    w = w / np.linalg.norm(w)
+    return w, float(np.linalg.norm(R_lam @ w))
+
+
+def _fresh(stack):
+    return QrStack(r11=stack.r11, r12=stack.r12, r22=stack.r22, phi=stack.phi)
+
+
+# rows of data beyond k: r22 then has min(extra, k) rows
+_EXTRA_ROWS = {"empty": lambda k: 0, "short": lambda k: k // 2, "full": lambda k: 2 * k}
+
+
+@st.composite
+def _stacks(draw):
+    """A QR stack of random data whose r22 has 0, fewer than k, or k rows."""
+    k = draw(st.integers(2, 7))
+    tail = draw(st.sampled_from(sorted(_EXTRA_ROWS)))
+    complex_data = draw(st.booleans())
+    rng = _rng(draw(st.integers(0, 2**32 - 1)))
+    n = k + _EXTRA_ROWS[tail](k)
+
+    def sample(*shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_data else a
+
+    U, _ = np.linalg.qr(sample(n, k))
+    stack = qr_stack(U, sample(n, k) / np.sqrt(n))
+    assert stack.r22.shape[0] == min(n - k, k)
+    return stack
+
+
+_kernel_settings = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+def _shifts(stack, rng):
+    """The Ritz values of the stack and as many random shifts in the same disc."""
+    S = rayleigh_from_qr(stack)
+    lambdas, W = np.linalg.eig(S)
+    radius = np.abs(lambdas).max()
+    extra = radius * rng.uniform(0, 1, stack.k) * np.exp(2j * np.pi * rng.uniform(0, 1, stack.k))
+    return lambdas, W / np.linalg.norm(W, axis=0), extra
+
+
+@_kernel_settings
+@given(_stacks(), st.integers(0, 2**32 - 1))
+def test_refine_ritz_matches_full_svd_reference(stack, seed):
+    lambdas, _, extra = _shifts(stack, _rng(seed))
+    normB = np.linalg.norm(np.vstack([stack.r12, stack.r22]), 2)
+    for lam in np.concatenate([lambdas, extra]):
+        w, sigma = refine_ritz(_fresh(stack), lam)
+        _, want = _full_svd_reference(stack, lam)
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
+        assert abs(sigma - want) <= 1e-12 * want + 1e-14 * normB
+
+
+@_kernel_settings
+@given(_stacks(), st.integers(0, 2**32 - 1))
+def test_refine_ritz_never_worse_than_plain(stack, seed):
+    lambdas, W, _ = _shifts(stack, _rng(seed))
+    plain = residuals_from_stack(stack, lambdas, W)
+    normB = np.linalg.norm(np.vstack([stack.r12, stack.r22]), 2)
+    for lam, r in zip(lambdas, plain):
+        _, sigma = refine_ritz(stack, lam)
+        assert sigma <= r + 1e-12 * normB
+
+
+@_kernel_settings
+@given(_stacks(), st.integers(0, 2**32 - 1))
+def test_refine_ritz_conjugate_shift_is_bitwise_conjugate(stack, seed):
+    if np.iscomplexobj(stack.r12):
+        return
+    lambdas, _, extra = _shifts(stack, _rng(seed))
+    for lam in np.concatenate([lambdas, extra]).astype(complex):
+        # each call on its own fresh stack: no shared memo between the two
+        w, sigma = refine_ritz(_fresh(stack), lam)
+        w_bar, sigma_bar = refine_ritz(_fresh(stack), np.conj(lam))
+        assert np.array_equal(w_bar, w.conj()) and sigma_bar == sigma
+
+
+@_kernel_settings
+@given(_stacks(), st.integers(0, 2**32 - 1))
+def test_refine_ritz_memo_hit_equals_fresh_solve(stack, seed):
+    lambdas, _, extra = _shifts(stack, _rng(seed))
+    shifts = np.concatenate([lambdas, extra])
+    for lam in shifts:
+        refine_ritz(stack, lam)
+    for lam in np.concatenate([shifts, np.conj(shifts)]):
+        w, sigma = refine_ritz(stack, lam)
+        w_fresh, sigma_fresh = refine_ritz(_fresh(stack), lam)
+        assert w.dtype == w_fresh.dtype
+        assert np.array_equal(w, w_fresh) and sigma == sigma_fresh
+
+
+def test_refine_ritz_memo_hands_out_copies():
+    _, _, _, stack = _random_instance(47)
+    lam = np.linalg.eigvals(rayleigh_from_qr(stack))[0]
+    w, sigma = refine_ritz(stack, lam)
+    w[:] = 0.0
+    again, sigma_again = refine_ritz(stack, lam)
+    assert np.linalg.norm(again) == pytest.approx(1.0) and sigma_again == sigma

@@ -1,5 +1,8 @@
 """End-to-end pipelines: classic, refined, compressed, exact, fb, selection."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -288,6 +291,8 @@ def test_select_pairs_cap_semantics():
     assert np.all(np.diff(sel.residuals) >= 0)
     with pytest.raises(DataError):
         select_pairs(dec, -1.0)
+    with pytest.raises(DataError):
+        select_pairs(dec, float("nan"))
 
 
 def test_select_pairs_nan_residuals_survive_only_infinite_cap():
@@ -302,6 +307,61 @@ def test_config_validation():
         VariantConfig(refine="sometimes")
     with pytest.raises(DataError):
         VariantConfig(dt=-0.5)
+    for bad in ({"workers": 0}, {"workers": -3}, {"workers": 2.5},
+                {"refine": float("nan")}, {"refine": -1.0}, {"refine": [0.1]}):
+        with pytest.raises(DataError):
+            VariantConfig(**bad)
+
+
+def test_config_accepts_good_refinement_arguments():
+    assert VariantConfig(workers=1).workers == 1
+    assert VariantConfig(workers=np.int64(3)).workers == 3
+    assert VariantConfig(refine=0.0).refine == 0.0
+    assert VariantConfig(refine=np.inf).refine == np.inf
+
+
+def test_refined_vectors_of_conjugate_ritz_values_are_conjugates():
+    _, F = _orbit(95, 30, 12, spectrum="unit-disc", conditioning=10.0)
+    dec = ddmd_rrr(F.F[:, :-1], F.F[:, 1:])
+    upper = np.flatnonzero(dec.lambdas.imag > 0)
+    assert upper.size >= 2
+    for i in upper:
+        (j,) = np.flatnonzero(dec.lambdas == np.conj(dec.lambdas[i]))
+        assert np.array_equal(dec.refined[j].w, dec.refined[i].w.conj())
+        assert np.array_equal(dec.vectors[:, j], dec.vectors[:, i].conj())
+        assert dec.residuals[j] == dec.residuals[i]
+
+
+def test_refinement_threads_sharing_the_memo_match_serial():
+    # more workers than cores and frequent thread switches, so concurrent
+    # solves of one conjugate pair race on the stack's memo
+    _, F = _orbit(99, 60, 30, spectrum="unit-disc", conditioning=10.0)
+    X, Y = F.F[:, :-1], F.F[:, 1:]
+    serial = ddmd_rrr(X, Y, VariantConfig(workers=1))
+    out = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: out.update(dec=ddmd_rrr(X, Y, VariantConfig(workers=8))))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    threaded = out["dec"]
+    assert np.array_equal(threaded.vectors, serial.vectors)
+    assert np.array_equal(threaded.residuals, serial.residuals)
+
+
+def test_huge_finite_data_scales_like_unit_data():
+    # column norms of 1e300-sized data overflow a plain 2-norm
+    rng = _rng(97)
+    X = rng.standard_normal((40, 8))
+    Y = rng.standard_normal((40, 8))
+    ref = ddmd_rrr(X, Y, VariantConfig(scale=True))
+    big = ddmd_rrr(1e300 * X, 1e300 * Y, VariantConfig(scale=True))
+    assert np.abs(big.lambdas - ref.lambdas).max() <= 1e-12 * np.abs(ref.lambdas).max()
+    assert np.all(np.abs(big.residuals - ref.residuals) <= 1e-12 * ref.residuals)
 
 
 def test_trajectory_input_type_flexibility():
