@@ -17,7 +17,7 @@ import scipy.optimize
 
 from .errors import DmdkitError
 from .inner import InnerProduct
-from .pod import RankPolicy, default_epsilon, weighted_pod, _pod_core
+from .pod import RankPolicy, weighted_pod
 from .ritz import (
     qr_stack,
     rayleigh_from_qr,
@@ -25,10 +25,10 @@ from .ritz import (
     refined_rayleigh_value,
     residuals_from_stack,
     ritz_pairs,
-    action_on_basis,
 )
-from .snapshots import SequentialTrajectory, companion_decomposition, _scale_arrays
+from .snapshots import companion_decomposition
 from .variants import VariantConfig, dmd, ddmd_rrr, ddmd_rrr_compressed, exact_dmd, fb_dmd_mrf, select_pairs
+from .variants import _project
 from .weighted import two_sided_weighted_dmd, weighted_bauer_fike, weighted_dmd
 from .verify import (
     corrupted_sigma_etas,
@@ -114,9 +114,7 @@ def _instance_family(count=100, base_seed=300):
         spectrum = ("unit-disc", "decaying", "unit-circle")[(i // 3) % 3]
         oracle = make_oracle(n, spectrum=spectrum, conditioning=conditioning, seed=base_seed + i)
         F = trajectory(oracle, _unit_start(n, base_seed + 1000 + i), m)
-        Xs, Ys, _ = _scale_arrays(F.F[:, :-1], F.F[:, 1:])
-        U, sigma, V, k, _ = _pod_core(Xs, None)
-        B = action_on_basis(Ys, V, sigma)
+        U, _, _, k, _, _, B = _project(F.F[:, :-1], F.F[:, 1:], VariantConfig())
         stack = qr_stack(U, B)
         S = rayleigh_from_qr(stack)
         lambdas, W, _ = ritz_pairs(S, np.eye(k))

@@ -94,9 +94,8 @@ def _load_input(args):
         return traj.F[:, :-1], traj.F[:, 1:], traj
     if args.x is None or args.y is None:
         raise DataError("either --seq FILE or both --x FILE and --y FILE are required")
-    X = load_matrix(args.x)
-    Y = load_matrix(args.y)
-    return X, Y, SnapshotPair(X, Y, provenance="general")
+    pair = SnapshotPair(load_matrix(args.x), load_matrix(args.y))
+    return pair.X, pair.Y, pair
 
 
 def _records(dec, dt, cap):
@@ -127,6 +126,8 @@ def _records(dec, dt, cap):
 
 def cmd_decompose(args):
     threads = _resolve_threads(args)
+    if args.dt is not None and not (args.dt > 0 and np.isfinite(args.dt)):
+        raise DataError("--dt must be positive and finite, got %r" % (args.dt,))
     X, Y, data = _load_input(args)
     n, m = X.shape
 
@@ -143,7 +144,6 @@ def cmd_decompose(args):
         policy=policy,
         scale=not args.no_scale,
         refine=_parse_refine(args.refine),
-        dt=args.dt,
         workers=threads,
     )
 

@@ -67,14 +67,6 @@ class InnerProduct:
         return cls(L, orientation=orientation, lower_triangular=True)
 
     @classmethod
-    def from_factor(cls, L, orientation="M"):
-        """Use a given (not necessarily triangular) factor as-is."""
-        L = np.asarray(L)
-        if L.ndim == 1:
-            return cls.diagonal(L * L.conj(), orientation=orientation)
-        return cls(L, orientation=orientation)
-
-    @classmethod
     def diagonal(cls, weights, orientation="M"):
         """Diagonal Gram matrix given by its strictly positive diagonal."""
         w = np.asarray(weights).reshape(-1)

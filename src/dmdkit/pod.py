@@ -105,8 +105,7 @@ class PodBasis:
     lazily, by factor solves, only when actually requested.
     """
 
-    def __init__(self, *, sigma, V, rank, sigma_all, U=None, U_tilde=None, weight=None,
-                 right_weight=None, V_tilde=None):
+    def __init__(self, *, sigma, V, rank, sigma_all, U=None, U_tilde=None, weight=None, right_weight=None):
         self.sigma = sigma
         self.V = V
         self.rank = int(rank)
@@ -114,7 +113,6 @@ class PodBasis:
         self.weight = weight
         self.right_weight = right_weight
         self.U_tilde = U_tilde
-        self.V_tilde = V_tilde
         self._U = U
         self._V_hat = None
         if U is None and (U_tilde is None or weight is None):
@@ -133,7 +131,7 @@ class PodBasis:
         if self.right_weight is None:
             return self.V
         if self._V_hat is None:
-            self._V_hat = self.right_weight.lift_right(self.V_tilde if self.V_tilde is not None else self.V)
+            self._V_hat = self.right_weight.lift_right(self.V)
         return self._V_hat
 
 

@@ -28,7 +28,13 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _check_matrix(a, name):
+    """A finite, non-empty 2-D array of at least double precision.
+
+    Narrower floats, integers and booleans become float64 and complex64
+    becomes complex128; float64 and complex128 arrays pass uncopied.
+    """
     a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
     if a.ndim != 2:
         raise ShapeError("%s must be a 2-D array, got ndim=%d" % (name, a.ndim))
     if a.shape[0] < 1 or a.shape[1] < 1:

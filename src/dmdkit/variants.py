@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BackendError, ConditioningError, DataError, ShapeError
-from .pod import RankPolicy, default_epsilon, truncated_svd, _pod_core
+from .pod import RankPolicy, default_epsilon, _pod_core
 from .ritz import (
     RefinedPair,
     RitzDecomposition,
@@ -31,7 +31,7 @@ from .ritz import (
     residuals_from_stack,
     ritz_pairs,
 )
-from .snapshots import SequentialTrajectory, SnapshotPair, _scale_arrays, companion_decomposition
+from .snapshots import SnapshotPair, _as_trajectory, _scale_arrays, companion_decomposition
 
 __all__ = [
     "VariantConfig",
@@ -61,8 +61,7 @@ class VariantConfig:
     ``policy=None`` resolves to the spectral threshold max(n, m+1) * eps
     of the matrix actually decomposed.  ``refine`` is ``'none'``,
     ``'all'``, a residual cap, or a predicate ``f(lambda, residual) ->
-    bool`` selecting which pairs get the refinement treatment.  ``dt`` is
-    only consumed by report writers that request the Koopman log map.
+    bool`` selecting which pairs get the refinement treatment.
     ``workers`` parallelizes the per-eigenvalue refinement loop; results
     are merged by index and do not depend on the worker count.  A worker
     count below one or a NaN or negative cap is rejected.
@@ -71,8 +70,6 @@ class VariantConfig:
     policy: RankPolicy | None = None
     scale: bool = True
     refine: str | float | Callable = "all"
-    dt: float | None = None
-    compress: bool | None = None
     workers: int | None = None
 
     def __post_init__(self):
@@ -83,8 +80,6 @@ class VariantConfig:
             _check_cap(self.refine)
         if self.workers is not None and not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
             raise DataError("workers must be a positive integer or None, got %r" % (self.workers,))
-        if self.dt is not None and not (self.dt > 0):
-            raise DataError("dt must be positive when given")
 
 
 @dataclass(frozen=True)
@@ -128,15 +123,8 @@ def _check_cap(cap):
 
 
 def _check_pair_arrays(X, Y):
-    X = np.asarray(X)
-    Y = np.asarray(Y)
-    if X.ndim != 2 or Y.ndim != 2:
-        raise ShapeError("snapshot matrices must be 2-D")
-    if X.shape != Y.shape:
-        raise ShapeError("X and Y must have equal shapes, got %r and %r" % (X.shape, Y.shape))
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise DataError("snapshot matrices contain non-finite entries")
-    return X, Y
+    pair = SnapshotPair(X, Y)
+    return pair.X, pair.Y
 
 
 def _resolve_policy(config, shape):
@@ -146,10 +134,25 @@ def _resolve_policy(config, shape):
     return RankPolicy.spectral(default_epsilon(n, m))
 
 
-def _maybe_scale(X, Y, config):
+def _project(X, Y, config, policy=None):
+    """Scale, truncated POD of X, and the basis image B_k = Y V_k Sigma_k^{-1}.
+
+    The one front end of every pipeline.  ``policy`` defaults to the
+    config's, resolved on the shape of X.  Returns (U, sigma, V, k,
+    sigma_all, Ys, B), where ``Ys`` is Y after the column scaling.
+    """
     if config.scale:
-        return _scale_arrays(X, Y)
-    return X, Y, None
+        X, Y, _ = _scale_arrays(X, Y)
+    if policy is None:
+        policy = _resolve_policy(config, X.shape)
+    U, sigma, V, k, sigma_all = _pod_core(X, policy)
+    return U, sigma, V, k, sigma_all, Y, action_on_basis(Y, V, sigma)
+
+
+def _quotient(U, sigma, V, Ys):
+    """The historical quotient ((U* Y) V) Sigma^{-1}; returns (S, lambdas, W, Z)."""
+    S = ((U.conj().T @ Ys) @ V) / sigma[None, :]
+    return (S, *ritz_pairs(S, U))
 
 
 def _refine_indices(config, lambdas, residuals):
@@ -207,14 +210,10 @@ def dmd(X, Y, config=VariantConfig()):
     Refinement is the business of :func:`ddmd_rrr` and is not applied
     here regardless of the config.
     """
-    X, Y = _check_pair_arrays(X, Y)
-    Xs, Ys, _ = _maybe_scale(X, Y, config)
-    basis = truncated_svd(Xs, _resolve_policy(config, Xs.shape))
-    S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
-    lambdas, W, Z = ritz_pairs(S, basis.U)
-    B = action_on_basis(Ys, basis.V, basis.sigma)
-    residuals = data_driven_residuals(B, basis.U, W, lambdas)
-    return _package(lambdas, Z, residuals, None, "dmd", basis.rank)
+    U, sigma, V, k, _, Ys, B = _project(*_check_pair_arrays(X, Y), config)
+    _, lambdas, W, Z = _quotient(U, sigma, V, Ys)
+    residuals = data_driven_residuals(B, U, W, lambdas)
+    return _package(lambdas, Z, residuals, None, "dmd", k)
 
 
 def _rrr_pipeline(Gx, Gy, config, variant, weight=None):
@@ -223,9 +222,7 @@ def _rrr_pipeline(Gx, Gy, config, variant, weight=None):
     ``Gx``/``Gy`` are already in the Euclidean coordinates of the target
     geometry; ``weight`` only tags the output and lifts the vectors back.
     """
-    Gxs, Gys, _ = _maybe_scale(Gx, Gy, config)
-    U, sigma, V, k, _sigma_all = _pod_core(Gxs, _resolve_policy(config, Gxs.shape))
-    B = action_on_basis(Gys, V, sigma)
+    U, _, _, k, _, _, B = _project(Gx, Gy, config)
     stack = qr_stack(U, B)
     S = rayleigh_from_qr(stack)
 
@@ -265,8 +262,7 @@ def ddmd_rrr(X, Y, config=VariantConfig()):
     that replaces each Ritz vector by the residual-optimal unit vector of
     the subspace.  Reported residuals are the refinement certificates.
     """
-    X, Y = _check_pair_arrays(X, Y)
-    return _rrr_pipeline(X, Y, config, "rrr")
+    return _rrr_pipeline(*_check_pair_arrays(X, Y), config, "rrr")
 
 
 def _compress(data):
@@ -277,12 +273,10 @@ def _compress(data):
     factored instead.
     """
     if isinstance(data, SnapshotPair):
-        X, Y = data.X, data.Y
-        m = X.shape[1]
-        Q, R = scipy.linalg.qr(np.hstack([X, Y]), mode="economic")
+        m = data.m
+        Q, R = scipy.linalg.qr(np.hstack([data.X, data.Y]), mode="economic")
         return Q, R[:, :m], R[:, m:]
-    traj = data if isinstance(data, SequentialTrajectory) else SequentialTrajectory(np.asarray(data))
-    Q, R = scipy.linalg.qr(traj.F, mode="economic")
+    Q, R = scipy.linalg.qr(data.F, mode="economic")
     return Q, R[:, :-1], R[:, 1:]
 
 
@@ -294,41 +288,28 @@ def ddmd_rrr_compressed(data, config=VariantConfig()):
     the orthonormal factor.  Residuals and Ritz values are unchanged by
     the unitary change of basis.
     """
-    if not isinstance(data, (SnapshotPair, SequentialTrajectory)):
-        data = SequentialTrajectory(np.asarray(data))
-    if config.policy is None:
-        # Default threshold from the ambient shape, not the compressed one,
-        # so compressed and direct runs truncate identically.
-        policy = RankPolicy.spectral(default_epsilon(data.n, data.m))
-        config = dataclasses.replace(config, policy=policy)
+    if not isinstance(data, SnapshotPair):
+        data = _as_trajectory(data)
+    # Default threshold from the ambient shape, not the compressed one, so
+    # compressed and direct runs truncate identically.
+    config = dataclasses.replace(config, policy=_resolve_policy(config, (data.n, data.m)))
     Q, Rx, Ry = _compress(data)
     inner = _rrr_pipeline(Rx, Ry, config, "rrr-compressed")
-    return RitzDecomposition(
-        lambdas=inner.lambdas,
-        vectors=Q @ inner.vectors,
-        residuals=inner.residuals,
-        refined=inner.refined,
-        ordering=inner.ordering,
-        variant="rrr-compressed",
-        rank=inner.rank,
-        weight=None,
-    )
+    return dataclasses.replace(inner, vectors=Q @ inner.vectors)
 
 
 def ddmd_rrr_auto(data, config=VariantConfig()):
     """Refined decomposition, compressed automatically when it pays.
 
     Sequential or paired data routes through the QR-compressed pipeline
-    when the ambient dimension exceeds four times the column count, unless
-    the config forces the choice.
+    when the ambient dimension exceeds four times the column count.
     """
     if isinstance(data, SnapshotPair):
         n, cols = data.n, 2 * data.m
     else:
-        data = data if isinstance(data, SequentialTrajectory) else SequentialTrajectory(np.asarray(data))
+        data = _as_trajectory(data)
         n, cols = data.n, data.m + 1
-    use_compressed = config.compress if config.compress is not None else n > _COMPRESS_CROSSOVER * cols
-    if use_compressed:
+    if n > _COMPRESS_CROSSOVER * cols:
         return ddmd_rrr_compressed(data, config)
     if isinstance(data, SnapshotPair):
         return ddmd_rrr(data.X, data.Y, config)
@@ -345,12 +326,8 @@ def exact_dmd(X, Y, config=VariantConfig()):
     not computable from data alone, only via the sequential diagnostic or
     an explicit-operator audit.
     """
-    X, Y = _check_pair_arrays(X, Y)
-    Xs, Ys, _ = _maybe_scale(X, Y, config)
-    basis = truncated_svd(Xs, _resolve_policy(config, Xs.shape))
-    S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
-    lambdas, W, _ = ritz_pairs(S, basis.U)
-    B = action_on_basis(Ys, basis.V, basis.sigma)
+    U, sigma, V, k, _, Ys, B = _project(*_check_pair_arrays(X, Y), config)
+    S, lambdas, W, _ = _quotient(U, sigma, V, Ys)
     guard = 1e3 * _EPS * float(np.linalg.norm(S, 2))
     alive = np.abs(lambdas) > guard
     if not np.any(alive):
@@ -358,7 +335,7 @@ def exact_dmd(X, Y, config=VariantConfig()):
             "exact_dmd: all Ritz values are numerically zero; no exact vectors exist",
             sigma_min=float(np.abs(lambdas).max(initial=0.0)),
         )
-    Z = np.full((X.shape[0], len(lambdas)), np.nan, dtype=complex)
+    Z = np.full((B.shape[0], len(lambdas)), np.nan, dtype=complex)
     BW = B @ W
     for i in np.flatnonzero(alive):
         z = BW[:, i] / lambdas[i]
@@ -366,7 +343,7 @@ def exact_dmd(X, Y, config=VariantConfig()):
         if nrm > 0:
             Z[:, i] = z / nrm
     residuals = np.full(len(lambdas), np.nan)
-    return _package(lambdas, Z, residuals, None, "exact", basis.rank)
+    return _package(lambdas, Z, residuals, None, "exact", k)
 
 
 def exact_dmd_sequential_diagnostic(F, decomposition):
@@ -380,7 +357,7 @@ def exact_dmd_sequential_diagnostic(F, decomposition):
     """
     if isinstance(F, SnapshotPair):
         raise DataError("sequential trajectory required; general pairs carry no companion residual")
-    traj = F if isinstance(F, SequentialTrajectory) else SequentialTrajectory(np.asarray(F))
+    traj = _as_trajectory(F)
     comp = companion_decomposition(traj)
     Y = traj.F[:, 1:]
     if decomposition.vectors.shape[0] != traj.n:
@@ -413,15 +390,12 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
     X, Y = _check_pair_arrays(X, Y)
     policy = _resolve_policy(config, X.shape)
 
-    Xf, Yf, _ = _maybe_scale(X, Y, config)
-    Uf, sf, Vf, k, _ = _pod_core(Xf, policy)
-    Bf = action_on_basis(Yf, Vf, sf)
+    Uf, _, _, k, _, _, Bf = _project(X, Y, config, policy)
     stack_f = qr_stack(Uf, Bf)
     S_fwd = rayleigh_from_qr(stack_f)
 
-    Xb, Yb, _ = _maybe_scale(Y, X, config)
     try:
-        Ub, sb, Vb, _, sb_all = _pod_core(Xb, RankPolicy.fixed(k))
+        Ub, _, _, _, sb_all, _, Bb = _project(Y, X, config, RankPolicy.fixed(k))
     except ConditioningError as exc:
         raise ConditioningError(
             "fb_dmd_mrf: backward POD cannot support the forward rank %d (%s)" % (k, exc),
@@ -436,7 +410,6 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
             sigma_min=float(sb_all[k - 1]),
             sigma_max=float(sb_all[0]),
         )
-    Bb = action_on_basis(Yb, Vb, sb)
     stack_b = qr_stack(Ub, Bb)
     S_back = rayleigh_from_qr(stack_b)
 
@@ -468,22 +441,11 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
         order = tied[np.lexsort((omegas[tied].imag, omegas[tied].real))]
         lambdas[order[1::2]] = -roots[order[1::2]]
 
-    residuals = residuals_from_stack(stack_f, lambdas, W)
-    Z = Uf @ W
-    perm = order_pairs(residuals, lambdas)
-    dec = RitzDecomposition(
-        lambdas=np.asarray(lambdas, dtype=complex)[perm],
-        vectors=np.asarray(Z, dtype=complex)[:, perm],
-        residuals=np.asarray(residuals, dtype=np.float64)[perm],
-        refined=tuple([None] * k),
-        ordering=perm,
-        variant="fb",
-        rank=k,
-        weight=None,
-    )
+    dec = _package(lambdas, Uf @ W, residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
+    perm = dec.ordering
     fb = FbSpectrum(
         omegas=omegas[perm],
-        lambdas=np.asarray(lambdas, dtype=complex)[perm],
+        lambdas=lambdas[perm],
         sign_evidence=np.asarray(evidence, dtype=complex)[perm],
     )
     return dec, fb
@@ -499,13 +461,11 @@ def select_pairs(decomposition, residual_cap):
     r = decomposition.residuals
     mask = (r <= cap) | (np.isnan(r) & np.isinf(cap))
     keep = np.flatnonzero(mask)
-    return RitzDecomposition(
+    return dataclasses.replace(
+        decomposition,
         lambdas=decomposition.lambdas[keep],
         vectors=decomposition.vectors[:, keep],
         residuals=r[keep],
         refined=tuple(decomposition.refined[i] for i in keep),
         ordering=decomposition.ordering[keep],
-        variant=decomposition.variant,
-        rank=decomposition.rank,
-        weight=decomposition.weight,
     )

@@ -1,14 +1,18 @@
 """End-to-end runs of the command-line surface via ``main(argv)``."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dmdkit
 from dmdkit.cli import main
 from dmdkit.matrixio import load_matrix, store_matrix
 from dmdkit.pod import default_epsilon
-from dmdkit.verify import make_oracle, trajectory
+from dmdkit.verify import make_oracle, trajectory, write_fixture_set
 
 
 def _canonical(obj):
@@ -121,6 +125,10 @@ def test_dt_adds_log_mapped_frequencies(traj_file, capsys):
         lam = complex(r["lambda_re"], r["lambda_im"])
         want = np.log(lam) / (2.0 * np.pi * 0.5)
         assert abs(complex(r["koopman_re"], r["koopman_im"]) - want) <= 1e-12
+    # Rejected before the input is read, so a missing file does not matter.
+    for bad in ("-0.5", "0", "nan", "inf"):
+        assert main(["decompose", "--seq", traj_file + ".missing", "--dt", bad]) == 2
+        assert "--dt" in capsys.readouterr().err
 
 
 def test_input_flag_conflicts(traj_file, capsys):
@@ -199,6 +207,23 @@ def test_out_file_identical_across_runs_and_threads(traj_file, tmp_path, capsys)
     assert main(argv + ["--out", str(paths[2]), "--threads", "4"]) == 0
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_report_bytes_independent_of_threads_in_fresh_processes(tmp_path):
+    # Fixed BLAS thread count; only the refinement pool size differs.
+    write_fixture_set(str(tmp_path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmdkit.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    runs = [subprocess.Popen([sys.executable, "-m", "dmdkit.cli", "decompose",
+                              "--seq", str(tmp_path / "decaying-tall_trajectory.dmm"),
+                              "--out", str(tmp_path / ("t%d.json" % t)), "--threads", str(t)],
+                             env=env, stderr=subprocess.PIPE)
+            for t in (1, 3)]
+    for proc in runs:
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+    assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t3.json").read_bytes()
 
 
 def test_env_thread_count_must_be_integer(traj_file, capsys, monkeypatch):

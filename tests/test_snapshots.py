@@ -39,6 +39,21 @@ def test_pair_rejects_shape_mismatch_and_non_finite():
         SnapshotPair(np.array([[np.inf]]), np.array([[1.0]]))
 
 
+def test_matrices_are_promoted_to_double_precision():
+    X = np.arange(6.0).reshape(3, 2)
+    for dtype, want in ((np.float16, np.float64), (np.float32, np.float64), (np.int32, np.float64),
+                        (bool, np.float64), (np.complex64, np.complex128)):
+        pair = SnapshotPair(X.astype(dtype), X.astype(dtype))
+        assert pair.X.dtype == want and pair.Y.dtype == want
+        assert np.array_equal(pair.X, X.astype(dtype))
+    # double precision passes through uncopied, views included
+    F = _rng(3).standard_normal((5, 4))
+    for A in (F, F.astype(np.complex128)):
+        pair = SnapshotPair(A[:, :-1], A[:, 1:])
+        assert np.shares_memory(pair.X, A) and np.shares_memory(pair.Y, A)
+        assert SequentialTrajectory(A).F is A
+
+
 def test_odd_even_split_interleaves():
     F = np.arange(8.0).reshape(1, 8)
     pair = odd_even_split(F)

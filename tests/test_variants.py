@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from dmdkit.errors import ConditioningError, DataError
+from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.pod import RankPolicy
 from dmdkit.snapshots import SequentialTrajectory, SnapshotPair
 from dmdkit.variants import (
@@ -159,9 +159,9 @@ def test_auto_routing_crossover():
     _, F_wide = _orbit(75, 20, 10)  # n < 4(m+1): direct route
     dec_wide = ddmd_rrr_auto(F_wide)
     assert dec_wide.variant == "rrr"
-    forced = ddmd_rrr_auto(F_tall, VariantConfig(compress=False))
-    assert forced.variant == "rrr"
-    assert match_eigenvalues(dec_tall.lambdas, forced.lambdas) <= 1e-10
+    direct = ddmd_rrr(F_tall.F[:, :-1], F_tall.F[:, 1:])
+    assert direct.variant == "rrr"
+    assert match_eigenvalues(dec_tall.lambdas, direct.lambdas) <= 1e-10
 
 
 def test_exact_dmd_shares_spectrum_and_satisfies_pinv_operator():
@@ -305,8 +305,6 @@ def test_select_pairs_nan_residuals_survive_only_infinite_cap():
 def test_config_validation():
     with pytest.raises(DataError):
         VariantConfig(refine="sometimes")
-    with pytest.raises(DataError):
-        VariantConfig(dt=-0.5)
     for bad in ({"workers": 0}, {"workers": -3}, {"workers": 2.5},
                 {"refine": float("nan")}, {"refine": -1.0}, {"refine": [0.1]}):
         with pytest.raises(DataError):
@@ -362,6 +360,27 @@ def test_huge_finite_data_scales_like_unit_data():
     big = ddmd_rrr(1e300 * X, 1e300 * Y, VariantConfig(scale=True))
     assert np.abs(big.lambdas - ref.lambdas).max() <= 1e-12 * np.abs(ref.lambdas).max()
     assert np.all(np.abs(big.residuals - ref.residuals) <= 1e-12 * ref.residuals)
+
+
+def test_float32_input_runs_in_double_precision():
+    _, F = _orbit(101, 60, 20, spectrum="unit-disc", conditioning=10.0)
+    F32 = F.F.astype(np.float32)
+    single = ddmd_rrr(F32[:, :-1], F32[:, 1:])
+    double = ddmd_rrr(F32[:, :-1].astype(np.float64), F32[:, 1:].astype(np.float64))
+    for field in ("lambdas", "vectors", "residuals", "ordering"):
+        a, b = getattr(single, field), getattr(double, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+@pytest.mark.parametrize("pipeline", [
+    dmd, ddmd_rrr, exact_dmd, fb_dmd_mrf,
+    pytest.param(lambda X, Y: ddmd_rrr_auto(X), id="ddmd_rrr_auto"),
+    pytest.param(lambda X, Y: ddmd_rrr_compressed(X), id="ddmd_rrr_compressed"),
+])
+def test_empty_snapshots_are_a_shape_error(pipeline, shape):
+    with pytest.raises(ShapeError):
+        pipeline(np.zeros(shape), np.zeros(shape))
 
 
 def test_trajectory_input_type_flexibility():
