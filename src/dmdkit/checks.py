@@ -4,7 +4,8 @@ Each check builds its own data from :mod:`dmdkit.verify` oracles, runs
 the relevant pipeline, and reports a pass/fail verdict with a one-line
 numeric summary.  The functions are deterministic for a fixed seed and
 never embed timings or environment state in their output, so a whole
-report can be compared byte for byte across runs and thread counts.
+report can be compared byte for byte across runs with the same BLAS
+thread count.
 
 ``run_all`` drives the suite at a configurable scale for the CLI; the
 test suite calls the individual checks at fixed scales of its own.
@@ -79,7 +80,7 @@ def _band_spectrum(n, lo, hi, seed):
 # 1. data-driven residuals agree with explicit-operator residuals
 
 
-def check_residual_identity(scales=((200, 40), (500, 60)), seed=101, tol=1e-6, floor=1e-8, workers=None):
+def check_residual_identity(scales=((200, 40), (500, 60)), seed=101, tol=1e-6, floor=1e-8):
     """Every pair with a non-negligible residual has eta within tol of 1."""
     worst = 0.0
     counted = 0
@@ -87,7 +88,7 @@ def check_residual_identity(scales=((200, 40), (500, 60)), seed=101, tol=1e-6, f
         oracle = make_oracle(n, spectrum=_band_spectrum(n, 0.45, 0.97, seed + 10 * j),
                              conditioning=40.0, seed=seed + 10 * j)
         F = trajectory(oracle, _unit_start(n, seed + 10 * j + 1), m)
-        dec = ddmd_rrr(F.F[:, :-1], F.F[:, 1:], VariantConfig(workers=workers))
+        dec = ddmd_rrr(F.F[:, :-1], F.F[:, 1:])
         _, eta = explicit_residuals(oracle, dec)
         mask = np.isfinite(eta) & (dec.residuals > floor)
         if np.any(mask):
@@ -374,14 +375,14 @@ def check_spectral_distance_bound(n=150, m=40, seed=701, cap=5e-4):
 # 10. scaling rescues graded snapshots; corrupted singular values are caught
 
 
-def check_scaling_rescue(n=1000, m=99, seed=11, workers=None):
+def check_scaling_rescue(n=1000, m=99, seed=11):
     oracle = make_oracle(n, spectrum="decaying", conditioning=300.0, seed=seed)
     F = trajectory(oracle, _unit_start(n, seed + 5), m)
     X, Y = F.F[:, :-1], F.F[:, 1:]
     policy = RankPolicy.spectral(n * _EPS)
 
     plain = dmd(X, Y, VariantConfig(policy=policy, scale=False))
-    refined = ddmd_rrr(X, Y, VariantConfig(policy=policy, scale=True, workers=workers))
+    refined = ddmd_rrr(X, Y, VariantConfig(policy=policy, scale=True))
     rank_ok = refined.rank > plain.rank
 
     # Curve comparison at the shared rank on the same scaled data: this
@@ -429,37 +430,15 @@ def check_companion_identity(seed=811):
 
 
 # ---------------------------------------------------------------------------
-# 12. worker count cannot change a single output bit
 
 
-def check_thread_determinism(n=120, m=24, seed=901):
-    oracle = make_oracle(n, spectrum="unit-disc", conditioning=40.0, seed=seed)
-    F = trajectory(oracle, _unit_start(n, seed + 1), m)
-    X, Y = F.F[:, :-1], F.F[:, 1:]
-    serial = ddmd_rrr(X, Y, VariantConfig(workers=1))
-    threaded = ddmd_rrr(X, Y, VariantConfig(workers=4))
-    same = (
-        np.array_equal(serial.lambdas, threaded.lambdas)
-        and np.array_equal(serial.residuals, threaded.residuals)
-        and np.array_equal(serial.vectors, threaded.vectors)
-    )
-    return CheckResult(
-        "thread-determinism",
-        bool(same),
-        "bitwise identical across 1 and 4 workers: %s" % bool(same),
-    )
-
-
-# ---------------------------------------------------------------------------
-
-
-def run_all(n=400, m=79, seed=7, workers=None):
+def run_all(n=400, m=79, seed=7):
     """Run every check at a scale derived from (n, m, seed)."""
     family = _instance_family(100, base_seed=seed + 300)
     half = (max(20, n // 2), max(8, m // 2))
     steps = [
         ("residual-identity",
-         lambda: check_residual_identity(scales=(half, (n, m)), seed=seed + 100, workers=workers)),
+         lambda: check_residual_identity(scales=(half, (n, m)), seed=seed + 100)),
         ("refinement-optimality", lambda: check_refinement_optimality(family)),
         ("rayleigh-optimality", lambda: check_rayleigh_optimality(family)),
         ("quotient-consistency", lambda: check_quotient_consistency(family)),
@@ -469,9 +448,8 @@ def run_all(n=400, m=79, seed=7, workers=None):
         ("fb-consistency", lambda: check_fb_consistency(seed=seed + 2000)),
         ("weighted-reduction", lambda: check_weighted_chain(seed=seed + 600)),
         ("spectral-distance-bound", lambda: check_spectral_distance_bound(seed=seed + 700)),
-        ("scaling-rescue", lambda: check_scaling_rescue(n=n, m=m, seed=seed, workers=workers)),
+        ("scaling-rescue", lambda: check_scaling_rescue(n=n, m=m, seed=seed)),
         ("companion-identity", lambda: check_companion_identity(seed=seed + 800)),
-        ("thread-determinism", lambda: check_thread_determinism(seed=seed + 900)),
     ]
     results = []
     for name, step in steps:

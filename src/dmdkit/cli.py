@@ -6,8 +6,8 @@ sorted, no whitespace, one trailing newline.  Parsing a report and
 re-serializing it reproduces the bytes exactly, so reports can be
 diffed, hashed, and archived.  ``dmdkit verify`` runs the self-check
 suite on internally generated oracles and prints one pass/fail line per
-check.  Timings go to stderr only; reports stay byte-deterministic for a
-fixed seed and BLAS thread count, whatever the ``--threads`` pool size.
+check.  Timings go to stderr only; reports are byte-identical across runs
+with the same input, seed and BLAS thread count.
 
 Exit codes: 0 success, 1 failed verification, 2 data error,
 3 conditioning error, 4 backend error.
@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 failed verification, 2 data error,
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -60,21 +59,6 @@ def _parse_refine(text):
         except ValueError as exc:
             raise DataError("bad refinement cap %r: %s" % (text, exc)) from exc
     raise DataError("refine must be 'none', 'all', or 'cap=REAL', got %r" % (text,))
-
-
-def _resolve_threads(args):
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        env = os.environ.get("DMD_NUM_THREADS")
-        if env is None:
-            return None
-        try:
-            threads = int(env)
-        except ValueError as exc:
-            raise DataError("DMD_NUM_THREADS must be an integer, got %r" % (env,)) from exc
-    if threads < 1:
-        raise DataError("the refinement thread count must be at least 1, got %d" % threads)
-    return threads
 
 
 def _load_weight(path, inverse=False):
@@ -125,7 +109,6 @@ def _records(dec, dt, cap):
 
 
 def cmd_decompose(args):
-    threads = _resolve_threads(args)
     if args.dt is not None and not (args.dt > 0 and np.isfinite(args.dt)):
         raise DataError("--dt must be positive and finite, got %r" % (args.dt,))
     X, Y, data = _load_input(args)
@@ -144,7 +127,6 @@ def cmd_decompose(args):
         policy=policy,
         scale=not args.no_scale,
         refine=_parse_refine(args.refine),
-        workers=threads,
     )
 
     M = _load_weight(args.weight, args.weight_inverse) if args.weight else None
@@ -201,9 +183,8 @@ def cmd_decompose(args):
 
 
 def cmd_verify(args):
-    threads = _resolve_threads(args)
     t0 = time.monotonic()
-    results = checks.run_all(n=args.n, m=args.m, seed=args.seed, workers=threads)
+    results = checks.run_all(n=args.n, m=args.m, seed=args.seed)
     elapsed = time.monotonic() - t0
 
     for r in results:
@@ -250,8 +231,6 @@ def _build_parser():
     d.add_argument("--dt", type=float, help="snapshot spacing; adds continuous-time frequencies")
     d.add_argument("--modes-out", help="write mode vectors to this DMM1 file")
     d.add_argument("--out", help="write the JSON report here instead of stdout")
-    d.add_argument("--threads", type=int,
-                   help="size of the refinement thread pool only; BLAS threads are not changed")
     d.set_defaults(func=cmd_decompose)
 
     v = sub.add_parser("verify", help="run the self-verification suite on built-in oracles")
@@ -260,8 +239,6 @@ def _build_parser():
     v.add_argument("--seed", type=int, default=7)
     v.add_argument("--out", help="write the verification report as canonical JSON")
     v.add_argument("--fixtures", help="also write the oracle fixture set to this directory")
-    v.add_argument("--threads", type=int,
-                   help="size of the refinement thread pool only; BLAS threads are not changed")
     v.set_defaults(func=cmd_verify)
     return parser
 

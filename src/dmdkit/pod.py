@@ -79,6 +79,8 @@ class RankPolicy:
 
 def numerical_rank(sigma, policy):
     """Apply a rank policy to a descending singular value profile."""
+    if not isinstance(policy, RankPolicy):
+        raise DataError("rank policy must be a RankPolicy, got %r" % (policy,))
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.size == 0 or sigma[0] <= 0.0:
         raise ConditioningError("numerical_rank: zero matrix has no positive rank", sigma_min=0.0)

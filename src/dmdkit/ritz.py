@@ -113,7 +113,9 @@ def action_on_basis(Y, V_k, sigma_k):
     """B_k = Y V_k Sigma_k^{-1}, the image of the POD basis in the data.
 
     Requires strictly positive retained singular values; the division is
-    applied to the small factor first.
+    applied to the small factor first.  A product that overflows is a
+    conditioning error: finite data whose scales cannot be combined in
+    double precision.
     """
     sigma_k = np.asarray(sigma_k, dtype=np.float64)
     if np.any(sigma_k <= 0.0) or not np.all(np.isfinite(sigma_k)):
@@ -127,7 +129,11 @@ def action_on_basis(Y, V_k, sigma_k):
         raise ShapeError(
             "Y has %d columns but V_k has %d rows" % (Y.shape[1], V_k.shape[0])
         )
-    return Y @ (V_k / sigma_k[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = Y @ (V_k / sigma_k[None, :])
+    if not np.isfinite(B).all():
+        raise ConditioningError("action_on_basis: B_k = Y V_k Sigma_k^-1 overflows double precision")
+    return B
 
 
 def qr_stack(U_k, B_k):

@@ -7,9 +7,7 @@ quotient is formed, whether vectors are refined, and where the vectors
 live (POD subspace vs range of Y).
 """
 
-import concurrent.futures
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,16 +59,14 @@ class VariantConfig:
     ``policy=None`` resolves to the spectral threshold max(n, m+1) * eps
     of the matrix actually decomposed.  ``refine`` is ``'none'``,
     ``'all'``, a residual cap, or a predicate ``f(lambda, residual) ->
-    bool`` selecting which pairs get the refinement treatment.
-    ``workers`` parallelizes the per-eigenvalue refinement loop; results
-    are merged by index and do not depend on the worker count.  A worker
-    count below one or a NaN or negative cap is rejected.
+    bool`` selecting which pairs get the refinement treatment.  A NaN,
+    negative, boolean or non-numeric cap is rejected.  Refinement solves
+    run one after another; parallelism is left to the BLAS library.
     """
 
     policy: RankPolicy | None = None
     scale: bool = True
     refine: str | float | Callable = "all"
-    workers: int | None = None
 
     def __post_init__(self):
         if isinstance(self.refine, str):
@@ -78,8 +74,6 @@ class VariantConfig:
                 raise DataError("refine must be 'none', 'all', a residual cap, or a predicate")
         elif not callable(self.refine):
             _check_cap(self.refine)
-        if self.workers is not None and not (isinstance(self.workers, numbers.Integral) and self.workers >= 1):
-            raise DataError("workers must be a positive integer or None, got %r" % (self.workers,))
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,9 @@ class SequentialDiagnostic:
 
 
 def _check_cap(cap):
-    """A residual cap as a float; NaN, negative and non-numeric caps are rejected."""
+    """A residual cap as a float; NaN, negative, boolean and non-numeric caps are rejected."""
+    if isinstance(cap, (bool, np.bool_)):
+        raise DataError("residual cap must be a real number, not a boolean, got %r" % (cap,))
     try:
         value = float(cap)
     except (TypeError, ValueError) as exc:
@@ -168,20 +164,13 @@ def _refine_indices(config, lambdas, residuals):
     return [i for i in range(k) if residuals[i] <= cap]
 
 
-def _refine_many(stack, S, lambdas, indices, workers):
-    """Refine the selected eigenvalues; deterministic merge by index."""
-
-    def one(i):
+def _refine_many(stack, S, lambdas, indices):
+    """Refine the selected eigenvalues; the records keyed by index."""
+    refined = {}
+    for i in indices:
         w, sigma = refine_ritz(stack, lambdas[i])
-        rho = refined_rayleigh_value(S, w)
-        return i, RefinedPair(w=w, sigma_min=sigma, rho=rho)
-
-    if workers is not None and workers > 1 and len(indices) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(i) for i in indices]
-    return dict(results)
+        refined[i] = RefinedPair(w=w, sigma_min=sigma, rho=refined_rayleigh_value(S, w))
+    return refined
 
 
 def _package(lambdas, Z, residuals, refined, variant, rank, weight=None):
@@ -231,7 +220,7 @@ def _rrr_pipeline(Gx, Gy, config, variant, weight=None):
             lambdas = np.linalg.eigvals(S)
         except np.linalg.LinAlgError as exc:
             raise BackendError("eigensolver failed on the Rayleigh quotient: %s" % exc) from exc
-        refined_map = _refine_many(stack, S, lambdas, range(k), config.workers)
+        refined_map = _refine_many(stack, S, lambdas, range(k))
         W = np.column_stack([refined_map[i].w for i in range(k)])
         residuals = np.array([refined_map[i].sigma_min for i in range(k)])
         refined = [refined_map[i] for i in range(k)]
@@ -241,7 +230,7 @@ def _rrr_pipeline(Gx, Gy, config, variant, weight=None):
         refined = [None] * k
         indices = _refine_indices(config, lambdas, residuals)
         if indices:
-            refined_map = _refine_many(stack, S, lambdas, indices, config.workers)
+            refined_map = _refine_many(stack, S, lambdas, indices)
             W = W.astype(complex)
             residuals = residuals.copy()
             for i, rec in refined_map.items():

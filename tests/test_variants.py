@@ -1,13 +1,14 @@
 """End-to-end pipelines: classic, refined, compressed, exact, fb, selection."""
 
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from dmdkit.errors import ConditioningError, DataError, ShapeError
-from dmdkit.pod import RankPolicy
+from dmdkit.pod import RankPolicy, truncated_svd
+from dmdkit.ritz import action_on_basis, qr_stack, rayleigh_from_qr, refine_ritz
 from dmdkit.snapshots import SequentialTrajectory, SnapshotPair
 from dmdkit.variants import (
     VariantConfig,
@@ -291,8 +292,9 @@ def test_select_pairs_cap_semantics():
     assert np.all(np.diff(sel.residuals) >= 0)
     with pytest.raises(DataError):
         select_pairs(dec, -1.0)
-    with pytest.raises(DataError):
-        select_pairs(dec, float("nan"))
+    for bad in (float("nan"), True):
+        with pytest.raises(DataError):
+            select_pairs(dec, bad)
 
 
 def test_select_pairs_nan_residuals_survive_only_infinite_cap():
@@ -305,15 +307,23 @@ def test_select_pairs_nan_residuals_survive_only_infinite_cap():
 def test_config_validation():
     with pytest.raises(DataError):
         VariantConfig(refine="sometimes")
-    for bad in ({"workers": 0}, {"workers": -3}, {"workers": 2.5},
-                {"refine": float("nan")}, {"refine": -1.0}, {"refine": [0.1]}):
+    for bad in ({"refine": float("nan")}, {"refine": -1.0}, {"refine": [0.1]},
+                {"refine": True}, {"refine": False}, {"refine": np.True_}):
         with pytest.raises(DataError):
             VariantConfig(**bad)
+    # a policy that is not a RankPolicy is rejected where the rank is taken
+    _, F = _orbit(85, 20, 6)
+    X, Y = F.F[:, :-1], F.F[:, 1:]
+    for pipeline in (dmd, ddmd_rrr, exact_dmd, fb_dmd_mrf):
+        with pytest.raises(DataError):
+            pipeline(X, Y, VariantConfig(policy="spectral"))
+    with pytest.raises(DataError):
+        ddmd_rrr_compressed(F.F, VariantConfig(policy="spectral"))
+    with pytest.raises(DataError):
+        truncated_svd(X, 5)
 
 
 def test_config_accepts_good_refinement_arguments():
-    assert VariantConfig(workers=1).workers == 1
-    assert VariantConfig(workers=np.int64(3)).workers == 3
     assert VariantConfig(refine=0.0).refine == 0.0
     assert VariantConfig(refine=np.inf).refine == np.inf
 
@@ -331,24 +341,26 @@ def test_refined_vectors_of_conjugate_ritz_values_are_conjugates():
 
 
 def test_refinement_threads_sharing_the_memo_match_serial():
-    # more workers than cores and frequent thread switches, so concurrent
-    # solves of one conjugate pair race on the stack's memo
+    # more threads than cores and frequent thread switches, so concurrent
+    # solves of one conjugate pair race on the shared stack's memo
     _, F = _orbit(99, 60, 30, spectrum="unit-disc", conditioning=10.0)
-    X, Y = F.F[:, :-1], F.F[:, 1:]
-    serial = ddmd_rrr(X, Y, VariantConfig(workers=1))
-    out = {}
+    basis = truncated_svd(F.F[:, :-1], RankPolicy.fixed(30))
+    B = action_on_basis(F.F[:, 1:], basis.V, basis.sigma)
+    shared = qr_stack(basis.U, B)
+    lambdas = np.linalg.eigvals(rayleigh_from_qr(shared))
+    shifts = np.concatenate([lambdas, lambdas[::-1]])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        worker = threading.Thread(target=lambda: out.update(dec=ddmd_rrr(X, Y, VariantConfig(workers=8))))
-        worker.start()
-        worker.join(timeout=120)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda lam: refine_ritz(shared, lam), shifts, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    assert not worker.is_alive()
-    threaded = out["dec"]
-    assert np.array_equal(threaded.vectors, serial.vectors)
-    assert np.array_equal(threaded.residuals, serial.residuals)
+    fresh = qr_stack(basis.U, B)
+    for lam, (w, sigma) in zip(shifts, threaded):
+        w_ref, sigma_ref = refine_ritz(fresh, lam)
+        assert np.array_equal(w, w_ref)
+        assert sigma == sigma_ref
 
 
 def test_huge_finite_data_scales_like_unit_data():
@@ -360,6 +372,20 @@ def test_huge_finite_data_scales_like_unit_data():
     big = ddmd_rrr(1e300 * X, 1e300 * Y, VariantConfig(scale=True))
     assert np.abs(big.lambdas - ref.lambdas).max() <= 1e-12 * np.abs(ref.lambdas).max()
     assert np.all(np.abs(big.residuals - ref.residuals) <= 1e-12 * ref.residuals)
+
+
+@pytest.mark.parametrize("scale", [True, False])
+@pytest.mark.parametrize("pipeline", [
+    dmd, ddmd_rrr, exact_dmd, fb_dmd_mrf,
+    pytest.param(lambda X, Y, c: ddmd_rrr_compressed(SnapshotPair(X, Y), c), id="ddmd_rrr_compressed"),
+])
+def test_overflowing_basis_image_is_a_conditioning_error(pipeline, scale):
+    # finite data whose B_k = Y V Sigma^-1 exceeds the double range
+    rng = _rng(98)
+    X = 1e-200 * rng.standard_normal((40, 8))
+    Y = 1e150 * rng.standard_normal((40, 8))
+    with pytest.raises(ConditioningError, match="overflow"):
+        pipeline(X, Y, VariantConfig(scale=scale))
 
 
 def test_float32_input_runs_in_double_precision():
