@@ -21,12 +21,12 @@ import time
 import numpy as np
 
 from . import checks
-from .errors import BackendError, ConditioningError, DataError
+from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
 from .matrixio import load_matrix, store_matrix
 from .pod import RankPolicy, default_epsilon
 from .ritz import koopman_log_map
-from .snapshots import SequentialTrajectory, SnapshotPair
+from .snapshots import SnapshotPair
 from .variants import (
     VariantConfig,
     dmd,
@@ -71,15 +71,29 @@ def _load_weight(path, inverse=False):
 
 
 def _load_input(args):
+    """(X, Y, F) from the input files; F is the trajectory, or None for --x/--y.
+
+    :func:`load_matrix` has rejected non-finite entries and every pipeline
+    validates its own input, so only the shapes are checked here.  The
+    compressed route takes the column-major arrays as loaded.  The direct
+    pipelines round their column norms and products differently on the
+    two layouts, so they get row-major copies, the layout their reports
+    have always been computed from.
+    """
+    layout = np.ascontiguousarray if args.variant != "rrr-compressed" else np.asarray
     if args.seq is not None:
         if args.x is not None or args.y is not None:
             raise DataError("--seq cannot be combined with --x/--y")
-        traj = SequentialTrajectory(load_matrix(args.seq))
-        return traj.F[:, :-1], traj.F[:, 1:], traj
+        F = layout(load_matrix(args.seq))
+        if F.shape[1] < 2:
+            raise ShapeError("trajectory needs at least 2 columns, got %d" % F.shape[1])
+        return F[:, :-1], F[:, 1:], F
     if args.x is None or args.y is None:
         raise DataError("either --seq FILE or both --x FILE and --y FILE are required")
-    pair = SnapshotPair(load_matrix(args.x), load_matrix(args.y))
-    return pair.X, pair.Y, pair
+    X, Y = layout(load_matrix(args.x)), layout(load_matrix(args.y))
+    if X.shape != Y.shape:
+        raise ShapeError("X and Y must have equal shapes, got %r and %r" % (X.shape, Y.shape))
+    return X, Y, None
 
 
 def _records(dec, dt, cap):
@@ -111,7 +125,7 @@ def _records(dec, dt, cap):
 def cmd_decompose(args):
     if args.dt is not None and not (args.dt > 0 and np.isfinite(args.dt)):
         raise DataError("--dt must be positive and finite, got %r" % (args.dt,))
-    X, Y, data = _load_input(args)
+    X, Y, F = _load_input(args)
     n, m = X.shape
 
     policy = None
@@ -138,7 +152,7 @@ def cmd_decompose(args):
     elif variant == "rrr":
         dec = ddmd_rrr(X, Y, config)
     elif variant == "rrr-compressed":
-        dec = ddmd_rrr_compressed(data, config)
+        dec = ddmd_rrr_compressed(SnapshotPair(X, Y) if F is None else F, config)
     elif variant == "exact":
         dec = exact_dmd(X, Y, config)
     elif variant == "fb":
@@ -177,7 +191,7 @@ def cmd_decompose(args):
         present = dec.vector_present
         if not np.any(present):
             raise DataError("no vectors present to store in --modes-out")
-        store_matrix(dec.vectors[:, present], args.modes_out)
+        store_matrix(dec.vectors if present.all() else dec.vectors[:, present], args.modes_out)
         print("modes: %s (%d columns)" % (args.modes_out, int(present.sum())), file=sys.stderr)
     return 0
 

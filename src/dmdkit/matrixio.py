@@ -21,6 +21,8 @@ MAGIC = b"DMMATRX1"
 _KIND_REAL64 = 0
 _KIND_COMPLEX128 = 1
 _HEADER_LEN = len(MAGIC) + 8 + 8 + 1
+# Bytes per column block when a matrix that is not column-major is stored.
+_STORE_BLOCK_BYTES = 1 << 22
 
 
 def _format_for(path, fmt):
@@ -55,12 +57,20 @@ def store_matrix(a, path, fmt=None):
         kind, dtype = _KIND_COMPLEX128, np.dtype("<c16")
     else:
         kind, dtype = _KIND_REAL64, np.dtype("<f8")
+    a = a.astype(dtype, copy=False)
     n, m = a.shape
     header = MAGIC + np.uint64(n).tobytes() + np.uint64(m).tobytes() + bytes([kind])
-    payload = np.asfortranarray(a.astype(dtype, copy=False)).tobytes(order="F")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        if a.flags.f_contiguous:
+            # The transpose of a column-major array is a C-contiguous view
+            # whose bytes are the payload: written without a copy.
+            fh.write(a.T)
+            return
+        # Any other layout goes out in column blocks of bounded size.
+        step = max(1, _STORE_BLOCK_BYTES // max(1, n * dtype.itemsize))
+        for j in range(0, m, step):
+            fh.write(np.asfortranarray(a[:, j : j + step]).T)
 
 
 def _load_csv(path):
@@ -90,32 +100,34 @@ def _load_csv(path):
 
 def _load_dmm(path):
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER_LEN:
-        raise DataError("%s: truncated DMM1 header" % (path,))
-    if blob[: len(MAGIC)] != MAGIC:
-        raise DataError("%s: bad magic, not a DMM1 file" % (path,))
-    n = int(np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC))[0])
-    m = int(np.frombuffer(blob, dtype="<u8", count=1, offset=len(MAGIC) + 8)[0])
-    kind = blob[len(MAGIC) + 16]
-    if kind == _KIND_REAL64:
-        dtype = np.dtype("<f8")
-    elif kind == _KIND_COMPLEX128:
-        dtype = np.dtype("<c16")
-    else:
-        raise DataError("%s: unknown scalar kind %d" % (path, kind))
-    expected = n * m * dtype.itemsize
-    payload = blob[_HEADER_LEN:]
-    if len(payload) < expected:
-        raise DataError(
-            "%s: truncated payload (%d bytes, expected %d)" % (path, len(payload), expected)
-        )
-    if len(payload) > expected:
-        raise DataError(
-            "%s: trailing bytes after payload (%d extra)" % (path, len(payload) - expected)
-        )
-    a = np.frombuffer(payload, dtype=dtype).reshape((n, m), order="F").copy()
-    return a
+        header = fh.read(_HEADER_LEN)
+        if len(header) < _HEADER_LEN:
+            raise DataError("%s: truncated DMM1 header" % (path,))
+        if header[: len(MAGIC)] != MAGIC:
+            raise DataError("%s: bad magic, not a DMM1 file" % (path,))
+        n = int(np.frombuffer(header, dtype="<u8", count=1, offset=len(MAGIC))[0])
+        m = int(np.frombuffer(header, dtype="<u8", count=1, offset=len(MAGIC) + 8)[0])
+        kind = header[len(MAGIC) + 16]
+        if kind == _KIND_REAL64:
+            dtype = np.dtype("<f8")
+        elif kind == _KIND_COMPLEX128:
+            dtype = np.dtype("<c16")
+        else:
+            raise DataError("%s: unknown scalar kind %d" % (path, kind))
+        expected = n * m * dtype.itemsize
+        size = os.fstat(fh.fileno()).st_size - _HEADER_LEN
+        if size < expected:
+            raise DataError("%s: truncated payload (%d bytes, expected %d)" % (path, size, expected))
+        if size > expected:
+            raise DataError("%s: trailing bytes after payload (%d extra)" % (path, size - expected))
+        if expected == 0:
+            raise DataError("%s: empty matrix" % (path,))
+        # The payload is column-major, so it lands in place in a Fortran array.
+        flat = np.empty(n * m, dtype=dtype)
+        got = fh.readinto(memoryview(flat).cast("B"))
+    if got != expected:
+        raise DataError("%s: truncated payload (%d bytes, expected %d)" % (path, got, expected))
+    return flat.reshape((n, m), order="F")
 
 
 def load_matrix(path, fmt=None):
@@ -126,8 +138,6 @@ def load_matrix(path, fmt=None):
     """
     fmt = _format_for(path, fmt)
     a = _load_csv(path) if fmt == "csv" else _load_dmm(path)
-    if a.size == 0:
-        raise DataError("%s: empty matrix" % (path,))
     if not np.all(np.isfinite(a)):
         raise DataError("%s: non-finite entries in matrix" % (path,))
     return a

@@ -153,20 +153,32 @@ def odd_even_split(F):
     return SnapshotPair(F[:, 0::2], F[:, 1::2], provenance="general")
 
 
+def _column_norms(X):
+    """Column 2-norms that stay finite for finite columns.
+
+    A column whose plain norm overflows is measured again as
+    max|x| * ||x / max|x|||; every other column keeps the bits of
+    ``np.linalg.norm(X, axis=0)``.  A column holding an infinity stays
+    infinite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.linalg.norm(X, axis=0)
+        big = ~np.isfinite(d)
+        if big.any():
+            Xb = X[:, big]
+            top = np.abs(Xb).max(axis=0)
+            d[big] = np.where(np.isinf(top), top, top * np.linalg.norm(Xb / top, axis=0))
+    return d
+
+
 def _scale_arrays(X, Y):
     """Divide matched columns of X and Y by the column norms of X.
 
     Zero columns get factor 0 and are left untouched.  Returns the scaled
-    copies and the recorded norms.  A column whose plain norm overflows is
-    measured again as max|x| * ||x / max|x|||, so finite data scales.
+    copies and the recorded norms, which are finite for finite data (see
+    :func:`_column_norms`).
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = np.linalg.norm(X, axis=0)
-    big = ~np.isfinite(d)
-    if big.any():
-        Xb = X[:, big]
-        top = np.abs(Xb).max(axis=0)
-        d[big] = top * np.linalg.norm(Xb / top, axis=0)
+    d = _column_norms(X)
     inv = np.ones_like(d)
     nz = d > 0.0
     inv[nz] = 1.0 / d[nz]

@@ -17,6 +17,7 @@ import scipy.linalg
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .pod import RankPolicy, default_epsilon, _pod_core
 from .ritz import (
+    _lift,
     RefinedPair,
     RitzDecomposition,
     action_on_basis,
@@ -238,7 +239,7 @@ def _rrr_pipeline(Gx, Gy, config, variant, weight=None):
                 residuals[i] = rec.sigma_min
                 refined[i] = rec
 
-    Z_tilde = U @ W
+    Z_tilde = _lift(U, W)
     Z = weight.lift(Z_tilde) if weight is not None else Z_tilde
     return _package(lambdas, Z, residuals, refined, variant, k, weight=weight)
 
@@ -259,13 +260,17 @@ def _compress(data):
 
     Returns (Q, R_x, R_y).  For a trajectory the two R-blocks share
     columns of one QR; for a general pair the stacked two-block matrix is
-    factored instead.
+    factored instead, in one column-major buffer the QR overwrites.  The
+    containers have checked the data for non-finite entries already.
     """
     if isinstance(data, SnapshotPair):
         m = data.m
-        Q, R = scipy.linalg.qr(np.hstack([data.X, data.Y]), mode="economic")
+        XY = np.empty((data.n, 2 * m), dtype=np.result_type(data.X, data.Y), order="F")
+        XY[:, :m] = data.X
+        XY[:, m:] = data.Y
+        Q, R = scipy.linalg.qr(XY, mode="economic", overwrite_a=True, check_finite=False)
         return Q, R[:, :m], R[:, m:]
-    Q, R = scipy.linalg.qr(data.F, mode="economic")
+    Q, R = scipy.linalg.qr(data.F, mode="economic", check_finite=False)
     return Q, R[:, :-1], R[:, 1:]
 
 
@@ -284,7 +289,7 @@ def ddmd_rrr_compressed(data, config=VariantConfig()):
     config = dataclasses.replace(config, policy=_resolve_policy(config, (data.n, data.m)))
     Q, Rx, Ry = _compress(data)
     inner = _rrr_pipeline(Rx, Ry, config, "rrr-compressed")
-    return dataclasses.replace(inner, vectors=Q @ inner.vectors)
+    return dataclasses.replace(inner, vectors=_lift(Q, inner.vectors))
 
 
 def ddmd_rrr_auto(data, config=VariantConfig()):
@@ -300,9 +305,10 @@ def ddmd_rrr_auto(data, config=VariantConfig()):
         n, cols = data.n, data.m + 1
     if n > _COMPRESS_CROSSOVER * cols:
         return ddmd_rrr_compressed(data, config)
+    # The container has checked the data; the engine need not scan it again.
     if isinstance(data, SnapshotPair):
-        return ddmd_rrr(data.X, data.Y, config)
-    return ddmd_rrr(data.F[:, :-1], data.F[:, 1:], config)
+        return _rrr_pipeline(data.X, data.Y, config, "rrr")
+    return _rrr_pipeline(data.F[:, :-1], data.F[:, 1:], config, "rrr")
 
 
 def exact_dmd(X, Y, config=VariantConfig()):
@@ -325,7 +331,7 @@ def exact_dmd(X, Y, config=VariantConfig()):
             sigma_min=float(np.abs(lambdas).max(initial=0.0)),
         )
     Z = np.full((B.shape[0], len(lambdas)), np.nan, dtype=complex)
-    BW = B @ W
+    BW = _lift(B, W)
     for i in np.flatnonzero(alive):
         z = BW[:, i] / lambdas[i]
         nrm = np.linalg.norm(z)
@@ -430,7 +436,7 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
         order = tied[np.lexsort((omegas[tied].imag, omegas[tied].real))]
         lambdas[order[1::2]] = -roots[order[1::2]]
 
-    dec = _package(lambdas, Uf @ W, residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
+    dec = _package(lambdas, _lift(Uf, W), residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
     perm = dec.ordering
     fb = FbSpectrum(
         omegas=omegas[perm],

@@ -12,6 +12,7 @@ import dmdkit
 from dmdkit.cli import main
 from dmdkit.matrixio import load_matrix, store_matrix
 from dmdkit.pod import default_epsilon
+from dmdkit.variants import ddmd_rrr, ddmd_rrr_compressed
 from dmdkit.verify import make_oracle, trajectory, write_fixture_set
 
 
@@ -178,6 +179,36 @@ def test_modes_out_writes_present_vectors(traj_file, tmp_path, capsys):
     Z = load_matrix(str(modes))
     assert Z.shape == (24, json.loads(out)["meta"]["k"])
     assert np.allclose(np.linalg.norm(Z, axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["rrr-compressed", "rrr"])
+def test_modes_out_bytes_equal_the_stored_vectors(traj_file, tmp_path, capsys, variant):
+    modes = tmp_path / "modes.dmm"
+    rc, _ = _decompose(capsys, "--seq", traj_file, "--variant", variant, "--modes-out", str(modes))
+    assert rc == 0
+    F = load_matrix(traj_file)
+    if variant == "rrr-compressed":
+        dec = ddmd_rrr_compressed(F)
+    else:
+        # the direct routes decompose a row-major copy of the file
+        F = np.ascontiguousarray(F)
+        dec = ddmd_rrr(F[:, :-1], F[:, 1:])
+    assert dec.vector_present.all()
+    store_matrix(dec.vectors, tmp_path / "ref.dmm")
+    assert modes.read_bytes() == (tmp_path / "ref.dmm").read_bytes()
+
+
+def test_input_shapes_are_checked(tmp_path, capsys):
+    one = tmp_path / "one.dmm"
+    store_matrix(np.ones((5, 1)), one)
+    for variant in ("rrr", "rrr-compressed"):
+        assert main(["decompose", "--seq", str(one), "--variant", variant]) == 2
+        assert "at least 2 columns" in capsys.readouterr().err
+    other = tmp_path / "other.dmm"
+    store_matrix(np.ones((5, 2)), other)
+    for variant in ("rrr", "rrr-compressed"):
+        assert main(["decompose", "--x", str(one), "--y", str(other), "--variant", variant]) == 2
+        assert "equal shapes" in capsys.readouterr().err
 
 
 def test_exact_variant_null_residuals(traj_file, capsys):

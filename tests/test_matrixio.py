@@ -1,11 +1,14 @@
 """Round trips and corruption handling of the DMM1 and CSV formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdkit.errors import DataError, ShapeError
+from dmdkit import matrixio
 from dmdkit.matrixio import MAGIC, load_matrix, store_matrix
 
 
@@ -125,3 +128,98 @@ def test_empty_csv_rejected(tmp_path):
 def test_store_rejects_3d():
     with pytest.raises(ShapeError):
         store_matrix(np.zeros((2, 2, 2)), "unused.dmm")
+
+
+def _dmm_bytes(a):
+    """The DMM1 file of ``a``, built independently of store_matrix."""
+    kind = 1 if np.iscomplexobj(a) else 0
+    header = MAGIC + np.uint64(a.shape[0]).tobytes() + np.uint64(a.shape[1]).tobytes() + bytes([kind])
+    return header + np.asfortranarray(a).tobytes(order="F")
+
+
+def _layouts():
+    rng = np.random.Generator(np.random.Philox(8))
+    real = rng.standard_normal((37, 12))
+    cplx = real + 1j * rng.standard_normal((37, 12))
+    for kind, base in (("real", real), ("complex", cplx)):
+        yield kind + "-C", np.ascontiguousarray(base)
+        yield kind + "-F", np.asfortranarray(base)
+        yield kind + "-sliced", base[::2, 1::3]
+        yield kind + "-F-sliced", np.asfortranarray(base)[3:30, ::-2]
+        yield kind + "-column", base[:, 4:5]
+        yield kind + "-F-column", np.asfortranarray(base)[:, 4:5]
+
+
+_LAYOUTS = list(_layouts())
+
+
+@pytest.mark.parametrize("name, a", _LAYOUTS, ids=[name for name, _ in _LAYOUTS])
+def test_dmm_bytes_and_round_trip_for_every_layout(tmp_path, name, a):
+    path = tmp_path / ("%s.dmm" % name)
+    store_matrix(a, path)
+    assert path.read_bytes() == _dmm_bytes(a)
+    b = load_matrix(path)
+    assert b.dtype == a.dtype and b.shape == a.shape
+    assert b.flags.f_contiguous
+    assert b.tobytes(order="F") == np.asfortranarray(a).tobytes(order="F")
+
+
+def test_store_in_column_blocks_matches_one_transpose(tmp_path, monkeypatch):
+    # Blocks of a few columns must give the bytes of a single transpose.
+    monkeypatch.setattr(matrixio, "_STORE_BLOCK_BYTES", 3 * 16 * 50)
+    rng = np.random.Generator(np.random.Philox(9))
+    a = rng.standard_normal((50, 11)) + 1j * rng.standard_normal((50, 11))
+    store_matrix(a, tmp_path / "a.dmm")
+    assert (tmp_path / "a.dmm").read_bytes() == _dmm_bytes(a)
+
+
+def test_oversized_header_is_rejected_before_allocating(tmp_path):
+    path = tmp_path / "huge.dmm"
+    path.write_bytes(MAGIC + np.uint64(2**40).tobytes() + np.uint64(1).tobytes() + bytes([0]) + bytes(10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="truncated payload"):
+            load_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_empty_dmm_is_rejected(tmp_path):
+    path = tmp_path / "empty.dmm"
+    path.write_bytes(MAGIC + np.uint64(2**62).tobytes() + np.uint64(0).tobytes() + bytes([0]))
+    with pytest.raises(DataError, match="empty"):
+        load_matrix(path)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_column_major_store_and_load_make_no_copies(tmp_path):
+    rng = np.random.Generator(np.random.Philox(10))
+    a = np.asfortranarray(rng.standard_normal((20000, 60)) + 1j * rng.standard_normal((20000, 60)))
+    path = tmp_path / "big.dmm"
+    _, peak = _traced_peak(lambda: store_matrix(a, path))
+    assert peak < 1 << 20
+    b, peak = _traced_peak(lambda: load_matrix(path))
+    # The array itself, plus the finiteness scan's boolean mask.
+    assert peak < a.nbytes + a.size + (1 << 20)
+    assert np.array_equal(a, b)
+
+
+def test_row_major_store_copies_one_block_at_a_time(tmp_path):
+    rng = np.random.Generator(np.random.Philox(11))
+    a = rng.standard_normal((20000, 60)) + 1j * rng.standard_normal((20000, 60))
+    path = tmp_path / "big.dmm"
+    _, peak = _traced_peak(lambda: store_matrix(a, path))
+    assert peak < matrixio._STORE_BLOCK_BYTES + a.shape[0] * a.itemsize + (1 << 20)
+    assert np.array_equal(load_matrix(path), a)

@@ -1,5 +1,7 @@
 """The Rayleigh-Ritz engine: quotients, residuals, refinement, ordering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from dmdkit.errors import ConditioningError, DataError
 from dmdkit.pod import RankPolicy, truncated_svd
 from dmdkit.ritz import (
+    _lift,
     QrStack,
     action_on_basis,
     data_driven_residuals,
@@ -366,3 +369,53 @@ def test_refine_ritz_memo_hands_out_copies():
     w[:] = 0.0
     again, sigma_again = refine_ritz(stack, lam)
     assert np.linalg.norm(again) == pytest.approx(1.0) and sigma_again == sigma
+
+
+def _lift_operands(seed, n, k, p, order):
+    rng = _rng(seed)
+    A = np.asarray(rng.standard_normal((n, k)), order=order)
+    W = rng.standard_normal((k, p)) + 1j * rng.standard_normal((k, p))
+    return A, W
+
+
+# Shapes around the row blocks of the lift: one block, a one-row tail that
+# joins the previous block, several blocks, and single rows or columns.
+_LIFT_SHAPES = [(300, 7, 7), (2049, 12, 9), (4097, 33, 30), (2, 3, 2), (1, 4, 3), (50, 5, 1)]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n, k, p", _LIFT_SHAPES)
+def test_lift_matches_the_mixed_product(order, n, k, p):
+    A, W = _lift_operands(n + k + p, n, k, p, order)
+    # Small integers multiply and add exactly in any order, so any
+    # difference here is a layout or indexing fault.
+    Ai = np.asarray(np.round(8 * A), order=order)
+    Wi = np.round(8 * W.real) + 1j * np.round(8 * W.imag)
+    Zi, ref = _lift(Ai, Wi), Ai @ Wi
+    np.testing.assert_array_max_ulp(Zi.real, ref.real, 2)
+    np.testing.assert_array_max_ulp(Zi.imag, ref.imag, 2)
+    # General data: the componentwise error bound of a matrix product.
+    Z = _lift(A, W)
+    bound = 2 * k * np.finfo(float).eps * (np.abs(A) @ np.abs(W))
+    assert np.all(np.abs(Z - A @ W) <= bound)
+    if order == "F" and min(n, p) > 1:
+        assert Z.flags.f_contiguous
+
+
+def test_lift_takes_the_plain_product_for_other_operands():
+    A, W = _lift_operands(5, 40, 6, 4, "F")
+    for a, w in ((A + 0j, W), (A, W.real), (A.astype(np.float32), W)):
+        assert np.array_equal(_lift(a, w), a @ w)
+
+
+def test_lift_never_casts_the_tall_operand_to_complex():
+    A, W = _lift_operands(6, 20000, 40, 30, "F")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        Z = _lift(A, W)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # The result and one block of rows; a complex copy of A is 12.8 MB.
+    assert peak < Z.nbytes + (2 << 20)

@@ -5,6 +5,7 @@ import pytest
 
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.snapshots import (
+    _column_norms,
     SequentialTrajectory,
     SnapshotPair,
     companion_decomposition,
@@ -75,6 +76,19 @@ def test_scale_columns_normalizes_and_records():
     assert np.array_equal(scaled.Y[:, 1], Y[:, 1])
     assert scaling.d[0] == 5.0
     assert np.allclose(scaled.Y[:, 0], Y[:, 0] / 5.0)
+
+
+def test_column_norms_rescale_only_overflowing_columns():
+    rng = _rng(14)
+    X = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+    plain = np.linalg.norm(X, axis=0)
+    assert np.array_equal(_column_norms(X), plain)
+    X[:, 1] *= 1e300
+    X[0, 3] = np.inf
+    d = _column_norms(X)
+    assert np.array_equal(d[[0, 2]], plain[[0, 2]])
+    assert abs(d[1] - 1e300 * plain[1]) <= 1e-14 * d[1]
+    assert d[3] == np.inf
 
 
 def test_scaling_rejects_negative_factors():

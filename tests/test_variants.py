@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dmdkit.errors import ConditioningError, DataError, ShapeError
+from dmdkit.inner import InnerProduct
 from dmdkit.pod import RankPolicy, truncated_svd
 from dmdkit.ritz import action_on_basis, qr_stack, rayleigh_from_qr, refine_ritz
 from dmdkit.snapshots import SequentialTrajectory, SnapshotPair
@@ -22,6 +23,7 @@ from dmdkit.variants import (
     select_pairs,
 )
 from dmdkit.verify import make_oracle, match_eigenvalues, trajectory
+from dmdkit.weighted import weighted_dmd
 
 
 def _rng(seed):
@@ -372,6 +374,36 @@ def test_huge_finite_data_scales_like_unit_data():
     big = ddmd_rrr(1e300 * X, 1e300 * Y, VariantConfig(scale=True))
     assert np.abs(big.lambdas - ref.lambdas).max() <= 1e-12 * np.abs(ref.lambdas).max()
     assert np.all(np.abs(big.residuals - ref.residuals) <= 1e-12 * ref.residuals)
+
+
+@pytest.mark.parametrize("scale", [True, False])
+@pytest.mark.parametrize("pipeline", [
+    pytest.param(lambda X, Y, scale: ddmd_rrr(X, Y, VariantConfig(scale=scale, refine="none")), id="rrr-none"),
+    pytest.param(lambda X, Y, scale: ddmd_rrr(X, Y, VariantConfig(scale=scale, refine="all")), id="rrr-all"),
+    pytest.param(lambda X, Y, scale: dmd(X, Y, VariantConfig(scale=scale)), id="dmd"),
+])
+def test_residuals_of_huge_data_do_not_overflow(pipeline, scale):
+    # B_k entries near 1e160 square past the double range in a plain norm
+    rng = _rng(99)
+    X = rng.standard_normal((40, 8))
+    Y = rng.standard_normal((40, 8))
+    ref = pipeline(X, Y, scale)
+    big = pipeline(X, 1e160 * Y, scale)
+    assert np.all(np.isfinite(big.residuals))
+    np.testing.assert_allclose(big.residuals, 1e160 * ref.residuals, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("pipeline", [
+    dmd, ddmd_rrr, exact_dmd,
+    pytest.param(lambda X, Y: fb_dmd_mrf(X, Y)[0], id="fb_dmd_mrf"),
+    pytest.param(lambda X, Y: ddmd_rrr_compressed(SnapshotPair(X, Y)), id="ddmd_rrr_compressed"),
+    pytest.param(lambda X, Y: weighted_dmd(X, Y, InnerProduct.diagonal(np.linspace(1, 2, len(X)))), id="weighted_dmd"),
+])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_vectors_are_column_major(pipeline, order):
+    _, F = _orbit(103, 200, 30)
+    G = np.asarray(F.F, order=order)
+    assert pipeline(G[:, :-1], G[:, 1:]).vectors.flags.f_contiguous
 
 
 @pytest.mark.parametrize("scale", [True, False])
