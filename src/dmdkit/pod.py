@@ -11,7 +11,12 @@ alone, so every decomposition states which rule produced its rank:
 One code path computes singular values and vectors together; there is
 deliberately no values-only shortcut, because mixing two SVD routines in
 one decomposition is exactly the failure mode the residual diagnostics
-of this package are designed to expose.
+of this package are designed to expose.  For tall input that path
+starts with a level-3 Householder QR (LAPACK ?geqrt) of a column-major
+copy, takes the SVD of the small triangular factor, and applies the
+reflectors to its left singular vectors; values and vectors still come
+from the same factorization.  The same QR kernel factors the residual
+stack of :mod:`dmdkit.ritz`.
 """
 
 import numpy as np
@@ -137,12 +142,47 @@ class PodBasis:
         return self._V_hat
 
 
-def _thin_svd(G):
-    """Single SVD path: values and vectors from one backend call."""
+def _householder_qr(a):
+    """Householder QR of the column-major ``a``, in place (LAPACK ?geqrt).
+
+    Returns (a, T): R on and above the diagonal of ``a``, the reflectors
+    below it, and the block reflector factors T for ?gemqrt.  The panels
+    are factored recursively, so the work runs in matrix-matrix products.
+    """
+    (geqrt,) = scipy.linalg.get_lapack_funcs(("geqrt",), (a,))
+    a, t, info = geqrt(min(32, *a.shape), a, overwrite_a=True)
+    if info != 0:
+        raise BackendError("QR backend failed: ?geqrt returned info = %d" % info)
+    return a, t
+
+
+def _gesvd(G):
     try:
-        U, s, Vh = scipy.linalg.svd(G, full_matrices=False, lapack_driver="gesvd")
+        return scipy.linalg.svd(G, full_matrices=False, lapack_driver="gesvd")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise BackendError("SVD backend failed to converge: %s" % exc) from exc
+
+
+def _thin_svd(G):
+    """Single SVD path: values and vectors from one factorization.
+
+    Tall G (n > m) is factored G = Q R by :func:`_householder_qr` on an
+    exact column-major copy; ``gesvd`` runs on the m x m R, and
+    U = Q [U_r; 0] is formed in place by applying the reflectors
+    (?gemqrt).  Other shapes go to ``gesvd`` directly.  Either way the
+    result depends on the values of G only, not on its memory layout.
+    """
+    n, m = G.shape
+    if n <= m:
+        return _gesvd(G)
+    a, t = _householder_qr(np.array(G, dtype=np.result_type(G, np.float64), order="F"))
+    Ur, s, Vh = _gesvd(np.triu(a[:m]))
+    U = np.zeros((n, m), dtype=Ur.dtype, order="F")
+    U[:m] = Ur
+    (gemqrt,) = scipy.linalg.get_lapack_funcs(("gemqrt",), (a,))
+    U, info = gemqrt(a, t, U, overwrite_c=True)
+    if info != 0:
+        raise BackendError("SVD backend failed: ?gemqrt returned info = %d" % info)
     return U, s, Vh
 
 

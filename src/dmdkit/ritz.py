@@ -11,6 +11,8 @@ A thin QR factorization of the stacked matrix (U_k  B_k) compresses the
 residual computation into 2k-dimensional triangular blocks; the smallest
 singular value of the shifted block matrix is at once the optimal residual
 achievable in the POD subspace and the certificate for the refined vector.
+The stack is written once, into one column-major buffer, and a level-3
+Householder QR (LAPACK ?geqrt) overwrites it; Q is never formed.
 
 Refinement costs one QR of the shifted stack plus one k x k SVD of its
 triangular factor per distinct shift.  When the blocks are real, the
@@ -26,6 +28,7 @@ import numpy as np
 
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
+from .pod import _householder_qr
 from .snapshots import _column_norms
 
 __all__ = [
@@ -106,7 +109,8 @@ class RitzDecomposition:
 
     @property
     def vector_present(self):
-        return ~np.any(np.isnan(self.vectors.real) | np.isnan(self.vectors.imag), axis=0)
+        # np.isnan is true for a NaN in either part of a complex entry.
+        return ~np.isnan(self.vectors).any(axis=0)
 
 
 def action_on_basis(Y, V_k, sigma_k):
@@ -139,20 +143,22 @@ def action_on_basis(Y, V_k, sigma_k):
 def qr_stack(U_k, B_k):
     """Compress (U_k  B_k) into triangular blocks by one thin QR.
 
-    Returns the blocks R11 (k x k, nonnegative real diagonal after
-    normalization), R12 (k x k) and R22 (min(n-k, k) x k) together with
-    the extracted unimodular diagonal ``phi``.
+    U_k and B_k are written into one column-major n x 2k buffer, which
+    the Householder QR overwrites; R is the upper triangle of its top
+    min(n, 2k) rows.  Returns the blocks R11 (k x k, nonnegative real
+    diagonal after normalization), R12 (k x k) and R22 (min(n-k, k) x k)
+    together with the extracted unimodular diagonal ``phi``.
     """
     U_k = np.asarray(U_k)
     B_k = np.asarray(B_k)
-    if U_k.shape != B_k.shape:
-        raise ShapeError("U_k and B_k must have equal shapes, got %r and %r" % (U_k.shape, B_k.shape))
-    k = U_k.shape[1]
-    stacked = np.hstack([U_k, B_k])
-    try:
-        R = np.linalg.qr(stacked, mode="r")
-    except np.linalg.LinAlgError as exc:
-        raise BackendError("QR backend failed: %s" % exc) from exc
+    if U_k.ndim != 2 or U_k.shape != B_k.shape:
+        raise ShapeError("U_k and B_k must be 2-D with equal shapes, got %r and %r" % (U_k.shape, B_k.shape))
+    n, k = U_k.shape
+    stacked = np.empty((n, 2 * k), dtype=np.result_type(U_k, B_k, np.float64), order="F")
+    stacked[:, :k] = U_k
+    stacked[:, k:] = B_k
+    stacked, _ = _householder_qr(stacked)
+    R = np.triu(stacked[: min(n, 2 * k)])
     diag = np.diagonal(R)
     phases = np.ones(diag.shape[0], dtype=R.dtype if np.iscomplexobj(R) else np.float64)
     nz = np.abs(diag) > 0.0

@@ -375,11 +375,12 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
     """Forward-backward DMD without any matrix square root.
 
     Forms the forward Rayleigh quotient S_k, the backward quotient of the
-    swapped pair at the same fixed rank, and the product
-    M_k = S_k S_back^{-1} by a linear solve.  Eigenvalues of M_k are the
-    squares of the reported Ritz values; each square root's sign is chosen
-    to minimize the distance to the Rayleigh value w* S_k w, which keeps
-    conjugate pairs closed for real data.  Residuals use the forward data
+    swapped pair at the same fixed rank, written in the forward basis as
+    S_back = (U_f* B_b)(U_b* U_f), and the product M_k = S_k S_back^{-1}
+    by a linear solve.  Eigenvalues of M_k are the squares of the
+    reported Ritz values; each square root's sign is chosen to minimize
+    the distance to the Rayleigh value w* S_k w, which keeps conjugate
+    pairs closed for real data.  Residuals use the forward data
     with the chosen eigenvalues.
     """
     X, Y = _check_pair_arrays(X, Y)
@@ -405,8 +406,9 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
             sigma_min=float(sb_all[k - 1]),
             sigma_max=float(sb_all[0]),
         )
-    stack_b = qr_stack(Ub, Bb)
-    S_back = rayleigh_from_qr(stack_b)
+    # The backward quotient in the forward basis: a sign change or rotation
+    # of the backward basis cancels between the two factors.
+    S_back = (Uf.conj().T @ Bb) @ (Ub.conj().T @ Uf)
 
     sv = scipy.linalg.svdvals(S_back)
     if sv[0] <= 0.0 or sv[-1] <= k * _EPS * sv[0]:

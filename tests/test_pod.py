@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -177,3 +178,47 @@ def test_default_epsilon_covers_wide_inputs():
     eps = np.finfo(np.float64).eps
     assert default_epsilon(100, 10) == 100 * eps
     assert default_epsilon(10, 100) == 101 * eps
+
+
+def _gaussian(rng, shape, complex_valued):
+    G = rng.standard_normal(shape)
+    if complex_valued:
+        G = G + 1j * rng.standard_normal(shape)
+    return G
+
+
+# Inputs for the kernel tests: tall ones take the QR-first route, the
+# others go to gesvd directly.
+_SVD_INPUTS = {
+    "tall": lambda rng, c: _gaussian(rng, (60, 8), c),
+    "square": lambda rng, c: _gaussian(rng, (12, 12), c),
+    "wide": lambda rng, c: _gaussian(rng, (7, 15), c),
+    "rank-deficient": lambda rng, c: _gaussian(rng, (40, 4), c) @ _gaussian(rng, (4, 10), c),
+    "n-by-1": lambda rng, c: _gaussian(rng, (30, 1), c),
+}
+
+
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name", sorted(_SVD_INPUTS))
+def test_truncated_svd_matches_gesvd_reference(name, complex_valued):
+    X = _SVD_INPUTS[name](_rng(31), complex_valued)
+    _, s_ref, _ = scipy.linalg.svd(X, full_matrices=False, lapack_driver="gesvd")
+    basis = truncated_svd(X)
+    tol = 1e-13 * s_ref[0]
+    assert np.abs(basis.sigma_all - s_ref).max() <= tol
+    k = basis.rank
+    assert k == (4 if name == "rank-deficient" else min(X.shape))
+    assert np.abs(basis.U.conj().T @ basis.U - np.eye(k)).max() <= 1e-13
+    assert np.abs(basis.V.conj().T @ basis.V - np.eye(k)).max() <= 1e-13
+    assert np.linalg.norm(X - (basis.U * basis.sigma) @ basis.V.conj().T, 2) <= tol
+
+
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("name", sorted(_SVD_INPUTS))
+def test_truncated_svd_does_not_depend_on_memory_layout(name, complex_valued):
+    X = _SVD_INPUTS[name](_rng(37), complex_valued)
+    c = truncated_svd(np.ascontiguousarray(X))
+    f = truncated_svd(np.asfortranarray(X))
+    assert np.array_equal(c.U, f.U)
+    assert np.array_equal(c.sigma_all, f.sigma_all)
+    assert np.array_equal(c.V, f.V)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmdkit.errors import ConditioningError, DataError
+from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.pod import RankPolicy, truncated_svd
 from dmdkit.ritz import (
     _lift,
     QrStack,
+    RitzDecomposition,
     action_on_basis,
     data_driven_residuals,
     koopman_log_map,
@@ -102,6 +103,56 @@ def test_qr_stack_square_basis_has_empty_tail():
     assert stack.r22.shape[0] == 0
     w, sigma = refine_ritz(stack, 0.3 + 0.1j)
     assert w.shape == (4,) and sigma >= 0.0
+
+
+@pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n, k", [(50, 6), (9, 6), (1, 1)], ids=["n>=2k", "n<2k", "n=1"])
+def test_qr_stack_matches_numpy_qr(n, k, complex_valued):
+    rng = _rng(19)
+    U, B = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    if complex_valued:
+        U, B = U + 1j * rng.standard_normal((n, k)), B - 1j * rng.standard_normal((n, k))
+    stack = qr_stack(U, B)
+    R = np.linalg.qr(np.hstack([U, B]), mode="r")
+    phases = np.diagonal(R) / np.abs(np.diagonal(R))
+    R = R * phases.conj()[:, None]
+    tol = 1e-13 * np.abs(R).max()
+    assert stack.r22.shape == (min(n, 2 * k) - k, k)
+    for block, ref in ((stack.r11, R[:k, :k]), (stack.r12, R[:k, k:]), (stack.r22, R[k:, k:])):
+        assert np.abs(block - ref).max(initial=0.0) <= tol
+    assert np.abs(stack.phi - phases[:k]).max() <= 1e-13
+
+
+def test_qr_stack_rejects_mismatched_or_one_dimensional_blocks():
+    with pytest.raises(ShapeError):
+        qr_stack(np.ones((4, 2)), np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        qr_stack(np.ones(4), np.ones(4))
+
+
+def test_qr_stack_holds_the_stack_once():
+    rng = _rng(23)
+    n, k = 20000, 30
+    U, B = rng.standard_normal((n, k)), rng.standard_normal((n, k))
+    tracemalloc.start()
+    try:
+        qr_stack(U, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= U.nbytes + B.nbytes + 2**20
+
+
+def test_vector_present_sees_nan_in_either_part():
+    vectors = np.ones((3, 4), dtype=complex)
+    vectors[1, 0] = complex(np.nan, 1.0)
+    vectors[2, 1] = complex(1.0, np.nan)
+    vectors[:, 3] = np.nan
+    dec = RitzDecomposition(
+        lambdas=np.ones(4, dtype=complex), vectors=vectors, residuals=np.zeros(4),
+        refined=(None,) * 4, ordering=np.arange(4), variant="dmd", rank=4,
+    )
+    assert dec.vector_present.tolist() == [False, False, True, False]
 
 
 def test_rayleigh_from_qr_matches_direct_product():

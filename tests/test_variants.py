@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from dmdkit import variants
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
 from dmdkit.pod import RankPolicy, truncated_svd
@@ -241,24 +242,52 @@ def test_fb_square_roots_are_exact_by_construction():
 
 
 def test_fb_negative_omega_branch_keeps_conjugate_closure():
-    # A dominant imaginary pair of a real normal operator leaves the
-    # product spectrum with a near-doubled negative real omega, where the
-    # sign evidence is blind: real eigenvector, imaginary roots equidistant.
+    # Each imaginary pair of a real normal operator leaves the product
+    # spectrum with a doubled negative real omega, where the sign evidence
+    # is blind: real eigenvector, imaginary roots equidistant.
     spec = np.array([0.95j, -0.95j, 0.6 + 0.2j, 0.6 - 0.2j, -0.5, 0.4, 0.3j, -0.3j])
     oracle = make_oracle(8, spectrum=spec, conditioning=1.0, seed=40)
     f1 = _rng(41).standard_normal(8)
     F = trajectory(oracle, f1 / np.linalg.norm(f1), 8)
     _, fb = fb_dmd_mrf(F.F[:, :-1], F.F[:, 1:], VariantConfig(scale=False))
+    # The snapshots span the whole space, so fb recovers the spectrum.
+    assert match_eigenvalues(fb.lambdas, oracle.eigenvalues) <= 1e-12
     neg = np.flatnonzero((fb.omegas.real < 0) & (fb.omegas.imag == 0.0))
-    assert neg.size == 2
+    assert neg.size == 4
     # negative real omega lifts to +-i sqrt(|omega|)
     assert np.all(fb.lambdas[neg].real == 0.0)
     assert np.allclose(np.abs(fb.lambdas[neg]), np.sqrt(np.abs(fb.omegas[neg])), atol=1e-14)
-    # the blind pair is closed by the tie-break: one root from each half axis
-    assert np.prod(np.sign(fb.lambdas[neg].imag)) == -1.0
+    # each blind pair is closed by the tie-break: one root from each half axis
+    for pair in neg[np.argsort(fb.omegas[neg].real)].reshape(2, 2):
+        assert np.prod(np.sign(fb.lambdas[pair].imag)) == -1.0
     # complex omegas close exactly through the evidence rule
     rest = np.setdiff1d(np.arange(fb.omegas.size), neg)
     assert match_eigenvalues(fb.lambdas[rest], fb.lambdas[rest].conj()) <= 1e-12
+
+
+def test_fb_does_not_depend_on_the_sign_of_a_backward_pod_vector(monkeypatch):
+    # Negating the first backward POD vector together with its image gives
+    # another valid SVD of the backward data; the spectrum must not notice.
+    _, F = _orbit(3, 200, 30, spectrum="unit-disc", conditioning=10.0)
+    X, Y = F.F[:, :-1], F.F[:, 1:]
+    _, ref = fb_dmd_mrf(X, Y)
+    pod_core = variants._pod_core
+    calls = []
+
+    def flip_backward(G, policy):
+        U, sigma, V, k, sigma_all = pod_core(G, policy)
+        calls.append(policy)
+        if len(calls) == 2:
+            U, V = U.copy(), V.copy()
+            U[:, 0] *= -1.0
+            V[:, 0] *= -1.0
+        return U, sigma, V, k, sigma_all
+
+    monkeypatch.setattr(variants, "_pod_core", flip_backward)
+    _, flipped = fb_dmd_mrf(X, Y)
+    assert len(calls) == 2 and flipped.omegas.size == 30
+    assert match_eigenvalues(flipped.omegas, ref.omegas) <= 1e-14
+    assert match_eigenvalues(flipped.lambdas, ref.lambdas) <= 1e-14
 
 
 def test_fb_blind_evidence_tie_break_is_antisymmetric():
