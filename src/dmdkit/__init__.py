@@ -20,7 +20,6 @@ from .snapshots import (
     SequentialTrajectory,
     SnapshotPair,
     companion_decomposition,
-    from_sequential,
     odd_even_split,
     scale_columns,
 )
@@ -63,7 +62,6 @@ from .variants import (
 )
 from .weighted import (
     BoundReport,
-    two_sided_pod,
     two_sided_weighted_dmd,
     weighted_bauer_fike,
     weighted_dmd,
@@ -120,7 +118,6 @@ __all__ = [
     "exp_inverse_oracle",
     "explicit_residuals",
     "fb_dmd_mrf",
-    "from_sequential",
     "invariant_subspace_pair",
     "koopman_log_map",
     "load_matrix",
@@ -141,7 +138,6 @@ __all__ = [
     "store_matrix",
     "trajectory",
     "truncated_svd",
-    "two_sided_pod",
     "two_sided_weighted_dmd",
     "weighted_bauer_fike",
     "weighted_dmd",

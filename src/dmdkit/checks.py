@@ -115,12 +115,12 @@ def _instance_family(count=100, base_seed=300):
         spectrum = ("unit-disc", "decaying", "unit-circle")[(i // 3) % 3]
         oracle = make_oracle(n, spectrum=spectrum, conditioning=conditioning, seed=base_seed + i)
         F = trajectory(oracle, _unit_start(n, base_seed + 1000 + i), m)
-        U, _, _, k, _, _, B = _project(F.F[:, :-1], F.F[:, 1:], VariantConfig())
-        stack = qr_stack(U, B)
+        basis, _, B = _project(F.F[:, :-1], F.F[:, 1:], VariantConfig())
+        stack = qr_stack(basis.U, B)
         S = rayleigh_from_qr(stack)
-        lambdas, W, _ = ritz_pairs(S, np.eye(k))
+        lambdas, W, _ = ritz_pairs(S, np.eye(basis.rank))
         plain = residuals_from_stack(stack, lambdas, W)
-        out.append({"U": U, "B": B, "stack": stack, "S": S,
+        out.append({"U": basis.U, "B": B, "stack": stack, "S": S,
                     "lambdas": lambdas, "plain": plain,
                     "normB": float(np.linalg.norm(B, 2))})
     return out

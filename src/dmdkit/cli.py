@@ -29,6 +29,8 @@ from .ritz import koopman_log_map
 from .snapshots import SnapshotPair
 from .variants import (
     VariantConfig,
+    _check_cap,
+    _selected,
     dmd,
     ddmd_rrr,
     ddmd_rrr_compressed,
@@ -96,18 +98,29 @@ def _load_input(args):
     return X, Y, None
 
 
+def _check_weight_flags(args):
+    """Reject a weight flag the variant would not apply, or a weight file it needs but lacks."""
+    uses = {"weighted": ("--weight", "--weight-inverse"),
+            "weighted2": ("--weight", "--weight-n", "--weight-inverse")}.get(args.variant, ())
+    for flag, value in (("--weight", args.weight), ("--weight-n", args.weight_n),
+                        ("--weight-inverse", args.weight_inverse)):
+        if value and flag not in uses:
+            raise DataError("%s is not used by --variant %s" % (flag, args.variant))
+        if not value and flag in uses and flag != "--weight-inverse":
+            raise DataError("--variant %s requires %s FILE" % (args.variant, flag))
+
+
 def _records(dec, dt, cap):
     recs = []
+    selected = np.ones(dec.k, dtype=bool) if cap is None else _selected(dec.residuals, cap)
     for i in range(dec.k):
         lam = dec.lambdas[i]
-        r = dec.residuals[i]
-        selected = bool(r <= cap) if cap is not None and np.isfinite(r) else (cap is None)
         rec = {
             "index": i,
             "lambda_re": float(lam.real),
             "lambda_im": float(lam.imag),
-            "residual": _num(r),
-            "selected": selected,
+            "residual": _num(dec.residuals[i]),
+            "selected": bool(selected[i]),
         }
         refined = dec.refined[i]
         if refined is not None:
@@ -125,6 +138,8 @@ def _records(dec, dt, cap):
 def cmd_decompose(args):
     if args.dt is not None and not (args.dt > 0 and np.isfinite(args.dt)):
         raise DataError("--dt must be positive and finite, got %r" % (args.dt,))
+    cap = None if args.select_cap is None else _check_cap(args.select_cap)
+    _check_weight_flags(args)
     X, Y, F = _load_input(args)
     n, m = X.shape
 
@@ -158,12 +173,8 @@ def cmd_decompose(args):
     elif variant == "fb":
         dec, _ = fb_dmd_mrf(X, Y, config)
     elif variant == "weighted":
-        if M is None:
-            raise DataError("--variant weighted requires --weight FILE")
         dec = weighted_dmd(X, Y, M, config)
     else:
-        if M is None or N is None:
-            raise DataError("--variant weighted2 requires --weight FILE and --weight-n FILE")
         dec = two_sided_weighted_dmd(X, Y, M, N, config)
 
     meta = {
@@ -177,7 +188,7 @@ def cmd_decompose(args):
     }
     if args.dt is not None:
         meta["dt"] = args.dt
-    report = {"meta": meta, "records": _records(dec, args.dt, args.select_cap)}
+    report = {"meta": meta, "records": _records(dec, args.dt, cap)}
     payload = _canonical(report)
 
     if args.out:

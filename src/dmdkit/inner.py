@@ -7,13 +7,14 @@ inverse.  All pipelines work in transformed Euclidean coordinates:
 * orientation ``"M"``: vectors x map to L* x, bases lift back via L^{-*},
 * orientation ``"M-inverse"``: vectors map to L^{-1} x, bases lift via L.
 
-The factor is used exactly as given; it is never required to be
-triangular, and the Gram matrix is only materialized on explicit request.
+The factor is used exactly as given and need not be triangular; a dense
+factor with no nonzero entry above its diagonal is solved by substitution.
+The Gram matrix is only materialized on explicit request.
 The same container doubles as a column-space weight, applied from the
 right with the adjoint conventions swapped accordingly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +29,7 @@ class InnerProduct:
     factor: np.ndarray
     orientation: str = "M"
     structure: str = "dense"
-    lower_triangular: bool = False
+    lower_triangular: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         factor = np.asarray(self.factor)
@@ -47,6 +48,7 @@ class InnerProduct:
         else:
             raise DataError("structure must be 'dense' or 'diagonal'")
         object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "lower_triangular", self.structure == "dense" and not np.triu(factor, 1).any())
 
     # -- constructors ------------------------------------------------------
 
@@ -64,7 +66,7 @@ class InnerProduct:
             L = scipy.linalg.cholesky(M, lower=True)
         except scipy.linalg.LinAlgError as exc:
             raise DataError("weight matrix is not positive definite: %s" % exc) from exc
-        return cls(L, orientation=orientation, lower_triangular=True)
+        return cls(L, orientation=orientation)
 
     @classmethod
     def diagonal(cls, weights, orientation="M"):
@@ -142,13 +144,6 @@ class InnerProduct:
             # X K^{-*}: solve K Z* = X* for Z*.
             return self._solve(X.conj().T, adjoint=False).conj().T
         return X @ (np.diag(self.factor) if self.structure == "diagonal" else self.factor)
-
-    def lift_right(self, V_tilde):
-        """Pull right singular vectors back to the weighted column geometry."""
-        V_tilde = self._check_rows(V_tilde, "right factor")
-        if self.orientation == "M":
-            return self._solve(V_tilde, adjoint=True)
-        return self._apply(V_tilde, adjoint=False)
 
     # -- norms and materialization -------------------------------------------
 

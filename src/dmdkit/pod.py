@@ -19,6 +19,9 @@ from the same factorization.  The same QR kernel factors the residual
 stack of :mod:`dmdkit.ritz`.
 """
 
+import dataclasses
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
@@ -104,42 +107,20 @@ def numerical_rank(sigma, policy):
     return policy.k
 
 
+@dataclass(frozen=True, eq=False)
 class PodBasis:
-    """Rank-k orthonormal basis with its singular data.
+    """Rank-k POD basis with its singular data, compared by identity.
 
-    For a weighted geometry the stored basis ``U_tilde`` is orthonormal in
-    transformed coordinates and the ambient basis ``U`` is materialized
-    lazily, by factor solves, only when actually requested.
+    ``U`` is orthonormal in the geometry the POD was taken in; ``sigma``
+    and ``V`` are the retained singular values and right vectors, and
+    ``sigma_all`` the full singular value profile the rank was read from.
     """
 
-    def __init__(self, *, sigma, V, rank, sigma_all, U=None, U_tilde=None, weight=None, right_weight=None):
-        self.sigma = sigma
-        self.V = V
-        self.rank = int(rank)
-        self.sigma_all = sigma_all
-        self.weight = weight
-        self.right_weight = right_weight
-        self.U_tilde = U_tilde
-        self._U = U
-        self._V_hat = None
-        if U is None and (U_tilde is None or weight is None):
-            raise ShapeError("PodBasis needs either an ambient basis or a transformed one with a weight")
-
-    @property
-    def U(self):
-        """Ambient POD basis; triggers factor solves in the weighted case."""
-        if self._U is None:
-            self._U = self.weight.lift(self.U_tilde)
-        return self._U
-
-    @property
-    def V_hat(self):
-        """Right factor in the column geometry, for two-sided weighting."""
-        if self.right_weight is None:
-            return self.V
-        if self._V_hat is None:
-            self._V_hat = self.right_weight.lift_right(self.V)
-        return self._V_hat
+    U: np.ndarray
+    sigma: np.ndarray
+    V: np.ndarray
+    rank: int
+    sigma_all: np.ndarray
 
 
 def _householder_qr(a):
@@ -201,40 +182,34 @@ def _svd_for_pod(G):
     return U, s, Vh.conj().T
 
 
-def _pod_core(G, policy):
-    G = np.asarray(G)
-    if G.ndim != 2:
-        raise ShapeError("POD input must be a 2-D array, got ndim=%d" % G.ndim)
-    if not np.all(np.isfinite(G)):
-        raise DataError("POD input contains non-finite entries")
-    if policy is None:
-        policy = RankPolicy.spectral(default_epsilon(*G.shape))
-    U, s, V = _svd_for_pod(G)
-    if s.size == 0 or s[0] <= 0.0:
-        raise ConditioningError("truncated_svd: input matrix is numerically zero", sigma_min=0.0)
-    k = numerical_rank(s, policy)
-    return U[:, :k], s[:k].copy(), V[:, :k], k, s
-
-
 def truncated_svd(X, policy=None):
     """POD basis of X under the given rank policy (default: spectral).
 
     Returns a :class:`PodBasis` whose retained singular values are all
     strictly positive and whose basis satisfies U*U = I to roundoff.
     """
-    U, sk, Vk, k, s = _pod_core(X, policy)
-    return PodBasis(U=U, sigma=sk, V=Vk, rank=k, sigma_all=s)
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ShapeError("POD input must be a 2-D array, got ndim=%d" % X.ndim)
+    if not np.all(np.isfinite(X)):
+        raise DataError("POD input contains non-finite entries")
+    if policy is None:
+        policy = RankPolicy.spectral(default_epsilon(*X.shape))
+    U, s, V = _svd_for_pod(X)
+    if s.size == 0 or s[0] <= 0.0:
+        raise ConditioningError("truncated_svd: input matrix is numerically zero", sigma_min=0.0)
+    k = numerical_rank(s, policy)
+    return PodBasis(U=U[:, :k], sigma=s[:k].copy(), V=V[:, :k], rank=k, sigma_all=s)
 
 
 def weighted_pod(X, weight, policy=None):
     """POD of X in the geometry of ``weight``.
 
     The SVD runs on the transformed matrix (L* X, or L^{-1} X for the
-    inverse orientation); the ambient basis, orthonormal in the weighted
-    inner product, is available lazily through the returned object.
+    inverse orientation); the returned basis is lifted back to ambient
+    coordinates, where it is orthonormal in the weighted inner product.
     """
     if not isinstance(weight, InnerProduct):
         raise DataError("weighted_pod needs an InnerProduct weight")
-    G = weight.transform(np.asarray(X))
-    U_tilde, sk, Vk, k, s = _pod_core(G, policy)
-    return PodBasis(U_tilde=U_tilde, weight=weight, sigma=sk, V=Vk, rank=k, sigma_all=s)
+    basis = truncated_svd(weight.transform(np.asarray(X)), policy)
+    return dataclasses.replace(basis, U=weight.lift(basis.U))

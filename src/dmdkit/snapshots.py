@@ -18,7 +18,6 @@ __all__ = [
     "SnapshotPair",
     "ColumnScaling",
     "KrylovCompanion",
-    "from_sequential",
     "odd_even_split",
     "scale_columns",
     "companion_decomposition",
@@ -91,16 +90,12 @@ class SnapshotPair:
 
     X: np.ndarray
     Y: np.ndarray
-    provenance: str = "general"
-    scaling: ColumnScaling | None = None
 
     def __post_init__(self):
         X = _check_matrix(self.X, "X")
         Y = _check_matrix(self.Y, "Y")
         if X.shape != Y.shape:
             raise ShapeError("X and Y must have equal shapes, got %r and %r" % (X.shape, Y.shape))
-        if self.provenance not in ("sequential", "general"):
-            raise DataError("provenance must be 'sequential' or 'general'")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
 
@@ -132,12 +127,6 @@ def _as_trajectory(F):
     return F if isinstance(F, SequentialTrajectory) else SequentialTrajectory(np.asarray(F))
 
 
-def from_sequential(F):
-    """Split a trajectory into the pair X = F(:, 1:m), Y = F(:, 2:m+1)."""
-    traj = _as_trajectory(F)
-    return SnapshotPair(traj.F[:, :-1], traj.F[:, 1:], provenance="sequential")
-
-
 def odd_even_split(F):
     """Pair interleaved samples: X takes odd-indexed, Y even-indexed columns.
 
@@ -150,7 +139,7 @@ def odd_even_split(F):
         raise ShapeError("odd_even_split needs an even column count, got %d" % F.shape[1])
     if F.shape[1] < 2:
         raise ShapeError("odd_even_split needs at least one pair of columns")
-    return SnapshotPair(F[:, 0::2], F[:, 1::2], provenance="general")
+    return SnapshotPair(F[:, 0::2], F[:, 1::2])
 
 
 def _column_norms(X):
@@ -192,7 +181,7 @@ def scale_columns(pair):
     by any positive diagonal column scaling.
     """
     Xs, Ys, scaling = _scale_arrays(pair.X, pair.Y)
-    return SnapshotPair(Xs, Ys, provenance=pair.provenance, scaling=scaling), scaling
+    return SnapshotPair(Xs, Ys), scaling
 
 
 def companion_decomposition(F):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BackendError, ConditioningError, DataError, ShapeError
-from .pod import RankPolicy, default_epsilon, _pod_core
+from .pod import RankPolicy, default_epsilon, truncated_svd
 from .ritz import (
     _lift,
     RefinedPair,
@@ -119,9 +119,9 @@ def _check_cap(cap):
     return value
 
 
-def _check_pair_arrays(X, Y):
-    pair = SnapshotPair(X, Y)
-    return pair.X, pair.Y
+def _selected(residuals, cap):
+    """Mask of the residuals at or below a checked cap; NaN passes an infinite cap only."""
+    return (residuals <= cap) | (np.isnan(residuals) & np.isinf(cap))
 
 
 def _resolve_policy(config, shape):
@@ -135,21 +135,23 @@ def _project(X, Y, config, policy=None):
     """Scale, truncated POD of X, and the basis image B_k = Y V_k Sigma_k^{-1}.
 
     The one front end of every pipeline.  ``policy`` defaults to the
-    config's, resolved on the shape of X.  Returns (U, sigma, V, k,
-    sigma_all, Ys, B), where ``Ys`` is Y after the column scaling.
+    config's, resolved on the shape of X.  Returns (basis, Ys, B), where
+    ``basis`` is the :class:`PodBasis` of the scaled X and ``Ys`` is Y
+    after the column scaling; callers drop ``Ys`` after its last use, so
+    the n x m copy does not outlive it.
     """
     if config.scale:
         X, Y, _ = _scale_arrays(X, Y)
     if policy is None:
         policy = _resolve_policy(config, X.shape)
-    U, sigma, V, k, sigma_all = _pod_core(X, policy)
-    return U, sigma, V, k, sigma_all, Y, action_on_basis(Y, V, sigma)
+    basis = truncated_svd(X, policy)
+    return basis, Y, action_on_basis(Y, basis.V, basis.sigma)
 
 
-def _quotient(U, sigma, V, Ys):
+def _quotient(basis, Ys):
     """The historical quotient ((U* Y) V) Sigma^{-1}; returns (S, lambdas, W, Z)."""
-    S = ((U.conj().T @ Ys) @ V) / sigma[None, :]
-    return (S, *ritz_pairs(S, U))
+    S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
+    return (S, *ritz_pairs(S, basis.U))
 
 
 def _refine_indices(config, lambdas, residuals):
@@ -163,15 +165,6 @@ def _refine_indices(config, lambdas, residuals):
         return [i for i in range(k) if mode(lambdas[i], residuals[i])]
     cap = float(mode)
     return [i for i in range(k) if residuals[i] <= cap]
-
-
-def _refine_many(stack, S, lambdas, indices):
-    """Refine the selected eigenvalues; the records keyed by index."""
-    refined = {}
-    for i in indices:
-        w, sigma = refine_ritz(stack, lambdas[i])
-        refined[i] = RefinedPair(w=w, sigma_min=sigma, rho=refined_rayleigh_value(S, w))
-    return refined
 
 
 def _package(lambdas, Z, residuals, refined, variant, rank, weight=None):
@@ -200,10 +193,12 @@ def dmd(X, Y, config=VariantConfig()):
     Refinement is the business of :func:`ddmd_rrr` and is not applied
     here regardless of the config.
     """
-    U, sigma, V, k, _, Ys, B = _project(*_check_pair_arrays(X, Y), config)
-    _, lambdas, W, Z = _quotient(U, sigma, V, Ys)
-    residuals = data_driven_residuals(B, U, W, lambdas)
-    return _package(lambdas, Z, residuals, None, "dmd", k)
+    pair = SnapshotPair(X, Y)
+    basis, Ys, B = _project(pair.X, pair.Y, config)
+    _, lambdas, W, Z = _quotient(basis, Ys)
+    del Ys
+    residuals = data_driven_residuals(B, basis.U, W, lambdas)
+    return _package(lambdas, Z, residuals, None, "dmd", basis.rank)
 
 
 def _rrr_pipeline(Gx, Gy, config, variant, weight=None):
@@ -212,34 +207,30 @@ def _rrr_pipeline(Gx, Gy, config, variant, weight=None):
     ``Gx``/``Gy`` are already in the Euclidean coordinates of the target
     geometry; ``weight`` only tags the output and lifts the vectors back.
     """
-    U, _, _, k, _, _, B = _project(Gx, Gy, config)
-    stack = qr_stack(U, B)
+    basis, B = _project(Gx, Gy, config)[::2]
+    k = basis.rank
+    stack = qr_stack(basis.U, B)
     S = rayleigh_from_qr(stack)
 
     if config.refine == "all":
+        # Every vector is replaced, so only the eigenvalues are needed.
         try:
             lambdas = np.linalg.eigvals(S)
         except np.linalg.LinAlgError as exc:
             raise BackendError("eigensolver failed on the Rayleigh quotient: %s" % exc) from exc
-        refined_map = _refine_many(stack, S, lambdas, range(k))
-        W = np.column_stack([refined_map[i].w for i in range(k)])
-        residuals = np.array([refined_map[i].sigma_min for i in range(k)])
-        refined = [refined_map[i] for i in range(k)]
+        W = residuals = None
     else:
         lambdas, W, _ = ritz_pairs(S, np.eye(k))
         residuals = residuals_from_stack(stack, lambdas, W)
-        refined = [None] * k
-        indices = _refine_indices(config, lambdas, residuals)
-        if indices:
-            refined_map = _refine_many(stack, S, lambdas, indices)
-            W = W.astype(complex)
-            residuals = residuals.copy()
-            for i, rec in refined_map.items():
-                W[:, i] = rec.w
-                residuals[i] = rec.sigma_min
-                refined[i] = rec
+    refined = [None] * k
+    for i in _refine_indices(config, lambdas, residuals):
+        w, sigma_min = refine_ritz(stack, lambdas[i])
+        refined[i] = RefinedPair(w=w, sigma_min=sigma_min, rho=refined_rayleigh_value(S, w))
+    if any(rec is not None for rec in refined):
+        W = np.column_stack([W[:, i] if rec is None else rec.w for i, rec in enumerate(refined)])
+        residuals = np.array([residuals[i] if rec is None else rec.sigma_min for i, rec in enumerate(refined)])
 
-    Z_tilde = _lift(U, W)
+    Z_tilde = _lift(basis.U, W)
     Z = weight.lift(Z_tilde) if weight is not None else Z_tilde
     return _package(lambdas, Z, residuals, refined, variant, k, weight=weight)
 
@@ -252,7 +243,8 @@ def ddmd_rrr(X, Y, config=VariantConfig()):
     that replaces each Ritz vector by the residual-optimal unit vector of
     the subspace.  Reported residuals are the refinement certificates.
     """
-    return _rrr_pipeline(*_check_pair_arrays(X, Y), config, "rrr")
+    pair = SnapshotPair(X, Y)
+    return _rrr_pipeline(pair.X, pair.Y, config, "rrr")
 
 
 def _compress(data):
@@ -321,8 +313,10 @@ def exact_dmd(X, Y, config=VariantConfig()):
     not computable from data alone, only via the sequential diagnostic or
     an explicit-operator audit.
     """
-    U, sigma, V, k, _, Ys, B = _project(*_check_pair_arrays(X, Y), config)
-    S, lambdas, W, _ = _quotient(U, sigma, V, Ys)
+    pair = SnapshotPair(X, Y)
+    basis, Ys, B = _project(pair.X, pair.Y, config)
+    S, lambdas, W, _ = _quotient(basis, Ys)
+    del Ys
     guard = 1e3 * _EPS * float(np.linalg.norm(S, 2))
     alive = np.abs(lambdas) > guard
     if not np.any(alive):
@@ -338,7 +332,7 @@ def exact_dmd(X, Y, config=VariantConfig()):
         if nrm > 0:
             Z[:, i] = z / nrm
     residuals = np.full(len(lambdas), np.nan)
-    return _package(lambdas, Z, residuals, None, "exact", k)
+    return _package(lambdas, Z, residuals, None, "exact", basis.rank)
 
 
 def exact_dmd_sequential_diagnostic(F, decomposition):
@@ -383,21 +377,24 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
     pairs closed for real data.  Residuals use the forward data
     with the chosen eigenvalues.
     """
-    X, Y = _check_pair_arrays(X, Y)
+    pair = SnapshotPair(X, Y)
+    X, Y = pair.X, pair.Y
     policy = _resolve_policy(config, X.shape)
 
-    Uf, _, _, k, _, _, Bf = _project(X, Y, config, policy)
+    fwd, Bf = _project(X, Y, config, policy)[::2]
+    Uf, k = fwd.U, fwd.rank
     stack_f = qr_stack(Uf, Bf)
     S_fwd = rayleigh_from_qr(stack_f)
 
     try:
-        Ub, _, _, _, sb_all, _, Bb = _project(Y, X, config, RankPolicy.fixed(k))
+        back, Bb = _project(Y, X, config, RankPolicy.fixed(k))[::2]
     except ConditioningError as exc:
         raise ConditioningError(
             "fb_dmd_mrf: backward POD cannot support the forward rank %d (%s)" % (k, exc),
             sigma_min=exc.sigma_min,
             sigma_max=exc.sigma_max,
         ) from exc
+    sb_all = back.sigma_all
     if policy.kind in ("spectral", "energy") and sb_all[k - 1] <= policy.epsilon * sb_all[0]:
         raise ConditioningError(
             "fb_dmd_mrf: backward POD cannot support the forward rank %d "
@@ -408,7 +405,7 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
         )
     # The backward quotient in the forward basis: a sign change or rotation
     # of the backward basis cancels between the two factors.
-    S_back = (Uf.conj().T @ Bb) @ (Ub.conj().T @ Uf)
+    S_back = (Uf.conj().T @ Bb) @ (back.U.conj().T @ Uf)
 
     sv = scipy.linalg.svdvals(S_back)
     if sv[0] <= 0.0 or sv[-1] <= k * _EPS * sv[0]:
@@ -454,10 +451,8 @@ def select_pairs(decomposition, residual_cap):
     Ascending order is preserved.  NaN residuals (exact-vector variant)
     survive only an infinite cap, since they certify nothing.
     """
-    cap = _check_cap(residual_cap)
     r = decomposition.residuals
-    mask = (r <= cap) | (np.isnan(r) & np.isinf(cap))
-    keep = np.flatnonzero(mask)
+    keep = np.flatnonzero(_selected(r, _check_cap(residual_cap)))
     return dataclasses.replace(
         decomposition,
         lambdas=decomposition.lambdas[keep],

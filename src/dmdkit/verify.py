@@ -241,7 +241,7 @@ def invariant_subspace_pair(oracle, m, seed=0):
     V0 = _random_orthogonal(rng, m, complex_valued=True)
     X = oracle.eigenvector_basis[:, :m] @ (d[:, None] * V0.conj().T)
     Y = oracle.A @ X
-    return SnapshotPair(X, Y, provenance="general")
+    return SnapshotPair(X, Y)
 
 
 def explicit_residuals(A, decomposition):

@@ -1,10 +1,10 @@
 """Modal decomposition in elliptic inner products, with error bounds.
 
-The weighted pipelines never build the weighted basis explicitly: all
-linear algebra runs on the transformed data (L* X for geometry M, or
-L^{-1} X for the inverse orientation), where ordinary Euclidean tools
-apply, and vectors are lifted back through factor solves at the end.
-Residuals are therefore reported in the weighted norm by construction.
+The weighted pipelines transform the data first (L* X for geometry M, or
+L^{-1} X for the inverse orientation) and run the ordinary Euclidean
+pipeline on the result; only the Ritz vectors are lifted back, through
+factor solves, at the end.  Residuals are therefore reported in the
+weighted norm by construction.
 """
 
 from dataclasses import dataclass
@@ -13,14 +13,13 @@ import numpy as np
 
 from .errors import DataError
 from .inner import InnerProduct
-from .pod import PodBasis, _pod_core
-from .variants import VariantConfig, _check_pair_arrays, _rrr_pipeline
+from .snapshots import SnapshotPair
+from .variants import VariantConfig, _rrr_pipeline
 
 __all__ = [
     "BoundReport",
     "weighted_dmd",
     "two_sided_weighted_dmd",
-    "two_sided_pod",
     "weighted_bauer_fike",
 ]
 
@@ -63,10 +62,10 @@ def weighted_dmd(X, Y, M, config=VariantConfig()):
     unit weighted norm.  Column scaling, when enabled, equilibrates the
     transformed matrix, which is the one entering the SVD.
     """
-    X, Y = _check_pair_arrays(X, Y)
+    pair = SnapshotPair(X, Y)
     M = _require_weight(M, "M")
-    Gx = M.transform(X)
-    Gy = M.transform(Y)
+    Gx = M.transform(pair.X)
+    Gy = M.transform(pair.Y)
     return _rrr_pipeline(Gx, Gy, config, "weighted", weight=M)
 
 
@@ -78,33 +77,12 @@ def two_sided_weighted_dmd(X, Y, M, N, config=VariantConfig()):
     the doubly transformed pair; with ``N = I`` it reduces exactly to
     :func:`weighted_dmd`.
     """
-    X, Y = _check_pair_arrays(X, Y)
+    pair = SnapshotPair(X, Y)
     M = _require_weight(M, "M")
     N = _require_weight(N, "N")
-    Gx = N.transform_right(M.transform(X))
-    Gy = N.transform_right(M.transform(Y))
+    Gx = N.transform_right(M.transform(pair.X))
+    Gy = N.transform_right(M.transform(pair.Y))
     return _rrr_pipeline(Gx, Gy, config, "weighted2", weight=M)
-
-
-def two_sided_pod(X, M, N, policy=None):
-    """POD of the doubly weighted data, exposing both lifted factors.
-
-    The left basis is M-orthonormal, the right factor N-orthonormal; both
-    are materialized lazily from the transformed singular vectors.
-    """
-    M = _require_weight(M, "M")
-    N = _require_weight(N, "N")
-    H = N.transform_right(M.transform(np.asarray(X)))
-    U_tilde, sk, Vk, k, s = _pod_core(H, policy)
-    return PodBasis(
-        U_tilde=U_tilde,
-        weight=M,
-        sigma=sk,
-        V=Vk,
-        rank=k,
-        sigma_all=s,
-        right_weight=N,
-    )
 
 
 def weighted_bauer_fike(residual_M, M, kappa_assumption=None, relative_residual_M=None):

@@ -12,7 +12,7 @@ import dmdkit
 from dmdkit.cli import main
 from dmdkit.matrixio import load_matrix, store_matrix
 from dmdkit.pod import default_epsilon
-from dmdkit.variants import ddmd_rrr, ddmd_rrr_compressed
+from dmdkit.variants import ddmd_rrr, ddmd_rrr_compressed, dmd, exact_dmd, select_pairs
 from dmdkit.verify import make_oracle, trajectory, write_fixture_set
 
 
@@ -155,6 +155,42 @@ def test_fb_guard_maps_to_conditioning_exit(tmp_path, capsys):
 def test_weighted_variants_require_weight_files(traj_file, capsys):
     assert main(["decompose", "--seq", traj_file, "--variant", "weighted"]) == 2
     assert main(["decompose", "--seq", traj_file, "--variant", "weighted2"]) == 2
+
+
+@pytest.mark.parametrize("variant, flags, named", [
+    ("rrr", ["--weight", "w.dmm"], "--weight"),
+    ("dmd", ["--weight", "w.dmm", "--weight-inverse"], "--weight"),
+    ("weighted", ["--weight", "w.dmm", "--weight-n", "w.dmm"], "--weight-n"),
+    ("rrr-compressed", ["--weight-n", "w.dmm"], "--weight-n"),
+    ("fb", ["--weight-inverse"], "--weight-inverse"),
+])
+def test_weight_flags_the_variant_does_not_apply_are_data_errors(tmp_path, capsys, variant, flags, named):
+    # Neither file exists: the flags are rejected before anything is read.
+    flags = [str(tmp_path / f) if f.endswith(".dmm") else f for f in flags]
+    rc = main(["decompose", "--seq", str(tmp_path / "absent.dmm"), "--variant", variant, *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "%s is not used by --variant %s" % (named, variant) in err
+
+
+@pytest.mark.parametrize("cap", ["nan", "-1"])
+def test_bad_select_cap_is_a_data_error_before_reading(tmp_path, capsys, cap):
+    rc = main(["decompose", "--seq", str(tmp_path / "absent.dmm"), "--select-cap", cap])
+    assert rc == 2
+    assert "residual cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant, pipeline", [("exact", exact_dmd), ("rrr", ddmd_rrr), ("dmd", dmd)])
+def test_select_cap_selects_what_select_pairs_keeps(traj_file, capsys, variant, pipeline):
+    F = np.ascontiguousarray(load_matrix(traj_file))
+    dec = pipeline(F[:, :-1], F[:, 1:])
+    for cap in (np.inf, float(np.nanmedian(dec.residuals)) if variant != "exact" else 1.0):
+        rc, out = _decompose(capsys, "--seq", traj_file, "--variant", variant, "--select-cap", repr(cap))
+        assert rc == 0
+        selected = [r["selected"] for r in json.loads(out)["records"]]
+        assert selected == np.isin(dec.ordering, select_pairs(dec, cap).ordering).tolist()
+        if np.isinf(cap):
+            assert all(selected) and len(selected) == dec.k
 
 
 def test_vector_weight_file_means_diagonal(traj_file, tmp_path, capsys):

@@ -9,7 +9,6 @@ from dmdkit.snapshots import (
     SequentialTrajectory,
     SnapshotPair,
     companion_decomposition,
-    from_sequential,
     odd_even_split,
     scale_columns,
 )
@@ -17,15 +16,6 @@ from dmdkit.snapshots import (
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
-
-
-def test_from_sequential_splits_off_by_one():
-    F = np.arange(12.0).reshape(3, 4)
-    pair = from_sequential(F)
-    assert pair.provenance == "sequential"
-    assert pair.m == 3
-    assert np.array_equal(pair.X, F[:, :3])
-    assert np.array_equal(pair.Y, F[:, 1:])
 
 
 def test_trajectory_needs_two_columns():
@@ -58,7 +48,6 @@ def test_matrices_are_promoted_to_double_precision():
 def test_odd_even_split_interleaves():
     F = np.arange(8.0).reshape(1, 8)
     pair = odd_even_split(F)
-    assert pair.provenance == "general"
     assert np.array_equal(pair.X[0], [0.0, 2.0, 4.0, 6.0])
     assert np.array_equal(pair.Y[0], [1.0, 3.0, 5.0, 7.0])
     with pytest.raises(ShapeError):

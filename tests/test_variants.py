@@ -1,6 +1,8 @@
 """End-to-end pipelines: classic, refined, compressed, exact, fb, selection."""
 
+import dataclasses
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -271,19 +273,20 @@ def test_fb_does_not_depend_on_the_sign_of_a_backward_pod_vector(monkeypatch):
     _, F = _orbit(3, 200, 30, spectrum="unit-disc", conditioning=10.0)
     X, Y = F.F[:, :-1], F.F[:, 1:]
     _, ref = fb_dmd_mrf(X, Y)
-    pod_core = variants._pod_core
+    pod = variants.truncated_svd
     calls = []
 
     def flip_backward(G, policy):
-        U, sigma, V, k, sigma_all = pod_core(G, policy)
+        basis = pod(G, policy)
         calls.append(policy)
         if len(calls) == 2:
-            U, V = U.copy(), V.copy()
+            U, V = basis.U.copy(), basis.V.copy()
             U[:, 0] *= -1.0
             V[:, 0] *= -1.0
-        return U, sigma, V, k, sigma_all
+            basis = dataclasses.replace(basis, U=U, V=V)
+        return basis
 
-    monkeypatch.setattr(variants, "_pod_core", flip_backward)
+    monkeypatch.setattr(variants, "truncated_svd", flip_backward)
     _, flipped = fb_dmd_mrf(X, Y)
     assert len(calls) == 2 and flipped.omegas.size == 30
     assert match_eigenvalues(flipped.omegas, ref.omegas) <= 1e-14
@@ -475,3 +478,20 @@ def test_trajectory_input_type_flexibility():
     from_array = ddmd_rrr_compressed(F.F)
     from_traj = ddmd_rrr_compressed(SequentialTrajectory(F.F))
     assert np.array_equal(from_array.lambdas, from_traj.lambdas)
+
+
+def test_ddmd_rrr_peak_memory_stays_near_the_input():
+    # The scaled copy of Y is dropped once B_k is formed, so it is not
+    # alive during refinement and the lift.
+    rng = np.random.Generator(np.random.Philox(71))
+    X = rng.standard_normal((4000, 40))
+    Y = rng.standard_normal((4000, 40))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        ddmd_rrr(X, Y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * (X.nbytes + Y.nbytes)

@@ -5,7 +5,6 @@ import pytest
 
 from dmdkit.errors import DataError, ShapeError
 from dmdkit.inner import InnerProduct
-from dmdkit.pod import RankPolicy
 from dmdkit.variants import VariantConfig, ddmd_rrr, select_pairs
 from dmdkit.verify import (
     explicit_residuals,
@@ -15,7 +14,7 @@ from dmdkit.verify import (
     match_eigenvalues,
     trajectory,
 )
-from dmdkit.weighted import two_sided_pod, two_sided_weighted_dmd, weighted_bauer_fike, weighted_dmd
+from dmdkit.weighted import two_sided_weighted_dmd, weighted_bauer_fike, weighted_dmd
 
 
 def _rng(seed):
@@ -104,20 +103,6 @@ def test_right_weight_shape_is_the_column_count():
         two_sided_weighted_dmd(X, Y, M, InnerProduct.identity(18))
 
 
-def test_two_sided_pod_orthonormal_in_both_geometries():
-    rng = _rng(115)
-    n, m = 20, 12
-    M_mat, M = _spd_weight(n, 116)
-    N_mat, N = _spd_weight(m, 117)
-    X = rng.standard_normal((n, m))
-    basis = two_sided_pod(X, M, N, RankPolicy.fixed(6))
-    gram_u = basis.U.conj().T @ M_mat @ basis.U
-    assert np.linalg.norm(gram_u - np.eye(6)) <= 1e-10 * np.sqrt(6)
-    V_hat = basis.V_hat
-    gram_v = V_hat.conj().T @ N_mat @ V_hat
-    assert np.linalg.norm(gram_v - np.eye(6)) <= 1e-10 * np.sqrt(6)
-
-
 def test_weighted_eta_identity():
     oracle, F = _orbit(119, 40, 12, spectrum="unit-disc", conditioning=20.0)
     X, Y = F.F[:, :-1], F.F[:, 1:]
@@ -173,10 +158,29 @@ def test_inverse_orientation_round_trip():
     rng = _rng(123)
     n = 12
     _, M = _spd_weight(n, 124)
-    Minv = InnerProduct(M.factor, orientation="M-inverse", lower_triangular=M.lower_triangular)
+    Minv = InnerProduct(M.factor, orientation="M-inverse")
     X = rng.standard_normal((n, 4))
     assert np.allclose(Minv.lift(Minv.transform(X)), X, atol=1e-10)
     assert np.allclose(M.lift(M.transform(X)), X, atol=1e-10)
+
+
+def test_direct_lower_triangular_factor_solves_like_from_matrix():
+    # A lower-triangular factor is recognized from its entries, so passing
+    # the Cholesky factor directly takes the same substitution solves.
+    _, M = _spd_weight(12, 125)
+    direct = InnerProduct(M.factor.copy())
+    assert direct.lower_triangular and M.lower_triangular
+    assert not InnerProduct(M.factor.T.copy()).lower_triangular
+    assert not InnerProduct.diagonal(np.ones(12)).lower_triangular
+    X = _rng(126).standard_normal((12, 4))
+    assert np.array_equal(direct.lift(X), M.lift(X))
+    inv = InnerProduct.from_matrix(M.gram_matrix(), orientation="M-inverse")
+    assert np.array_equal(InnerProduct(inv.factor.copy(), orientation="M-inverse").transform(X), inv.transform(X))
+    _, F = _orbit(127, 12, 6, spectrum="unit-disc", conditioning=5.0)
+    a = weighted_dmd(F.F[:, :-1], F.F[:, 1:], M)
+    b = weighted_dmd(F.F[:, :-1], F.F[:, 1:], direct)
+    for x, y in ((a.lambdas, b.lambdas), (a.vectors, b.vectors), (a.residuals, b.residuals)):
+        assert np.array_equal(x, y)
 
 
 def test_inverse_orientation_gram_matrix():
