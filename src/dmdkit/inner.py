@@ -24,7 +24,7 @@ from .errors import ConditioningError, DataError, ShapeError
 __all__ = ["InnerProduct"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InnerProduct:
     factor: np.ndarray
     orientation: str = "M"

@@ -19,9 +19,18 @@ triangular factor per distinct shift.  When the blocks are real, the
 stack of a conjugate shift is the conjugate stack, so each conjugate
 pair of Ritz values is solved once; the solves are memoized on the
 :class:`QrStack` and every caller holding the same stack shares them.
+Up to k = 256 each solve runs its small QR and SVD on one thread of
+numpy's OpenBLAS, whatever thread count the process was started with:
+there one thread was as fast or faster on the 2-core machines measured,
+and the solves round the same bits under any BLAS thread setting.  While such a solve runs, numpy's OpenBLAS
+uses one thread for the whole process; scipy's separate OpenBLAS, which
+runs the tall factorizations, keeps its threads.
 """
 
+import contextlib
+import ctypes
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QrStack:
     """Triangular blocks of the thin QR of (U_k  B_k); Q is never formed.
 
@@ -73,7 +82,7 @@ class QrStack:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefinedPair:
     """Refined Ritz vector coefficients with their residual certificate."""
 
@@ -82,7 +91,7 @@ class RefinedPair:
     rho: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RitzDecomposition:
     """Ritz pairs ordered by ascending residual.
 
@@ -257,6 +266,81 @@ def residuals_from_stack(stack, lambdas, W):
     return res
 
 
+@functools.cache
+def _numpy_blas_threads():
+    """(set, get) thread-count functions of numpy's OpenBLAS, or None.
+
+    Looked up through the linear-algebra extension module, so the symbols
+    found are those of the library numpy itself links (scipy's OpenBLAS,
+    a separate build, is not reached).  The names cover the scipy-openblas
+    wheels (64- and 32-bit integers) and a plain OpenBLAS.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            try:
+                set_threads = getattr(lib, prefix + "_set_num_threads" + suffix)
+                get_threads = getattr(lib, prefix + "_get_num_threads" + suffix)
+            except AttributeError:
+                continue
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+class _OneBlasThread:
+    """Context manager holding numpy's OpenBLAS at one thread.
+
+    The count is process-wide, so scopes share one depth counter: the
+    first scope in (from any thread) saves the count and sets one thread,
+    nested and concurrent scopes change nothing, and the last one out
+    restores the saved count, also when leaving by an exception.  A no-op
+    where numpy's BLAS exposes no thread setter.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    def __enter__(self):
+        threads = _numpy_blas_threads()
+        if threads is not None:
+            with self._lock:
+                if self._depth == 0:
+                    self._saved = threads[1]()
+                    threads[0](1)
+                self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        threads = _numpy_blas_threads()
+        if threads is not None:
+            with self._lock:
+                self._depth -= 1
+                if self._depth == 0:
+                    threads[0](self._saved)
+        return False
+
+
+_one_blas_thread = _OneBlasThread()
+
+# Largest k refined on one BLAS thread.  On 2 cores one thread solves a
+# shift as fast or faster up to k = 250 and 5-20 % slower at k = 300-400.
+_ONE_THREAD_MAX_K = 256
+
+
+def _refinement_scope(k):
+    """The BLAS thread scope of refinement solves on a k-column stack."""
+    return _one_blas_thread if k <= _ONE_THREAD_MAX_K else contextlib.nullcontext()
+
+
 def refine_ritz(stack, lam):
     """Optimal unit vector of the POD subspace for the Ritz value ``lam``.
 
@@ -271,7 +355,9 @@ def refine_ritz(stack, lam):
     For real blocks R_conj(lambda) = conj(R_lambda), so a shift with
     negative imaginary part returns the conjugate of the solve for its
     partner.  Solves are memoized on ``stack``: a repeated or conjugate
-    shift returns the same bits as a fresh solve, at no cost.
+    shift returns the same bits as a fresh solve, at no cost.  Up to
+    k = 256 a solve runs on one thread of numpy's OpenBLAS, so its bits do
+    not depend on the BLAS thread setting.
     """
     lam = np.asarray(lam)[()]
     flip = lam.imag < 0 and not any(np.iscomplexobj(b) for b in (stack.r11, stack.r12, stack.r22))
@@ -283,18 +369,19 @@ def refine_ritz(stack, lam):
     key = (lam.dtype.str, lam.tobytes())
     hit = stack._refined.get(key)
     if hit is None:
-        R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
-        try:
-            _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))
-        except np.linalg.LinAlgError as exc:
-            raise BackendError("refinement SVD failed to converge: %s" % exc) from exc
-        w = Vh[-1, :].conj()
-        w = w / np.linalg.norm(w)
-        r = R_lam @ w
-        with np.errstate(over="ignore"):
-            sigma = float(np.linalg.norm(r))
-        if not np.isfinite(sigma):
-            sigma = float(_column_norms(r[:, None])[0])
+        with _refinement_scope(stack.k):
+            R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
+            try:
+                _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))
+            except np.linalg.LinAlgError as exc:
+                raise BackendError("refinement SVD failed to converge: %s" % exc) from exc
+            w = Vh[-1, :].conj()
+            w = w / np.linalg.norm(w)
+            r = R_lam @ w
+            with np.errstate(over="ignore"):
+                sigma = float(np.linalg.norm(r))
+            if not np.isfinite(sigma):
+                sigma = float(_column_norms(r[:, None])[0])
         hit = (w, sigma)
         stack._refined[key] = hit
     w, sigma = hit

@@ -43,7 +43,7 @@ def _check_matrix(a, name):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SequentialTrajectory:
     """States of a single orbit, one per column, at least two columns."""
 
@@ -65,7 +65,7 @@ class SequentialTrajectory:
         return self.F.shape[1] - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColumnScaling:
     """Column 2-norms of X recorded by :func:`scale_columns`.
 
@@ -84,7 +84,7 @@ class ColumnScaling:
         object.__setattr__(self, "d", d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SnapshotPair:
     """Matched input/output snapshot columns driven by one operator."""
 
@@ -108,7 +108,7 @@ class SnapshotPair:
         return self.X.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrylovCompanion:
     """Least-squares companion form of a trajectory.
 

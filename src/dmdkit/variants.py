@@ -18,6 +18,7 @@ from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .pod import RankPolicy, default_epsilon, truncated_svd
 from .ritz import (
     _lift,
+    _refinement_scope,
     RefinedPair,
     RitzDecomposition,
     action_on_basis,
@@ -62,7 +63,9 @@ class VariantConfig:
     ``'all'``, a residual cap, or a predicate ``f(lambda, residual) ->
     bool`` selecting which pairs get the refinement treatment.  A NaN,
     negative, boolean or non-numeric cap is rejected.  Refinement solves
-    run one after another; parallelism is left to the BLAS library.
+    run one after another; up to rank 256 they run on one thread of
+    numpy's OpenBLAS whatever the process's BLAS thread setting, and every
+    other stage keeps the BLAS library's threads.
     """
 
     policy: RankPolicy | None = None
@@ -77,7 +80,7 @@ class VariantConfig:
             _check_cap(self.refine)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FbSpectrum:
     """Square roots taken in the forward-backward variant.
 
@@ -131,15 +134,24 @@ def _resolve_policy(config, shape):
     return RankPolicy.spectral(default_epsilon(n, m))
 
 
-def _project(X, Y, config, policy=None):
-    """Scale, truncated POD of X, and the basis image B_k = Y V_k Sigma_k^{-1}.
+def _project(X, Y, config, policy=None, weight=None, right=None):
+    """Weight, scale, truncated POD of X, and the image B_k = Y V_k Sigma_k^{-1}.
 
-    The one front end of every pipeline.  ``policy`` defaults to the
-    config's, resolved on the shape of X.  Returns (basis, Ys, B), where
-    ``basis`` is the :class:`PodBasis` of the scaled X and ``Ys`` is Y
-    after the column scaling; callers drop ``Ys`` after its last use, so
-    the n x m copy does not outlive it.
+    The one front end of every pipeline.  ``weight`` maps both snapshot
+    matrices into the Euclidean coordinates of its geometry and ``right``
+    then weights their columns; each transformed pair lives only in this
+    frame, up to the next step.  ``policy`` defaults to the config's,
+    resolved on the shape of X.  Returns (basis, Ys, B), where ``basis``
+    is the :class:`PodBasis` of the scaled X and ``Ys`` is Y after the
+    column scaling; callers drop ``Ys`` after its last use, so the n x m
+    copy does not outlive it.
     """
+    if weight is not None:
+        X = weight.transform(X)
+        Y = weight.transform(Y)
+    if right is not None:
+        X = right.transform_right(X)
+        Y = right.transform_right(Y)
     if config.scale:
         X, Y, _ = _scale_arrays(X, Y)
     if policy is None:
@@ -201,13 +213,14 @@ def dmd(X, Y, config=VariantConfig()):
     return _package(lambdas, Z, residuals, None, "dmd", basis.rank)
 
 
-def _rrr_pipeline(Gx, Gy, config, variant, weight=None):
-    """Shared refined Rayleigh-Ritz engine in transformed coordinates.
+def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
+    """Shared refined Rayleigh-Ritz engine.
 
-    ``Gx``/``Gy`` are already in the Euclidean coordinates of the target
-    geometry; ``weight`` only tags the output and lifts the vectors back.
+    ``weight`` and ``right`` are the state and snapshot-index weights that
+    :func:`_project` applies; ``weight`` also tags the output and lifts
+    the vectors back to ambient coordinates.
     """
-    basis, B = _project(Gx, Gy, config)[::2]
+    basis, B = _project(X, Y, config, weight=weight, right=right)[::2]
     k = basis.rank
     stack = qr_stack(basis.U, B)
     S = rayleigh_from_qr(stack)
@@ -223,9 +236,10 @@ def _rrr_pipeline(Gx, Gy, config, variant, weight=None):
         lambdas, W, _ = ritz_pairs(S, np.eye(k))
         residuals = residuals_from_stack(stack, lambdas, W)
     refined = [None] * k
-    for i in _refine_indices(config, lambdas, residuals):
-        w, sigma_min = refine_ritz(stack, lambdas[i])
-        refined[i] = RefinedPair(w=w, sigma_min=sigma_min, rho=refined_rayleigh_value(S, w))
+    with _refinement_scope(k):
+        for i in _refine_indices(config, lambdas, residuals):
+            w, sigma_min = refine_ritz(stack, lambdas[i])
+            refined[i] = RefinedPair(w=w, sigma_min=sigma_min, rho=refined_rayleigh_value(S, w))
     if any(rec is not None for rec in refined):
         W = np.column_stack([W[:, i] if rec is None else rec.w for i, rec in enumerate(refined)])
         residuals = np.array([residuals[i] if rec is None else rec.sigma_min for i, rec in enumerate(refined)])

@@ -45,7 +45,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _EIGEN_REFERENCE_LIMIT = 2000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleOperator:
     """Dense operator with its spectrum known by construction."""
 

@@ -64,9 +64,7 @@ def weighted_dmd(X, Y, M, config=VariantConfig()):
     """
     pair = SnapshotPair(X, Y)
     M = _require_weight(M, "M")
-    Gx = M.transform(pair.X)
-    Gy = M.transform(pair.Y)
-    return _rrr_pipeline(Gx, Gy, config, "weighted", weight=M)
+    return _rrr_pipeline(pair.X, pair.Y, config, "weighted", weight=M)
 
 
 def two_sided_weighted_dmd(X, Y, M, N, config=VariantConfig()):
@@ -80,9 +78,7 @@ def two_sided_weighted_dmd(X, Y, M, N, config=VariantConfig()):
     pair = SnapshotPair(X, Y)
     M = _require_weight(M, "M")
     N = _require_weight(N, "N")
-    Gx = N.transform_right(M.transform(pair.X))
-    Gy = N.transform_right(M.transform(pair.Y))
-    return _rrr_pipeline(Gx, Gy, config, "weighted2", weight=M)
+    return _rrr_pipeline(pair.X, pair.Y, config, "weighted2", weight=M, right=N)
 
 
 def weighted_bauer_fike(residual_M, M, kappa_assumption=None, relative_residual_M=None):

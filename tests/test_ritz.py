@@ -1,5 +1,9 @@
 """The Rayleigh-Ritz engine: quotients, residuals, refinement, ordering."""
 
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmdkit
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.pod import RankPolicy, truncated_svd
 from dmdkit.ritz import (
     _lift,
+    _numpy_blas_threads,
+    _one_blas_thread,
+    _refinement_scope,
     QrStack,
     RitzDecomposition,
     action_on_basis,
@@ -420,6 +428,104 @@ def test_refine_ritz_memo_hands_out_copies():
     w[:] = 0.0
     again, sigma_again = refine_ritz(stack, lam)
     assert np.linalg.norm(again) == pytest.approx(1.0) and sigma_again == sigma
+
+
+# Refines every shift of a k = 120 stack built by numpy alone (no scipy
+# factorization, whose bits follow scipy's own thread count) and saves
+# (w, sigma) to the path given as argument.
+_REFINE_ALL_SHIFTS = """
+import sys
+import numpy as np
+from dmdkit.ritz import QrStack, refine_ritz
+
+k = 120
+rng = np.random.Generator(np.random.Philox(11))
+r11 = np.triu(rng.standard_normal((k, k)))
+r11[np.diag_indices(k)] = np.abs(np.diagonal(r11)) + 1.0
+stack = QrStack(r11=r11, r12=rng.standard_normal((k, k)),
+                r22=np.triu(rng.standard_normal((k, k))), phi=np.ones(k))
+shifts = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+shifts[::4] = shifts[::4].real
+solves = [refine_ritz(stack, lam) for lam in shifts]
+np.save(sys.argv[1], np.column_stack([w for w, _ in solves]))
+np.save(sys.argv[2], np.array([sigma for _, sigma in solves]))
+"""
+
+
+def test_refinement_bits_do_not_depend_on_blas_threads(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmdkit.__file__)))
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        paths = [str(tmp_path / ("%s-%s.npy" % (name, threads))) for name in ("w", "sigma")]
+        runs.append((subprocess.Popen([sys.executable, "-c", _REFINE_ALL_SHIFTS, *paths],
+                                      env=env, stderr=subprocess.PIPE), paths))
+    for proc, _ in runs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    (w1, s1), (w2, s2) = ([np.load(p) for p in paths] for _, paths in runs)
+    assert w1.shape == (120, 120)
+    assert np.array_equal(w1, w2) and np.array_equal(s1, s2)
+
+
+def test_refinement_scope_sets_and_restores_the_count():
+    threads = _numpy_blas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS exposes no thread setter")
+    set_threads, get_threads = threads
+    before = get_threads()
+    interval = sys.getswitchinterval()
+    set_threads(2)
+    try:
+        with _refinement_scope(256):
+            assert get_threads() == 1
+        assert get_threads() == 2
+        with _refinement_scope(257):
+            assert get_threads() == 2
+
+        with pytest.raises(RuntimeError):
+            with _one_blas_thread:
+                raise RuntimeError("leave by an exception")
+        assert get_threads() == 2
+
+        with _one_blas_thread:
+            with _one_blas_thread:
+                assert get_threads() == 1
+            assert get_threads() == 1
+        assert get_threads() == 2
+
+        sys.setswitchinterval(1e-6)
+        inside = threading.Barrier(8, timeout=30)
+        seen = []
+
+        def enter_and_leave():
+            with _one_blas_thread:
+                inside.wait()
+                seen.append(get_threads())
+                inside.wait()
+
+        workers = [threading.Thread(target=enter_and_leave) for _ in range(8)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in workers)
+        assert seen == [1] * 8
+        assert get_threads() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_threads(before)
+
+
+def test_numpy_openblas_thread_setter_is_found():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:
+        pytest.skip("numpy < 1.26 reports no build configuration")
+    if blas["name"] != "scipy-openblas":
+        pytest.skip("numpy's BLAS is %s" % blas["name"])
+    assert _numpy_blas_threads() is not None
 
 
 def _lift_operands(seed, n, k, p, order):

@@ -12,9 +12,10 @@ from dmdkit import variants
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
 from dmdkit.pod import RankPolicy, truncated_svd
-from dmdkit.ritz import action_on_basis, qr_stack, rayleigh_from_qr, refine_ritz
-from dmdkit.snapshots import SequentialTrajectory, SnapshotPair
+from dmdkit.ritz import QrStack, RefinedPair, action_on_basis, qr_stack, rayleigh_from_qr, refine_ritz
+from dmdkit.snapshots import ColumnScaling, KrylovCompanion, SequentialTrajectory, SnapshotPair
 from dmdkit.variants import (
+    FbSpectrum,
     VariantConfig,
     ddmd_rrr,
     ddmd_rrr_auto,
@@ -495,3 +496,27 @@ def test_ddmd_rrr_peak_memory_stays_near_the_input():
     finally:
         tracemalloc.stop()
     assert peak <= 3.3 * (X.nbytes + Y.nbytes)
+
+
+_ONES = np.ones((3, 3))
+
+# Two calls of each maker build distinct records with equal contents.
+_ARRAY_RECORDS = {
+    "SequentialTrajectory": lambda: SequentialTrajectory(_ONES),
+    "ColumnScaling": lambda: ColumnScaling(np.ones(3)),
+    "SnapshotPair": lambda: SnapshotPair(_ONES, _ONES),
+    "KrylovCompanion": lambda: KrylovCompanion(c=np.ones(3), C=_ONES, r=np.ones(3), r_norm=1.0),
+    "InnerProduct": lambda: InnerProduct.diagonal(np.ones(3)),
+    "QrStack": lambda: QrStack(r11=_ONES, r12=_ONES, r22=_ONES, phi=np.ones(3)),
+    "RefinedPair": lambda: RefinedPair(w=np.ones(3), sigma_min=0.0, rho=1.0),
+    "RitzDecomposition": lambda: ddmd_rrr(np.eye(4, 3), np.eye(4, 3)),
+    "FbSpectrum": lambda: FbSpectrum(omegas=np.ones(3), lambdas=np.ones(3), sign_evidence=np.ones(3)),
+    "OracleOperator": lambda: make_oracle(4, seed=1),
+}
+
+
+@pytest.mark.parametrize("make", list(_ARRAY_RECORDS.values()), ids=list(_ARRAY_RECORDS))
+def test_array_records_compare_by_identity_and_hash(make):
+    a, b = make(), make()
+    assert a == a and not (a == b) and a != b
+    assert len({a, b, a}) == 2

@@ -1,5 +1,7 @@
 """Elliptic-geometry pipelines and the weighted eigenvalue bound."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,29 @@ def test_right_weight_shape_is_the_column_count():
     _, M = _spd_weight(18, 114)
     with pytest.raises(ShapeError):
         two_sided_weighted_dmd(X, Y, M, InnerProduct.identity(18))
+
+
+@pytest.mark.parametrize("pipeline", ["weighted", "weighted2"])
+def test_weighted_peak_memory_holds_no_transformed_pair(pipeline):
+    # The weight transforms the pair inside the pipeline's front end; the
+    # transformed copies are gone before the POD, refinement and lift.
+    rng = _rng(71)
+    X = rng.standard_normal((20000, 60))
+    Y = rng.standard_normal((20000, 60))
+    M = InnerProduct.diagonal(np.linspace(0.5, 2.0, 20000))
+    N = InnerProduct.diagonal(np.linspace(1.0, 0.5, 60))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        if pipeline == "weighted":
+            weighted_dmd(X, Y, M)
+        else:
+            two_sided_weighted_dmd(X, Y, M, N)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.1 * (X.nbytes + Y.nbytes)
 
 
 def test_weighted_eta_identity():
