@@ -312,21 +312,21 @@ class _OneBlasThread:
     def __enter__(self):
         threads = _numpy_blas_threads()
         if threads is not None:
+            set_threads, get_threads = threads
             with self._lock:
                 if self._depth == 0:
-                    self._saved = threads[1]()
-                    threads[0](1)
+                    self._saved = get_threads()
+                    set_threads(1)
                 self._depth += 1
-        return self
 
     def __exit__(self, *exc):
         threads = _numpy_blas_threads()
         if threads is not None:
+            set_threads, _ = threads
             with self._lock:
                 self._depth -= 1
                 if self._depth == 0:
-                    threads[0](self._saved)
-        return False
+                    set_threads(self._saved)
 
 
 _one_blas_thread = _OneBlasThread()
