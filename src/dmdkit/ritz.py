@@ -19,15 +19,15 @@ triangular factor per distinct shift.  When the blocks are real, the
 stack of a conjugate shift is the conjugate stack, so each conjugate
 pair of Ritz values is solved once; the solves are memoized on the
 :class:`QrStack` and every caller holding the same stack shares them.
-Up to k = 256 each solve runs its small QR and SVD on one thread of
-numpy's OpenBLAS, whatever thread count the process was started with:
-there one thread was as fast or faster on the 2-core machines measured,
-and the solves round the same bits under any BLAS thread setting.  While such a solve runs, numpy's OpenBLAS
-uses one thread for the whole process; scipy's separate OpenBLAS, which
-runs the tall factorizations, keeps its threads.
+Each solve runs its small QR and SVD on one thread of numpy's OpenBLAS,
+whatever thread count the process was started with, so the solves round
+the same bits under any BLAS thread setting.  While such a solve runs,
+numpy's OpenBLAS uses one thread for the whole process: a computation
+running concurrently in another Python thread of the same process may
+then round differently from run to run.  scipy's separate OpenBLAS,
+which runs the tall factorizations, keeps its threads.
 """
 
-import contextlib
 import ctypes
 import functools
 import threading
@@ -331,15 +331,6 @@ class _OneBlasThread:
 
 _one_blas_thread = _OneBlasThread()
 
-# Largest k refined on one BLAS thread.  On 2 cores one thread solves a
-# shift as fast or faster up to k = 250 and 5-20 % slower at k = 300-400.
-_ONE_THREAD_MAX_K = 256
-
-
-def _refinement_scope(k):
-    """The BLAS thread scope of refinement solves on a k-column stack."""
-    return _one_blas_thread if k <= _ONE_THREAD_MAX_K else contextlib.nullcontext()
-
 
 def refine_ritz(stack, lam):
     """Optimal unit vector of the POD subspace for the Ritz value ``lam``.
@@ -355,9 +346,9 @@ def refine_ritz(stack, lam):
     For real blocks R_conj(lambda) = conj(R_lambda), so a shift with
     negative imaginary part returns the conjugate of the solve for its
     partner.  Solves are memoized on ``stack``: a repeated or conjugate
-    shift returns the same bits as a fresh solve, at no cost.  Up to
-    k = 256 a solve runs on one thread of numpy's OpenBLAS, so its bits do
-    not depend on the BLAS thread setting.
+    shift returns the same bits as a fresh solve, at no cost.  A solve runs
+    on one thread of numpy's OpenBLAS, so its bits do not depend on the
+    BLAS thread setting.
     """
     lam = np.asarray(lam)[()]
     flip = lam.imag < 0 and not any(np.iscomplexobj(b) for b in (stack.r11, stack.r12, stack.r22))
@@ -369,7 +360,7 @@ def refine_ritz(stack, lam):
     key = (lam.dtype.str, lam.tobytes())
     hit = stack._refined.get(key)
     if hit is None:
-        with _refinement_scope(stack.k):
+        with _one_blas_thread:
             R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
             try:
                 _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))

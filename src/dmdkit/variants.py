@@ -18,7 +18,6 @@ from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .pod import RankPolicy, default_epsilon, truncated_svd
 from .ritz import (
     _lift,
-    _refinement_scope,
     RefinedPair,
     RitzDecomposition,
     action_on_basis,
@@ -63,9 +62,13 @@ class VariantConfig:
     ``'all'``, a residual cap, or a predicate ``f(lambda, residual) ->
     bool`` selecting which pairs get the refinement treatment.  A NaN,
     negative, boolean or non-numeric cap is rejected.  Refinement solves
-    run one after another; up to rank 256 they run on one thread of
-    numpy's OpenBLAS whatever the process's BLAS thread setting, and every
-    other stage keeps the BLAS library's threads.
+    run one after another, each on one thread of numpy's OpenBLAS whatever
+    the process's BLAS thread setting; every other stage keeps the BLAS
+    library's threads.  That thread count is process-wide: while a solve
+    runs, a pipeline running concurrently in another Python thread of the
+    same process computes with one numpy BLAS thread too, and its output
+    may round differently from run to run.  Reports are byte-identical
+    across runs only where the process runs one pipeline at a time.
     """
 
     policy: RankPolicy | None = None
@@ -236,10 +239,9 @@ def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
         lambdas, W, _ = ritz_pairs(S, np.eye(k))
         residuals = residuals_from_stack(stack, lambdas, W)
     refined = [None] * k
-    with _refinement_scope(k):
-        for i in _refine_indices(config, lambdas, residuals):
-            w, sigma_min = refine_ritz(stack, lambdas[i])
-            refined[i] = RefinedPair(w=w, sigma_min=sigma_min, rho=refined_rayleigh_value(S, w))
+    for i in _refine_indices(config, lambdas, residuals):
+        w, sigma_min = refine_ritz(stack, lambdas[i])
+        refined[i] = RefinedPair(w=w, sigma_min=sigma_min, rho=refined_rayleigh_value(S, w))
     if any(rec is not None for rec in refined):
         W = np.column_stack([W[:, i] if rec is None else rec.w for i, rec in enumerate(refined)])
         residuals = np.array([residuals[i] if rec is None else rec.sigma_min for i, rec in enumerate(refined)])

@@ -18,7 +18,6 @@ from dmdkit.ritz import (
     _lift,
     _numpy_blas_threads,
     _one_blas_thread,
-    _refinement_scope,
     QrStack,
     RitzDecomposition,
     action_on_basis,
@@ -478,11 +477,9 @@ def test_refinement_scope_sets_and_restores_the_count():
     interval = sys.getswitchinterval()
     set_threads(2)
     try:
-        with _refinement_scope(256):
+        with _one_blas_thread:
             assert get_threads() == 1
         assert get_threads() == 2
-        with _refinement_scope(257):
-            assert get_threads() == 2
 
         with pytest.raises(RuntimeError):
             with _one_blas_thread:
