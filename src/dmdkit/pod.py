@@ -27,6 +27,7 @@ import scipy.linalg
 
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
+from .snapshots import _column_norms
 
 __all__ = [
     "RankPolicy",
@@ -169,7 +170,7 @@ def _thin_svd(G):
 
 def _svd_for_pod(G):
     """Thin SVD, with a pivoted QR first when column norms are badly graded."""
-    norms = np.linalg.norm(G, axis=0)
+    norms = _column_norms(G)
     positive = norms[norms > 0.0]
     if positive.size and positive.max() > _QR_PREPROCESS_SPREAD * positive.min():
         Q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True)

@@ -21,13 +21,18 @@ pair of Ritz values is solved once; the solves are memoized on the
 :class:`QrStack` and every caller holding the same stack shares them.
 Each solve runs its small QR and SVD on one thread of numpy's OpenBLAS,
 whatever thread count the process was started with, so the solves round
-the same bits under any BLAS thread setting.  While such a solve runs,
-numpy's OpenBLAS uses one thread for the whole process: a computation
-running concurrently in another Python thread of the same process may
-then round differently from run to run.  scipy's separate OpenBLAS,
-which runs the tall factorizations, keeps its threads.
+the same bits under any BLAS thread setting.  The refined pipelines and
+fb of :mod:`dmdkit.variants` hold that one thread from start to finish
+through the same scope (:data:`_one_blas_thread`, a context manager and
+decorator); dmd and exact_dmd do not, because their long product U* Y
+rounds differently by thread count.  While a scope is held, numpy's
+OpenBLAS uses one thread for the whole process: a computation running
+concurrently in another Python thread of the same process may then
+round differently from run to run.  scipy's separate OpenBLAS, which
+runs the tall factorizations, keeps its threads.
 """
 
+import contextlib
 import ctypes
 import functools
 import threading
@@ -38,7 +43,7 @@ import numpy as np
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
 from .pod import _householder_qr
-from .snapshots import _column_norms
+from .snapshots import _column_norms, _inexact_norms
 
 __all__ = [
     "QrStack",
@@ -252,7 +257,8 @@ def residuals_from_stack(stack, lambdas, W):
 
     Uses || R_lambda w || with R_lambda stacked from the QR blocks, which
     equals the ambient residual norm exactly because Q has orthonormal
-    columns.  A norm that overflows is measured again with scaling.
+    columns.  A norm that overflows or underflows is measured again with
+    scaling.
     """
     W = np.asarray(W)
     lambdas = np.asarray(lambdas)
@@ -260,9 +266,9 @@ def residuals_from_stack(stack, lambdas, W):
     bottom = stack.r22 @ W
     with np.errstate(over="ignore", invalid="ignore"):
         res = np.sqrt(np.linalg.norm(top, axis=0) ** 2 + np.linalg.norm(bottom, axis=0) ** 2)
-    big = ~np.isfinite(res)
-    if big.any():
-        res[big] = _column_norms(np.vstack([top[:, big], bottom[:, big]]))
+    redo = _inexact_norms(res)
+    if redo.any():
+        res[redo] = _column_norms(np.vstack([top[:, redo], bottom[:, redo]]))
     return res
 
 
@@ -294,8 +300,8 @@ def _numpy_blas_threads():
     return None
 
 
-class _OneBlasThread:
-    """Context manager holding numpy's OpenBLAS at one thread.
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Context manager and decorator holding numpy's OpenBLAS at one thread.
 
     The count is process-wide, so scopes share one depth counter: the
     first scope in (from any thread) saves the count and sets one thread,
@@ -311,22 +317,20 @@ class _OneBlasThread:
 
     def __enter__(self):
         threads = _numpy_blas_threads()
-        if threads is not None:
-            set_threads, get_threads = threads
-            with self._lock:
-                if self._depth == 0:
-                    self._saved = get_threads()
-                    set_threads(1)
-                self._depth += 1
+        with self._lock:
+            if self._depth == 0 and threads is not None:
+                set_threads, get_threads = threads
+                self._saved = get_threads()
+                set_threads(1)
+            self._depth += 1
 
     def __exit__(self, *exc):
         threads = _numpy_blas_threads()
-        if threads is not None:
-            set_threads, _ = threads
-            with self._lock:
-                self._depth -= 1
-                if self._depth == 0:
-                    set_threads(self._saved)
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and threads is not None:
+                set_threads, _ = threads
+                set_threads(self._saved)
 
 
 _one_blas_thread = _OneBlasThread()
@@ -370,10 +374,10 @@ def refine_ritz(stack, lam):
             w = w / np.linalg.norm(w)
             r = R_lam @ w
             with np.errstate(over="ignore"):
-                sigma = float(np.linalg.norm(r))
-            if not np.isfinite(sigma):
-                sigma = float(_column_norms(r[:, None])[0])
-        hit = (w, sigma)
+                sigma = np.linalg.norm(r)
+            if _inexact_norms(sigma):
+                sigma = _column_norms(r[:, None])[0]
+        hit = (w, float(sigma))
         stack._refined[key] = hit
     w, sigma = hit
     return (w.conj() if flip else w.copy()), sigma

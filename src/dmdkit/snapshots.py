@@ -142,45 +142,60 @@ def odd_even_split(F):
     return SnapshotPair(F[:, 0::2], F[:, 1::2])
 
 
-def _column_norms(X):
-    """Column 2-norms that stay finite for finite columns.
+def _inexact_norms(d):
+    """Mask of plain 2-norms whose sum of squares overflowed or underflowed.
 
-    A column whose plain norm overflows is measured again as
-    max|x| * ||x / max|x|||; every other column keeps the bits of
-    ``np.linalg.norm(X, axis=0)``.  A column holding an infinity stays
+    A norm below sqrt(tiny) summed its squares under the normal range, so
+    some of them lost bits or vanished.
+    """
+    return ~(d >= np.sqrt(np.finfo(np.float64).tiny)) | np.isinf(d)
+
+
+def _column_norms(X):
+    """Column 2-norms that stay finite and accurate for finite columns.
+
+    A column whose plain norm overflows or underflows (see
+    :func:`_inexact_norms`) is measured again as max|x| * ||x / max|x|||;
+    every other column keeps the bits of ``np.linalg.norm(X, axis=0)``.
+    A zero column stays zero and a column holding an infinity stays
     infinite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         d = np.linalg.norm(X, axis=0)
-        big = ~np.isfinite(d)
-        if big.any():
-            Xb = X[:, big]
-            top = np.abs(Xb).max(axis=0)
-            d[big] = np.where(np.isinf(top), top, top * np.linalg.norm(Xb / top, axis=0))
+        redo = _inexact_norms(d)
+        if redo.any():
+            Xr = X[:, redo]
+            top = np.abs(Xr).max(axis=0)
+            d[redo] = np.where(np.isinf(top) | (top == 0.0), top, top * np.linalg.norm(Xr / top, axis=0))
     return d
 
 
 def _scale_arrays(X, Y):
     """Divide matched columns of X and Y by the column norms of X.
 
-    Zero columns get factor 0 and are left untouched.  Returns the scaled
-    copies and the recorded norms, which are finite for finite data (see
-    :func:`_column_norms`).
+    Zero columns, and columns whose norm is below the normal range, get
+    factor 0 and are left untouched.  Returns the scaled copies and the
+    recorded norms, which are finite for finite data (see
+    :func:`_column_norms`).  A scaled Y may overflow; the pipelines report
+    that as a :class:`ConditioningError` where B_k is formed.
     """
     d = _column_norms(X)
-    inv = np.ones_like(d)
-    nz = d > 0.0
-    inv[nz] = 1.0 / d[nz]
-    return X * inv, Y * inv, ColumnScaling(np.where(nz, d, 0.0))
+    nz = d >= np.finfo(np.float64).tiny
+    inv = 1.0 / np.where(nz, d, 1.0)
+    with np.errstate(over="ignore"):
+        return X * inv, Y * inv, ColumnScaling(np.where(nz, d, 0.0))
 
 
 def scale_columns(pair):
     """Rescale a pair to unit X-columns; near optimal spectral conditioning.
 
     The scaled X has condition number within sqrt(m) of the best achievable
-    by any positive diagonal column scaling.
+    by any positive diagonal column scaling.  A Y that leaves the double
+    range once scaled is a :class:`ConditioningError`.
     """
     Xs, Ys, scaling = _scale_arrays(pair.X, pair.Y)
+    if not np.isfinite(Ys).all():
+        raise ConditioningError("scale_columns: the scaled Y overflows double precision")
     return SnapshotPair(Xs, Ys), scaling
 
 

@@ -17,7 +17,9 @@ import scipy.linalg
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .pod import RankPolicy, default_epsilon, truncated_svd
 from .ritz import (
+    _eig,
     _lift,
+    _one_blas_thread,
     RefinedPair,
     RitzDecomposition,
     action_on_basis,
@@ -61,14 +63,20 @@ class VariantConfig:
     of the matrix actually decomposed.  ``refine`` is ``'none'``,
     ``'all'``, a residual cap, or a predicate ``f(lambda, residual) ->
     bool`` selecting which pairs get the refinement treatment.  A NaN,
-    negative, boolean or non-numeric cap is rejected.  Refinement solves
-    run one after another, each on one thread of numpy's OpenBLAS whatever
-    the process's BLAS thread setting; every other stage keeps the BLAS
-    library's threads.  That thread count is process-wide: while a solve
-    runs, a pipeline running concurrently in another Python thread of the
-    same process computes with one numpy BLAS thread too, and its output
-    may round differently from run to run.  Reports are byte-identical
-    across runs only where the process runs one pipeline at a time.
+    negative, boolean or non-numeric cap is rejected.
+
+    The refined pipelines and :func:`fb_dmd_mrf` hold numpy's OpenBLAS at
+    one thread from start to finish, whatever the process's BLAS thread
+    setting, and run their refinement solves one after another; scipy's
+    separate OpenBLAS keeps its threads for the tall factorizations.
+    :func:`dmd` and :func:`exact_dmd` keep numpy's threads, because their
+    long product U* Y rounds differently by thread count and must round
+    like the same product written inline.  The thread count is
+    process-wide: while a scoped pipeline runs, a pipeline running
+    concurrently in another Python thread of the same process computes
+    with one numpy BLAS thread too, and its output may round differently
+    from run to run.  Reports are byte-identical across runs only where
+    the process runs one pipeline at a time.
     """
 
     policy: RankPolicy | None = None
@@ -164,7 +172,15 @@ def _project(X, Y, config, policy=None, weight=None, right=None):
 
 
 def _quotient(basis, Ys):
-    """The historical quotient ((U* Y) V) Sigma^{-1}; returns (S, lambdas, W, Z)."""
+    """The historical quotient ((U* Y) V) Sigma^{-1}; returns (S, lambdas, W, Z).
+
+    Unlike the refined pipelines, :func:`dmd` and :func:`exact_dmd` do not
+    hold numpy's OpenBLAS at one thread: the long-K product U* Y rounds
+    differently by thread count, and it must keep rounding like the same
+    product written inline by a caller, so that a recomposition from the
+    public stages stays bit-identical to :func:`dmd`.  Both pipelines
+    share this quotient, so exact_dmd's Ritz values stay bitwise dmd's.
+    """
     S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
     return (S, *ritz_pairs(S, basis.U))
 
@@ -216,6 +232,7 @@ def dmd(X, Y, config=VariantConfig()):
     return _package(lambdas, Z, residuals, None, "dmd", basis.rank)
 
 
+@_one_blas_thread
 def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
     """Shared refined Rayleigh-Ritz engine.
 
@@ -381,6 +398,7 @@ def exact_dmd_sequential_diagnostic(F, decomposition):
     return tuple(out)
 
 
+@_one_blas_thread
 def fb_dmd_mrf(X, Y, config=VariantConfig()):
     """Forward-backward DMD without any matrix square root.
 
@@ -391,7 +409,11 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
     reported Ritz values; each square root's sign is chosen to minimize
     the distance to the Rayleigh value w* S_k w, which keeps conjugate
     pairs closed for real data.  Residuals use the forward data
-    with the chosen eigenvalues.
+    with the chosen eigenvalues.  When the largest entry of S_k lies
+    beyond 2^256 or below 2^-256, both quotients are first rescaled by an
+    exact power of two, so the squares stay in the double range; the
+    reported values are scaled back, and an omega overflows or underflows
+    only where lambda^2 itself does.
     """
     pair = SnapshotPair(X, Y)
     X, Y = pair.X, pair.Y
@@ -431,11 +453,13 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
             sigma_min=float(sv[-1]),
             sigma_max=float(sv[0]),
         )
+    e = int(np.frexp(np.abs(S_fwd).max())[1])
+    c = np.ldexp(1.0, min(-e, 1023)) if abs(e) > 256 else 1.0
+    if c != 1.0:
+        S_fwd, S_back = c * S_fwd, S_back / c
     M = np.linalg.solve(S_back.T, S_fwd.T).T
 
-    omegas, W = np.linalg.eig(M)
-    W = W / np.linalg.norm(W, axis=0)[None, :]
-    omegas = omegas.astype(complex)
+    omegas, W = _eig(M)
     evidence = np.einsum("ij,ij->j", W.conj(), S_fwd @ W)
     roots = np.sqrt(omegas)
     d_plus = np.abs(roots - evidence)
@@ -450,6 +474,9 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
         # omega order keeps that pair closed for real data.
         order = tied[np.lexsort((omegas[tied].imag, omegas[tied].real))]
         lambdas[order[1::2]] = -roots[order[1::2]]
+    if c != 1.0:
+        with np.errstate(over="ignore"):
+            lambdas, omegas, evidence = lambdas / c, omegas / c / c, evidence / c
 
     dec = _package(lambdas, _lift(Uf, W), residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
     perm = dec.ordering

@@ -80,6 +80,40 @@ def test_column_norms_rescale_only_overflowing_columns():
     assert d[3] == np.inf
 
 
+def test_column_norms_rescale_underflowing_columns():
+    rng = _rng(15)
+    X = rng.standard_normal((30, 5)) + 1j * rng.standard_normal((30, 5))
+    plain = np.linalg.norm(X, axis=0)
+    # squares of 1e-165 entries vanish, those of 1e-160 entries lose bits
+    X[:, 1] *= 1e-165
+    X[:, 2] *= 1e-160
+    X[:, 3] = 0.0
+    d = _column_norms(X)
+    assert np.array_equal(d[[0, 4]], plain[[0, 4]])
+    assert abs(d[1] - 1e-165 * plain[1]) <= 1e-14 * d[1]
+    assert abs(d[2] - 1e-160 * plain[2]) <= 1e-14 * d[2]
+    assert d[3] == 0.0
+
+
+def test_scale_columns_of_tiny_data():
+    rng = _rng(16)
+    X = rng.standard_normal((40, 8))
+    Y = rng.standard_normal((40, 8))
+    ref, ref_scaling = scale_columns(SnapshotPair(X, Y))
+    scaled, scaling = scale_columns(SnapshotPair(1e-165 * X, Y))
+    np.testing.assert_allclose(scaling.d, 1e-165 * ref_scaling.d, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(scaled.X, ref.X, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(scaled.Y, 1e165 * ref.Y, rtol=1e-14, atol=0)
+    # a column whose norm is subnormal has no finite reciprocal and stays put
+    X[:, 2] *= 1e-320
+    scaled, scaling = scale_columns(SnapshotPair(X, Y))
+    assert scaling.d[2] == 0.0
+    assert np.array_equal(scaled.X[:, 2], X[:, 2]) and np.array_equal(scaled.Y[:, 2], Y[:, 2])
+    # tiny X columns with a huge Y: the scaled Y leaves the double range
+    with pytest.raises(ConditioningError, match="overflows"):
+        scale_columns(SnapshotPair(1e-200 * X, 1e150 * Y))
+
+
 def test_scaling_rejects_negative_factors():
     from dmdkit.snapshots import ColumnScaling
 

@@ -409,14 +409,20 @@ def test_huge_finite_data_scales_like_unit_data():
     assert np.all(np.abs(big.residuals - ref.residuals) <= 1e-12 * ref.residuals)
 
 
-@pytest.mark.parametrize("scale", [True, False])
-@pytest.mark.parametrize("pipeline", [
+_SCALED_PIPELINES = [
     pytest.param(lambda X, Y, scale: ddmd_rrr(X, Y, VariantConfig(scale=scale, refine="none")), id="rrr-none"),
     pytest.param(lambda X, Y, scale: ddmd_rrr(X, Y, VariantConfig(scale=scale, refine="all")), id="rrr-all"),
     pytest.param(lambda X, Y, scale: dmd(X, Y, VariantConfig(scale=scale)), id="dmd"),
-])
+    pytest.param(lambda X, Y, scale: fb_dmd_mrf(X, Y, VariantConfig(scale=scale))[0], id="fb"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [True, False])
+@pytest.mark.parametrize("pipeline", _SCALED_PIPELINES)
 def test_residuals_of_huge_data_do_not_overflow(pipeline, scale):
-    # B_k entries near 1e160 square past the double range in a plain norm
+    # B_k entries near 1e160 square past the double range in a plain norm,
+    # and so do fb's omega = lambda^2
     rng = _rng(99)
     X = rng.standard_normal((40, 8))
     Y = rng.standard_normal((40, 8))
@@ -424,6 +430,37 @@ def test_residuals_of_huge_data_do_not_overflow(pipeline, scale):
     big = pipeline(X, 1e160 * Y, scale)
     assert np.all(np.isfinite(big.residuals))
     np.testing.assert_allclose(big.residuals, 1e160 * ref.residuals, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.sort_complex(big.lambdas), 1e160 * np.sort_complex(ref.lambdas), rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [True, False])
+@pytest.mark.parametrize("pipeline", _SCALED_PIPELINES)
+def test_residuals_of_tiny_data_do_not_underflow(pipeline, scale):
+    # B_k entries near 1e-165 square below the double range in a plain norm,
+    # which read as exact zero certificates; fb's omega = lambda^2 underflows too
+    rng = _rng(99)
+    X = rng.standard_normal((40, 8))
+    Y = rng.standard_normal((40, 8))
+    ref = pipeline(X, Y, scale)
+    small = pipeline(X, 1e-165 * Y, scale)
+    assert np.all(small.residuals > 0.0)
+    np.testing.assert_allclose(small.residuals, 1e-165 * ref.residuals, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.sort_complex(small.lambdas), 1e-165 * np.sort_complex(ref.lambdas), rtol=1e-12)
+
+
+@pytest.mark.parametrize("s", [2.0**-400, 2.0**400])
+def test_fb_spectrum_of_scaled_data_is_scaled(s):
+    # far from unit scale fb rescales its quotients; omega = lambda^2 of the
+    # scaled pair, still in range here, must come back as s^2 times the unit pair's
+    rng = _rng(99)
+    X = rng.standard_normal((40, 8))
+    Y = rng.standard_normal((40, 8))
+    _, ref = fb_dmd_mrf(X, Y)
+    _, fb = fb_dmd_mrf(X, s * Y)
+    for got, want in ((fb.lambdas, s * ref.lambdas), (fb.sign_evidence, s * ref.sign_evidence),
+                      (fb.omegas, s * s * ref.omegas)):
+        np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want), rtol=1e-12)
 
 
 @pytest.mark.parametrize("pipeline", [
