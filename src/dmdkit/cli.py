@@ -24,12 +24,13 @@ from . import checks
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
 from .matrixio import load_matrix, store_matrix
-from .pod import RankPolicy, default_epsilon
+from .pod import RankPolicy
 from .ritz import koopman_log_map
 from .snapshots import SnapshotPair
 from .variants import (
     VariantConfig,
     _check_cap,
+    _resolve_policy,
     _selected,
     dmd,
     ddmd_rrr,
@@ -76,23 +77,20 @@ def _load_input(args):
     """(X, Y, F) from the input files; F is the trajectory, or None for --x/--y.
 
     :func:`load_matrix` has rejected non-finite entries and every pipeline
-    validates its own input, so only the shapes are checked here.  The
-    compressed route takes the column-major arrays as loaded.  The direct
-    pipelines round their column norms and products differently on the
-    two layouts, so they get row-major copies, the layout their reports
-    have always been computed from.
+    validates its own input, so only the shapes are checked here.  Every
+    variant decomposes the column-major arrays as loaded, uncopied, so a
+    report equals the library call on ``load_matrix(file)``.
     """
-    layout = np.ascontiguousarray if args.variant != "rrr-compressed" else np.asarray
     if args.seq is not None:
         if args.x is not None or args.y is not None:
             raise DataError("--seq cannot be combined with --x/--y")
-        F = layout(load_matrix(args.seq))
+        F = load_matrix(args.seq)
         if F.shape[1] < 2:
             raise ShapeError("trajectory needs at least 2 columns, got %d" % F.shape[1])
         return F[:, :-1], F[:, 1:], F
     if args.x is None or args.y is None:
         raise DataError("either --seq FILE or both --x FILE and --y FILE are required")
-    X, Y = layout(load_matrix(args.x)), layout(load_matrix(args.y))
+    X, Y = load_matrix(args.x), load_matrix(args.y)
     if X.shape != Y.shape:
         raise ShapeError("X and Y must have equal shapes, got %r and %r" % (X.shape, Y.shape))
     return X, Y, None
@@ -140,23 +138,19 @@ def cmd_decompose(args):
         raise DataError("--dt must be positive and finite, got %r" % (args.dt,))
     cap = None if args.select_cap is None else _check_cap(args.select_cap)
     _check_weight_flags(args)
-    X, Y, F = _load_input(args)
-    n, m = X.shape
-
     policy = None
-    epsilon = default_epsilon(n, m)
     if args.rank is not None:
         policy = RankPolicy.fixed(args.rank)
-        epsilon = None
     elif args.eps is not None:
         policy = RankPolicy.spectral(args.eps)
-        epsilon = args.eps
-
     config = VariantConfig(
         policy=policy,
         scale=not args.no_scale,
         refine=_parse_refine(args.refine),
     )
+
+    X, Y, F = _load_input(args)
+    n, m = X.shape
 
     M = _load_weight(args.weight, args.weight_inverse) if args.weight else None
     N = _load_weight(args.weight_n) if args.weight_n else None
@@ -182,7 +176,7 @@ def cmd_decompose(args):
         "n": int(n),
         "m": int(m),
         "k": int(dec.rank),
-        "epsilon": epsilon,
+        "epsilon": _resolve_policy(config, (n, m)).epsilon,
         "scaled": not args.no_scale,
         "weight": args.weight if args.weight else "none",
     }
@@ -243,8 +237,9 @@ def _build_parser():
     d.add_argument("--x", help="snapshot matrix X (DMM1 or CSV)")
     d.add_argument("--y", help="snapshot matrix Y, columns paired with X")
     d.add_argument("--seq", help="sequential trajectory matrix; supersedes --x/--y")
-    d.add_argument("--eps", type=float, help="spectral truncation threshold (relative)")
-    d.add_argument("--rank", type=int, help="fixed truncation rank")
+    rank = d.add_mutually_exclusive_group()
+    rank.add_argument("--eps", type=float, help="spectral truncation threshold (relative)")
+    rank.add_argument("--rank", type=int, help="fixed truncation rank")
     d.add_argument("--no-scale", action="store_true", help="skip column scaling")
     d.add_argument("--refine", default="all", help="'none', 'all', or 'cap=REAL'")
     d.add_argument("--select-cap", type=float, default=None,

@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConditioningError, DataError, ShapeError
+from .snapshots import _column_norms
 
 __all__ = ["InnerProduct"]
 
@@ -148,10 +149,14 @@ class InnerProduct:
     # -- norms and materialization -------------------------------------------
 
     def norm(self, x):
-        """Weighted norm of one vector or of each column of a matrix."""
+        """Weighted norm of one vector or of each column of a matrix.
+
+        Finite and accurate where the sum of squares would overflow or
+        underflow (see :func:`_column_norms`).
+        """
         x = np.asarray(x)
         g = self.transform(x.reshape(-1, 1) if x.ndim == 1 else x)
-        nrm = np.linalg.norm(g, axis=0)
+        nrm = _column_norms(g)
         return float(nrm[0]) if x.ndim == 1 else nrm
 
     def gram_matrix(self):

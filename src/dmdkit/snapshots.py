@@ -137,8 +137,6 @@ def odd_even_split(F):
     F = _check_matrix(F.F if isinstance(F, SequentialTrajectory) else F, "interleaved samples")
     if F.shape[1] % 2 != 0:
         raise ShapeError("odd_even_split needs an even column count, got %d" % F.shape[1])
-    if F.shape[1] < 2:
-        raise ShapeError("odd_even_split needs at least one pair of columns")
     return SnapshotPair(F[:, 0::2], F[:, 1::2])
 
 
@@ -231,4 +229,4 @@ def companion_decomposition(F):
     if m > 1:
         C[np.arange(1, m), np.arange(m - 1)] = 1.0
     C[:, -1] = c
-    return KrylovCompanion(c=c, C=C, r=r, r_norm=float(np.linalg.norm(r)))
+    return KrylovCompanion(c=c, C=C, r=r, r_norm=float(_column_norms(r[:, None])[0]))

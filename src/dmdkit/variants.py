@@ -9,7 +9,6 @@ live (POD subspace vs range of Y).
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -61,9 +60,9 @@ class VariantConfig:
 
     ``policy=None`` resolves to the spectral threshold max(n, m+1) * eps
     of the matrix actually decomposed.  ``refine`` is ``'none'``,
-    ``'all'``, a residual cap, or a predicate ``f(lambda, residual) ->
-    bool`` selecting which pairs get the refinement treatment.  A NaN,
-    negative, boolean or non-numeric cap is rejected.
+    ``'all'``, or a residual cap: the refined pipelines then refine
+    exactly the pairs whose Ritz residual :func:`select_pairs` keeps at
+    that cap.  A NaN, negative, boolean or non-numeric cap is rejected.
 
     The refined pipelines and :func:`fb_dmd_mrf` hold numpy's OpenBLAS at
     one thread from start to finish, whatever the process's BLAS thread
@@ -81,13 +80,13 @@ class VariantConfig:
 
     policy: RankPolicy | None = None
     scale: bool = True
-    refine: str | float | Callable = "all"
+    refine: str | float = "all"
 
     def __post_init__(self):
         if isinstance(self.refine, str):
             if self.refine not in ("none", "all"):
-                raise DataError("refine must be 'none', 'all', a residual cap, or a predicate")
-        elif not callable(self.refine):
+                raise DataError("refine must be 'none', 'all', or a residual cap")
+        else:
             _check_cap(self.refine)
 
 
@@ -151,11 +150,11 @@ def _project(X, Y, config, policy=None, weight=None, right=None):
     The one front end of every pipeline.  ``weight`` maps both snapshot
     matrices into the Euclidean coordinates of its geometry and ``right``
     then weights their columns; each transformed pair lives only in this
-    frame, up to the next step.  ``policy`` defaults to the config's,
-    resolved on the shape of X.  Returns (basis, Ys, B), where ``basis``
-    is the :class:`PodBasis` of the scaled X and ``Ys`` is Y after the
-    column scaling; callers drop ``Ys`` after its last use, so the n x m
-    copy does not outlive it.
+    frame, up to the next step.  ``policy`` defaults to the config's, and
+    :func:`truncated_svd` resolves a missing one on the shape of X.
+    Returns (basis, Ys, B), where ``basis`` is the :class:`PodBasis` of
+    the scaled X and ``Ys`` is Y after the column scaling; callers drop
+    ``Ys`` after its last use, so the n x m copy does not outlive it.
     """
     if weight is not None:
         X = weight.transform(X)
@@ -165,9 +164,7 @@ def _project(X, Y, config, policy=None, weight=None, right=None):
         Y = right.transform_right(Y)
     if config.scale:
         X, Y, _ = _scale_arrays(X, Y)
-    if policy is None:
-        policy = _resolve_policy(config, X.shape)
-    basis = truncated_svd(X, policy)
+    basis = truncated_svd(X, policy or config.policy)
     return basis, Y, action_on_basis(Y, basis.V, basis.sigma)
 
 
@@ -183,19 +180,6 @@ def _quotient(basis, Ys):
     """
     S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
     return (S, *ritz_pairs(S, basis.U))
-
-
-def _refine_indices(config, lambdas, residuals):
-    mode = config.refine
-    k = len(lambdas)
-    if mode == "none":
-        return []
-    if mode == "all":
-        return list(range(k))
-    if callable(mode):
-        return [i for i in range(k) if mode(lambdas[i], residuals[i])]
-    cap = float(mode)
-    return [i for i in range(k) if residuals[i] <= cap]
 
 
 def _package(lambdas, Z, residuals, refined, variant, rank, weight=None):
@@ -252,11 +236,14 @@ def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
         except np.linalg.LinAlgError as exc:
             raise BackendError("eigensolver failed on the Rayleigh quotient: %s" % exc) from exc
         W = residuals = None
+        chosen = range(k)
     else:
-        lambdas, W, _ = ritz_pairs(S, np.eye(k))
+        lambdas, W = _eig(S)
         residuals = residuals_from_stack(stack, lambdas, W)
+        # A cap refines exactly the pairs select_pairs keeps at it.
+        chosen = () if config.refine == "none" else np.flatnonzero(_selected(residuals, float(config.refine)))
     refined = [None] * k
-    for i in _refine_indices(config, lambdas, residuals):
+    for i in chosen:
         w, sigma_min = refine_ritz(stack, lambdas[i])
         refined[i] = RefinedPair(w=w, sigma_min=sigma_min, rho=refined_rayleigh_value(S, w))
     if any(rec is not None for rec in refined):

@@ -24,7 +24,7 @@ import scipy.optimize
 from .errors import BackendError, DataError, ShapeError
 from .inner import InnerProduct
 from .matrixio import store_matrix
-from .snapshots import SequentialTrajectory, SnapshotPair, _scale_arrays
+from .snapshots import SequentialTrajectory, SnapshotPair, _as_trajectory, _scale_arrays
 from .pod import default_epsilon
 
 __all__ = [
@@ -312,7 +312,7 @@ def corrupted_sigma_etas(oracle, F, floor=1e-8):
     come out far smaller than the truth, so the returned eta ratios dip
     orders of magnitude below 1.
     """
-    traj = F if isinstance(F, SequentialTrajectory) else SequentialTrajectory(np.asarray(F))
+    traj = _as_trajectory(F)
     X, Y = traj.F[:, :-1], traj.F[:, 1:]
     Xs, Ys, _ = _scale_arrays(X, Y)
     U, s, Vh = scipy.linalg.svd(Xs, full_matrices=False, lapack_driver="gesvd")

@@ -10,10 +10,12 @@ import pytest
 
 import dmdkit
 from dmdkit.cli import main
+from dmdkit.inner import InnerProduct
 from dmdkit.matrixio import load_matrix, store_matrix
 from dmdkit.pod import default_epsilon
-from dmdkit.variants import ddmd_rrr, ddmd_rrr_compressed, dmd, exact_dmd, select_pairs
+from dmdkit.variants import ddmd_rrr, ddmd_rrr_compressed, dmd, exact_dmd, fb_dmd_mrf, select_pairs
 from dmdkit.verify import make_oracle, trajectory, write_fixture_set
+from dmdkit.weighted import two_sided_weighted_dmd, weighted_dmd
 
 
 def _canonical(obj):
@@ -87,6 +89,13 @@ def test_fixed_rank_nulls_epsilon(traj_file, capsys):
     assert meta["epsilon"] is None
 
 
+def test_rank_and_eps_are_mutually_exclusive(traj_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--seq", traj_file, "--rank", "5", "--eps", "0.5"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_eps_flag_is_echoed(traj_file, capsys):
     rc, out = _decompose(capsys, "--seq", traj_file, "--eps", "1e-6")
     assert rc == 0
@@ -106,6 +115,13 @@ def test_bad_refine_spec_is_a_data_error(traj_file, capsys):
     assert main(["decompose", "--seq", traj_file, "--refine", "sometimes"]) == 2
     assert main(["decompose", "--seq", traj_file, "--refine", "cap=abc"]) == 2
     assert main(["decompose", "--seq", traj_file, "--refine", "cap=nan"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--eps", "2"], ["--rank", "0"], ["--refine", "sometimes"]])
+def test_bad_rank_and_refine_flags_are_data_errors_before_reading(tmp_path, capsys, flags):
+    rc = main(["decompose", "--seq", str(tmp_path / "absent.dmm"), *flags])
+    assert rc == 2
+    assert "absent.dmm" not in capsys.readouterr().err
 
 
 def test_overflowing_data_is_a_conditioning_error(tmp_path, capsys):
@@ -182,7 +198,7 @@ def test_bad_select_cap_is_a_data_error_before_reading(tmp_path, capsys, cap):
 
 @pytest.mark.parametrize("variant, pipeline", [("exact", exact_dmd), ("rrr", ddmd_rrr), ("dmd", dmd)])
 def test_select_cap_selects_what_select_pairs_keeps(traj_file, capsys, variant, pipeline):
-    F = np.ascontiguousarray(load_matrix(traj_file))
+    F = load_matrix(traj_file)
     dec = pipeline(F[:, :-1], F[:, 1:])
     for cap in (np.inf, float(np.nanmedian(dec.residuals)) if variant != "exact" else 1.0):
         rc, out = _decompose(capsys, "--seq", traj_file, "--variant", variant, "--select-cap", repr(cap))
@@ -217,20 +233,35 @@ def test_modes_out_writes_present_vectors(traj_file, tmp_path, capsys):
     assert np.allclose(np.linalg.norm(Z, axis=0), 1.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["rrr-compressed", "rrr"])
+# Each variant's library call on the trajectory F, diagonal weights M and N.
+_LIBRARY = {
+    "rrr-compressed": lambda F, M, N: ddmd_rrr_compressed(F),
+    "rrr": lambda F, M, N: ddmd_rrr(F[:, :-1], F[:, 1:]),
+    "dmd": lambda F, M, N: dmd(F[:, :-1], F[:, 1:]),
+    "exact": lambda F, M, N: exact_dmd(F[:, :-1], F[:, 1:]),
+    "fb": lambda F, M, N: fb_dmd_mrf(F[:, :-1], F[:, 1:])[0],
+    "weighted": lambda F, M, N: weighted_dmd(F[:, :-1], F[:, 1:], M),
+    "weighted2": lambda F, M, N: two_sided_weighted_dmd(F[:, :-1], F[:, 1:], M, N),
+}
+
+
+@pytest.mark.parametrize("variant", list(_LIBRARY))
 def test_modes_out_bytes_equal_the_stored_vectors(traj_file, tmp_path, capsys, variant):
+    # every variant decomposes the file as loaded, uncopied
+    w, wn = np.linspace(0.5, 2.0, 24), np.linspace(1.0, 0.5, 10)
+    store_matrix(w[:, None], tmp_path / "w.dmm")
+    store_matrix(wn[:, None], tmp_path / "wn.dmm")
+    weights = {"weighted": ["--weight", str(tmp_path / "w.dmm")],
+               "weighted2": ["--weight", str(tmp_path / "w.dmm"), "--weight-n", str(tmp_path / "wn.dmm")]}
     modes = tmp_path / "modes.dmm"
-    rc, _ = _decompose(capsys, "--seq", traj_file, "--variant", variant, "--modes-out", str(modes))
+    rc, out = _decompose(capsys, "--seq", traj_file, "--variant", variant, "--modes-out", str(modes),
+                         *weights.get(variant, []))
     assert rc == 0
-    F = load_matrix(traj_file)
-    if variant == "rrr-compressed":
-        dec = ddmd_rrr_compressed(F)
-    else:
-        # the direct routes decompose a row-major copy of the file
-        F = np.ascontiguousarray(F)
-        dec = ddmd_rrr(F[:, :-1], F[:, 1:])
-    assert dec.vector_present.all()
-    store_matrix(dec.vectors, tmp_path / "ref.dmm")
+    dec = _LIBRARY[variant](load_matrix(traj_file), InnerProduct.diagonal(w), InnerProduct.diagonal(wn))
+    records = json.loads(out)["records"]
+    assert [complex(r["lambda_re"], r["lambda_im"]) for r in records] == dec.lambdas.tolist()
+    assert [r["residual"] for r in records] == [None if np.isnan(r) else float(r) for r in dec.residuals]
+    store_matrix(dec.vectors[:, dec.vector_present], tmp_path / "ref.dmm")
     assert modes.read_bytes() == (tmp_path / "ref.dmm").read_bytes()
 
 

@@ -163,6 +163,14 @@ def test_companion_residual_is_orthogonal_to_span():
     assert comp.C[1, 0] == 1.0 and comp.C[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e-165, 1e165])
+def test_companion_residual_norm_survives_extreme_scales(scale):
+    # the sum of squares of r under- or overflows; the norm does not
+    F = _rng(40).standard_normal((12, 5))
+    unit = companion_decomposition(F).r_norm
+    assert companion_decomposition(scale * F).r_norm == pytest.approx(scale * unit, rel=1e-14)
+
+
 def test_companion_rejects_rank_deficient_basis():
     F = np.ones((6, 4))  # every column identical
     with pytest.raises(ConditioningError) as err:

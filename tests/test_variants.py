@@ -96,16 +96,10 @@ def test_rrr_refine_cap_only_touches_small_residuals():
             assert r <= cap + 1e-12
     assert any(rec is None for rec in dec.refined)
     assert any(rec is not None for rec in dec.refined)
-
-
-def test_rrr_refine_predicate():
-    _, F = _orbit(61, 30, 9)
-    dec = ddmd_rrr(F.F[:, :-1], F.F[:, 1:], VariantConfig(refine=lambda lam, r: lam.real > 0))
-    # refined records travel with their pair through the final ordering
-    for lam, rec in zip(dec.lambdas, dec.refined):
-        assert (rec is not None) == (lam.real > 0)
-    assert any(rec is not None for rec in dec.refined)
-    assert any(rec is None for rec in dec.refined)
+    # the cap refines exactly the pairs select_pairs keeps at it; refined
+    # records travel with their pair through the final ordering
+    refined = dec.ordering[[rec is not None for rec in dec.refined]]
+    assert sorted(refined) == sorted(select_pairs(probe, cap).ordering)
 
 
 def test_variant_consistency_at_forced_rank():
@@ -343,7 +337,8 @@ def test_config_validation():
     with pytest.raises(DataError):
         VariantConfig(refine="sometimes")
     for bad in ({"refine": float("nan")}, {"refine": -1.0}, {"refine": [0.1]},
-                {"refine": True}, {"refine": False}, {"refine": np.True_}):
+                {"refine": True}, {"refine": False}, {"refine": np.True_},
+                {"refine": lambda lam, r: True}):
         with pytest.raises(DataError):
             VariantConfig(**bad)
     # a policy that is not a RankPolicy is rejected where the rank is taken

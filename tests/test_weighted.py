@@ -214,3 +214,11 @@ def test_inverse_orientation_gram_matrix():
     assert np.allclose(M.gram_matrix(), np.diag(1.0 / d))
     nrm = M.norm(np.array([1.0, 0.0, 0.0]))
     assert nrm == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("value", [1e-170, 1e170])
+def test_norm_survives_extreme_scales(value):
+    # the plain sum of squares underflows to 0 or overflows to inf
+    M = InnerProduct.identity(3)
+    assert M.norm(np.array([value, 0.0, 0.0])) == value
+    assert np.array_equal(M.norm(np.array([[value], [0.0], [0.0]])), [value])
