@@ -44,6 +44,23 @@ from .weighted import two_sided_weighted_dmd, weighted_dmd
 __all__ = ["main"]
 
 
+# Each variant: its pipeline call on (X, Y, F, M, N, config), where F is
+# the trajectory or None and M, N are the loaded weights or None, and the
+# weight flags it applies.
+_VARIANTS = {
+    "dmd": (lambda X, Y, F, M, N, config: dmd(X, Y, config), ()),
+    "rrr": (lambda X, Y, F, M, N, config: ddmd_rrr(X, Y, config), ()),
+    "rrr-compressed": (lambda X, Y, F, M, N, config:
+                       ddmd_rrr_compressed(SnapshotPair(X, Y) if F is None else F, config), ()),
+    "exact": (lambda X, Y, F, M, N, config: exact_dmd(X, Y, config), ()),
+    "fb": (lambda X, Y, F, M, N, config: fb_dmd_mrf(X, Y, config)[0], ()),
+    "weighted": (lambda X, Y, F, M, N, config: weighted_dmd(X, Y, M, config),
+                 ("--weight", "--weight-inverse")),
+    "weighted2": (lambda X, Y, F, M, N, config: two_sided_weighted_dmd(X, Y, M, N, config),
+                  ("--weight", "--weight-n", "--weight-inverse")),
+}
+
+
 def _canonical(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
@@ -69,7 +86,7 @@ def _load_weight(path, inverse=False):
     a = load_matrix(path)
     orientation = "M-inverse" if inverse else "M"
     if 1 in a.shape:
-        return InnerProduct.diagonal(np.real(a).reshape(-1), orientation=orientation)
+        return InnerProduct.diagonal(a, orientation=orientation)
     return InnerProduct.from_matrix(a, orientation=orientation)
 
 
@@ -98,8 +115,7 @@ def _load_input(args):
 
 def _check_weight_flags(args):
     """Reject a weight flag the variant would not apply, or a weight file it needs but lacks."""
-    uses = {"weighted": ("--weight", "--weight-inverse"),
-            "weighted2": ("--weight", "--weight-n", "--weight-inverse")}.get(args.variant, ())
+    uses = _VARIANTS[args.variant][1]
     for flag, value in (("--weight", args.weight), ("--weight-n", args.weight_n),
                         ("--weight-inverse", args.weight_inverse)):
         if value and flag not in uses:
@@ -155,24 +171,10 @@ def cmd_decompose(args):
     M = _load_weight(args.weight, args.weight_inverse) if args.weight else None
     N = _load_weight(args.weight_n) if args.weight_n else None
 
-    variant = args.variant
-    if variant == "dmd":
-        dec = dmd(X, Y, config)
-    elif variant == "rrr":
-        dec = ddmd_rrr(X, Y, config)
-    elif variant == "rrr-compressed":
-        dec = ddmd_rrr_compressed(SnapshotPair(X, Y) if F is None else F, config)
-    elif variant == "exact":
-        dec = exact_dmd(X, Y, config)
-    elif variant == "fb":
-        dec, _ = fb_dmd_mrf(X, Y, config)
-    elif variant == "weighted":
-        dec = weighted_dmd(X, Y, M, config)
-    else:
-        dec = two_sided_weighted_dmd(X, Y, M, N, config)
+    dec = _VARIANTS[args.variant][0](X, Y, F, M, N, config)
 
     meta = {
-        "variant": variant,
+        "variant": args.variant,
         "n": int(n),
         "m": int(m),
         "k": int(dec.rank),
@@ -202,6 +204,9 @@ def cmd_decompose(args):
 
 
 def cmd_verify(args):
+    if args.n < 2 or args.m < 1 or args.seed < 0:
+        raise DataError("verify needs --n >= 2, --m >= 1 and --seed >= 0, got %d, %d and %d"
+                        % (args.n, args.m, args.seed))
     t0 = time.monotonic()
     results = checks.run_all(n=args.n, m=args.m, seed=args.seed)
     elapsed = time.monotonic() - t0
@@ -233,7 +238,7 @@ def _build_parser():
 
     d = sub.add_parser("decompose", help="decompose snapshot matrices and write a spectrum report")
     d.add_argument("--variant", default="rrr",
-                   choices=["dmd", "rrr", "rrr-compressed", "exact", "fb", "weighted", "weighted2"])
+                   choices=list(_VARIANTS))
     d.add_argument("--x", help="snapshot matrix X (DMM1 or CSV)")
     d.add_argument("--y", help="snapshot matrix Y, columns paired with X")
     d.add_argument("--seq", help="sequential trajectory matrix; supersedes --x/--y")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, ShapeError
 
-__all__ = ["load_matrix", "store_matrix", "MAGIC"]
+__all__ = ["load_matrix", "store_matrix"]
 
 MAGIC = b"DMMATRX1"
 _KIND_REAL64 = 0

@@ -374,15 +374,14 @@ def exact_dmd_sequential_diagnostic(F, decomposition):
             "decomposition vectors have %d rows but the trajectory has %d"
             % (decomposition.vectors.shape[0], traj.n)
         )
-    out = []
     present = decomposition.vector_present
-    for i in range(decomposition.k):
-        if not present[i]:
-            out.append(SequentialDiagnostic(eta_m=None, r_norm=comp.r_norm))
-            continue
-        eta, *_ = scipy.linalg.lstsq(Y, decomposition.vectors[:, i])
-        out.append(SequentialDiagnostic(eta_m=complex(eta[-1]), r_norm=comp.r_norm))
-    return tuple(out)
+    eta_m = [None] * decomposition.k
+    if np.any(present):
+        # One factorization of Y serves every present vector.
+        eta, *_ = scipy.linalg.lstsq(Y, decomposition.vectors[:, present])
+        for i, e in zip(np.flatnonzero(present), eta[-1]):
+            eta_m[i] = complex(e)
+    return tuple(SequentialDiagnostic(eta_m=e, r_norm=comp.r_norm) for e in eta_m)
 
 
 @_one_blas_thread

@@ -86,18 +86,21 @@ def _draw_moduli(rng, spectrum, count):
     raise DataError("unknown spectrum spec %r" % (spectrum,))
 
 
+def _conjugate_closed(pairs, tail):
+    """Spectrum [p0, conj(p0), p1, conj(p1), ...] followed by the real values in ``tail``."""
+    return np.concatenate([np.column_stack([pairs, pairs.conj()]).reshape(-1), tail])
+
+
 def _conjugate_closed_spectrum(rng, n, spectrum):
     p = n // 2
     mods = _draw_moduli(rng, spectrum, p)
     theta = rng.uniform(0.1, np.pi - 0.1, p)
     pairs = mods * np.exp(1j * theta)
-    alphas = np.empty(n, dtype=complex)
-    alphas[: 2 * p : 2] = pairs
-    alphas[1 : 2 * p : 2] = pairs.conj()
+    tail = []
     if n % 2:
         sign = 1.0 if rng.uniform() < 0.5 else -1.0
-        alphas[-1] = sign * _draw_moduli(rng, spectrum, 1)[0]
-    return alphas
+        tail = [sign * _draw_moduli(rng, spectrum, 1)[0]]
+    return _conjugate_closed(pairs, tail)
 
 
 def _real_block_diagonal(alphas):

@@ -224,6 +224,15 @@ def test_vector_weight_file_means_diagonal(traj_file, tmp_path, capsys):
                    - complex(rb["lambda_re"], rb["lambda_im"])) <= 1e-10
 
 
+def test_complex_weight_vector_is_a_data_error(tmp_path, capsys):
+    traj = _make_traj(tmp_path / "traj.dmm", n=30, m=10)
+    wpath = tmp_path / "w.dmm"
+    store_matrix(np.full((30, 1), 1.0 + 1.0j), str(wpath))
+    rc = main(["decompose", "--seq", traj, "--variant", "weighted", "--weight", str(wpath)])
+    assert rc == 2
+    assert "strictly positive" in capsys.readouterr().err
+
+
 def test_modes_out_writes_present_vectors(traj_file, tmp_path, capsys):
     modes = tmp_path / "modes.dmm"
     rc, out = _decompose(capsys, "--seq", traj_file, "--modes-out", str(modes))
@@ -337,3 +346,13 @@ def test_verify_report_deterministic_at_small_scale(tmp_path, capsys):
     assert (fixdir / "manifest.json").exists()
     out = capsys.readouterr().out
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("flags", [["--n", "1"], ["--m", "0"], ["--seed", "-1"]])
+def test_verify_rejects_bad_sizes_before_any_check(tmp_path, capsys, flags):
+    rc = main(["verify", *flags, "--out", str(tmp_path / "v.json")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "verify needs" in captured.err
+    assert not (tmp_path / "v.json").exists()

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dmdkit import variants
 from dmdkit.errors import ConditioningError, DataError, ShapeError
@@ -219,6 +220,23 @@ def test_sequential_diagnostic_reproduces_true_residual():
             comp_r = companion_decomposition(F).r
         factor = abs(rec.eta_m) * np.linalg.norm(oracle.A @ comp_r)
         assert abs(true - factor) <= 1e-10 * max(1.0, true)
+
+
+def test_sequential_diagnostic_solves_once_for_all_vectors(monkeypatch):
+    _, F = _orbit(79, 25, 8, spectrum="unit-disc", conditioning=5.0)
+    dec = exact_dmd(F.F[:, :-1], F.F[:, 1:])
+    assert np.count_nonzero(dec.vector_present) > 1
+    calls = []
+    lstsq = scipy.linalg.lstsq
+
+    def spy(a, b, *args, **kwargs):
+        calls.append(np.shape(b))
+        return lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lstsq", spy)
+    diags = exact_dmd_sequential_diagnostic(F, dec)
+    assert calls == [(F.n, int(np.count_nonzero(dec.vector_present)))]
+    assert [d.eta_m is None for d in diags] == (~dec.vector_present).tolist()
 
 
 def test_sequential_diagnostic_rejects_general_pairs():
