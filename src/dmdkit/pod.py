@@ -138,6 +138,22 @@ def _householder_qr(a):
     return a, t
 
 
+def _apply_reflectors(a, t, top):
+    """Q [top; 0] for the factors (a, T) of :func:`_householder_qr` (LAPACK ?gemqrt).
+
+    ``top`` has one row per reflector and the dtype of ``a``; it is
+    zero-padded to the height of ``a`` in a column-major buffer, which the
+    reflectors overwrite in place and which is returned.
+    """
+    C = np.zeros((a.shape[0], top.shape[1]), dtype=a.dtype, order="F")
+    C[: top.shape[0]] = top
+    (gemqrt,) = scipy.linalg.get_lapack_funcs(("gemqrt",), (a,))
+    C, info = gemqrt(a[:, : t.shape[1]], t, C, overwrite_c=True)
+    if info != 0:
+        raise BackendError("QR backend failed: ?gemqrt returned info = %d" % info)
+    return C
+
+
 def _gesvd(G):
     try:
         return scipy.linalg.svd(G, full_matrices=False, lapack_driver="gesvd")
@@ -159,13 +175,7 @@ def _thin_svd(G):
         return _gesvd(G)
     a, t = _householder_qr(np.array(G, dtype=np.result_type(G, np.float64), order="F"))
     Ur, s, Vh = _gesvd(np.triu(a[:m]))
-    U = np.zeros((n, m), dtype=Ur.dtype, order="F")
-    U[:m] = Ur
-    (gemqrt,) = scipy.linalg.get_lapack_funcs(("gemqrt",), (a,))
-    U, info = gemqrt(a, t, U, overwrite_c=True)
-    if info != 0:
-        raise BackendError("SVD backend failed: ?gemqrt returned info = %d" % info)
-    return U, s, Vh
+    return _apply_reflectors(a, t, Ur), s, Vh
 
 
 def _svd_for_pod(G):

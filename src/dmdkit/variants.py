@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BackendError, ConditioningError, DataError, ShapeError
-from .pod import RankPolicy, default_epsilon, truncated_svd
+from .pod import RankPolicy, _apply_reflectors, _householder_qr, default_epsilon, truncated_svd
 from .ritz import (
     _eig,
     _lift,
@@ -29,9 +29,8 @@ from .ritz import (
     refine_ritz,
     refined_rayleigh_value,
     residuals_from_stack,
-    ritz_pairs,
 )
-from .snapshots import SnapshotPair, _as_trajectory, _scale_arrays, companion_decomposition
+from .snapshots import SnapshotPair, _as_trajectory, _column_norms, _scale_arrays, companion_decomposition
 
 __all__ = [
     "VariantConfig",
@@ -169,17 +168,20 @@ def _project(X, Y, config, policy=None, weight=None, right=None):
 
 
 def _quotient(basis, Ys):
-    """The historical quotient ((U* Y) V) Sigma^{-1}; returns (S, lambdas, W, Z).
+    """The historical quotient S = ((U* Y) V) Sigma^{-1} and its eigenpairs.
+
+    Returns (S, lambdas, W) with unit-norm coefficient columns W.
 
     Unlike the refined pipelines, :func:`dmd` and :func:`exact_dmd` do not
     hold numpy's OpenBLAS at one thread: the long-K product U* Y rounds
     differently by thread count, and it must keep rounding like the same
     product written inline by a caller, so that a recomposition from the
     public stages stays bit-identical to :func:`dmd`.  Both pipelines
-    share this quotient, so exact_dmd's Ritz values stay bitwise dmd's.
+    share this quotient and its eigensolve, so exact_dmd's Ritz values
+    stay bitwise dmd's.
     """
     S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
-    return (S, *ritz_pairs(S, basis.U))
+    return (S, *_eig(S))
 
 
 def _package(lambdas, Z, residuals, refined, variant, rank, weight=None):
@@ -210,8 +212,9 @@ def dmd(X, Y, config=VariantConfig()):
     """
     pair = SnapshotPair(X, Y)
     basis, Ys, B = _project(pair.X, pair.Y, config)
-    _, lambdas, W, Z = _quotient(basis, Ys)
+    _, lambdas, W = _quotient(basis, Ys)
     del Ys
+    Z = _lift(basis.U, W)
     residuals = data_driven_residuals(B, basis.U, W, lambdas)
     return _package(lambdas, Z, residuals, None, "dmd", basis.rank)
 
@@ -267,41 +270,61 @@ def ddmd_rrr(X, Y, config=VariantConfig()):
     return _rrr_pipeline(pair.X, pair.Y, config, "rrr")
 
 
-def _compress(data):
-    """Thin QR compression of the input data onto its column span.
+def _compressed_pair(pair, config):
+    """The compressed route of a general pair: one Householder QR, Q never formed.
 
-    Returns (Q, R_x, R_y).  For a trajectory the two R-blocks share
-    columns of one QR; for a general pair the stacked two-block matrix is
-    factored instead, in one column-major buffer the QR overwrites.  The
-    containers have checked the data for non-finite entries already.
+    [X Y] is factored in place in one column-major buffer; the engine runs
+    on the blocks R_x and R_y of its triangular factor, and the vectors are
+    lifted once by applying the reflectors to their zero-padded
+    coefficients.  Real reflectors act on [Re W | Im W] in real
+    arithmetic, and the buffer is released before the complex result is
+    assembled.
     """
-    if isinstance(data, SnapshotPair):
-        m = data.m
-        XY = np.empty((data.n, 2 * m), dtype=np.result_type(data.X, data.Y), order="F")
-        XY[:, :m] = data.X
-        XY[:, m:] = data.Y
-        Q, R = scipy.linalg.qr(XY, mode="economic", overwrite_a=True, check_finite=False)
-        return Q, R[:, :m], R[:, m:]
-    Q, R = scipy.linalg.qr(data.F, mode="economic", check_finite=False)
-    return Q, R[:, :-1], R[:, 1:]
+    n, m = pair.n, pair.m
+    XY = np.empty((n, 2 * m), dtype=np.result_type(pair.X, pair.Y), order="F")
+    XY[:, :m] = pair.X
+    XY[:, m:] = pair.Y
+    XY, T = _householder_qr(XY)
+    R = np.triu(XY[: min(n, 2 * m)])
+    inner = _rrr_pipeline(R[:, :m], R[:, m:], config, "rrr-compressed")
+    W = inner.vectors
+    if np.iscomplexobj(XY):
+        return dataclasses.replace(inner, vectors=_apply_reflectors(XY, T, W))
+    k = W.shape[1]
+    C = _apply_reflectors(XY, T, np.hstack([W.real, W.imag]))
+    del XY, T
+    Z = np.empty((n, k), dtype=complex, order="F")
+    Z.real = C[:, :k]
+    Z.imag = C[:, k:]
+    return dataclasses.replace(inner, vectors=Z)
 
 
 def ddmd_rrr_compressed(data, config=VariantConfig()):
     """Refined decomposition after QR compression of the raw data.
 
     Works on the triangular factor of a thin QR (of the trajectory, or of
-    the stacked pair for general data), then lifts the vectors back with
-    the orthonormal factor.  Residuals and Ritz values are unchanged by
-    the unitary change of basis.
+    the stacked pair for general data), then lifts the vectors back to
+    the ambient space.  A pair keeps its Householder reflectors and
+    applies them to the coefficients; a trajectory still forms the
+    orthonormal factor Q and multiplies by it.  Residuals and Ritz values
+    are unchanged by the unitary change of basis.  The containers have
+    checked the data for non-finite entries already.
     """
     if not isinstance(data, SnapshotPair):
         data = _as_trajectory(data)
     # Default threshold from the ambient shape, not the compressed one, so
     # compressed and direct runs truncate identically.
     config = dataclasses.replace(config, policy=_resolve_policy(config, (data.n, data.m)))
-    Q, Rx, Ry = _compress(data)
-    inner = _rrr_pipeline(Rx, Ry, config, "rrr-compressed")
-    return dataclasses.replace(inner, vectors=_lift(Q, inner.vectors))
+    if isinstance(data, SnapshotPair):
+        return _compressed_pair(data, config)
+    # The trajectory keeps the explicit Q: the benchmark recomposes this
+    # route as scipy.linalg.qr and Q @ vectors (bench/tracing.py,
+    # ddmd_rrr_compressed) and must match it bit for bit.  It moves to the
+    # reflectors with ROADMAP item 2, once item 1's in-library trace
+    # replaces that recomposition.
+    Q, R = scipy.linalg.qr(data.F, mode="economic", check_finite=False)
+    inner = _rrr_pipeline(R[:, :-1], R[:, 1:], config, "rrr-compressed")
+    return dataclasses.replace(inner, vectors=np.asfortranarray(_lift(Q, inner.vectors)))
 
 
 def ddmd_rrr_auto(data, config=VariantConfig()):
@@ -335,7 +358,7 @@ def exact_dmd(X, Y, config=VariantConfig()):
     """
     pair = SnapshotPair(X, Y)
     basis, Ys, B = _project(pair.X, pair.Y, config)
-    S, lambdas, W, _ = _quotient(basis, Ys)
+    S, lambdas, W = _quotient(basis, Ys)
     del Ys
     guard = 1e3 * _EPS * float(np.linalg.norm(S, 2))
     alive = np.abs(lambdas) > guard
@@ -344,13 +367,18 @@ def exact_dmd(X, Y, config=VariantConfig()):
             "exact_dmd: all Ritz values are numerically zero; no exact vectors exist",
             sigma_min=float(np.abs(lambdas).max(initial=0.0)),
         )
-    Z = np.full((B.shape[0], len(lambdas)), np.nan, dtype=complex)
-    BW = _lift(B, W)
-    for i in np.flatnonzero(alive):
-        z = BW[:, i] / lambdas[i]
-        nrm = np.linalg.norm(z)
-        if nrm > 0:
-            Z[:, i] = z / nrm
+    # B (W / lambda) for real B as one real product on the interleaved
+    # real and imaginary parts; a column whose norm is 0 divides to NaN,
+    # like a column that is not alive.
+    idx = np.flatnonzero(alive)
+    C = np.ascontiguousarray(W[:, idx] / lambdas[idx])
+    BC = B @ C if np.iscomplexobj(B) else (B @ C.view(np.float64)).view(complex)
+    del B
+    with np.errstate(invalid="ignore"):
+        BC /= _column_norms(BC)
+    Z = np.full((BC.shape[0], len(lambdas)), np.nan, dtype=complex, order="F")
+    Z[:, idx] = BC
+    del BC
     residuals = np.full(len(lambdas), np.nan)
     return _package(lambdas, Z, residuals, None, "exact", basis.rank)
 

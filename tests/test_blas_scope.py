@@ -104,7 +104,7 @@ def test_refined_pipelines_and_fb_run_on_one_blas_thread(monkeypatch, blas_threa
 def test_dmd_quotient_keeps_the_process_blas_threads(monkeypatch, blas_threads, pipeline):
     set_threads, get_threads = blas_threads
     set_threads(2)
-    seen = _spy_threads(monkeypatch, get_threads, ("action_on_basis", "ritz_pairs"))
+    seen = _spy_threads(monkeypatch, get_threads, ("action_on_basis", "_quotient"))
     pipeline(*_pair(200, 30))
     assert len(seen) == 2 and set(seen) == {2}
 

@@ -12,9 +12,9 @@ import scipy.linalg
 from dmdkit import variants
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
-from dmdkit.pod import RankPolicy, truncated_svd
-from dmdkit.ritz import QrStack, RefinedPair, action_on_basis, qr_stack, rayleigh_from_qr, refine_ritz
-from dmdkit.snapshots import ColumnScaling, KrylovCompanion, SequentialTrajectory, SnapshotPair
+from dmdkit.pod import RankPolicy, default_epsilon, truncated_svd
+from dmdkit.ritz import QrStack, RefinedPair, action_on_basis, qr_stack, rayleigh_from_qr, refine_ritz, ritz_pairs
+from dmdkit.snapshots import ColumnScaling, KrylovCompanion, SequentialTrajectory, SnapshotPair, scale_columns
 from dmdkit.variants import (
     FbSpectrum,
     VariantConfig,
@@ -39,6 +39,36 @@ def _orbit(seed, n, m, **kw):
     oracle = make_oracle(n, seed=seed, **kw)
     f1 = _rng(seed + 1).standard_normal(n)
     return oracle, trajectory(oracle, f1 / np.linalg.norm(f1), m)
+
+
+def _lifted_system(seed, n, m, dtype=complex):
+    """(Q, A, G): orthonormal Q (n x r), a stable A (r x r) and coordinates G (r x m), r = m + 4.
+
+    X = Q G and Y = Q A G satisfy Y = (Q A Q*) X exactly, so the true
+    residual of any vector in range(Q) can be computed.
+    """
+    rng = _rng(seed)
+
+    def draw(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if dtype is complex else g
+
+    r = m + 4
+    Q, _ = np.linalg.qr(draw(n, r))
+    A = draw(r, r)
+    return Q, A * (0.9 / np.abs(np.linalg.eigvals(A)).max()), draw(r, m)
+
+
+def _peak_bytes(call):
+    """tracemalloc peak of ``call()`` above the level it started from."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_dmd_recovers_diagonal_operator():
@@ -487,6 +517,103 @@ def test_vectors_are_column_major(pipeline, order):
     _, F = _orbit(103, 200, 30)
     G = np.asarray(F.F, order=order)
     assert pipeline(G[:, :-1], G[:, 1:]).vectors.flags.f_contiguous
+
+
+def _complex_pair(seed, n, m):
+    Q, A, G = _lifted_system(seed, n, m)
+    return SnapshotPair(Q @ G, Q @ (A @ G))
+
+
+def _complex_trajectory(seed, n, m):
+    Q, A, G = _lifted_system(seed, n, m)
+    cols = [G[:, 0]]
+    for _ in range(m):
+        cols.append(A @ cols[-1])
+    return Q @ np.column_stack(cols)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(lambda: _complex_pair(105, 300, 20), id="pair"),
+    pytest.param(lambda: _complex_trajectory(107, 300, 20), id="trajectory"),
+])
+def test_compressed_vectors_of_complex_data_are_column_major(data):
+    assert ddmd_rrr_compressed(data()).vectors.flags.f_contiguous
+
+
+def test_compressed_pair_applies_its_reflectors_instead_of_forming_q(monkeypatch):
+    _, F = _orbit(109, 120, 12, spectrum="unit-disc", conditioning=10.0)
+    shapes = []
+    qr = scipy.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", spy)
+    ddmd_rrr_compressed(SnapshotPair(F.F[:, :-1], F.F[:, 1:]))
+    assert shapes == []
+    # the trajectory branch still forms Q
+    ddmd_rrr_compressed(F)
+    assert shapes == [F.F.shape]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_compressed_pair_matches_direct_rrr_and_certifies_its_vectors(dtype):
+    Q, A, G = _lifted_system(111, 300, 20, dtype)
+    X, Y = Q @ G, Q @ (A @ G)
+    direct = ddmd_rrr(X, Y)
+    packed = ddmd_rrr_compressed(SnapshotPair(X, Y))
+    assert packed.rank == direct.rank == 20
+    assert match_eigenvalues(direct.lambdas, packed.lambdas) <= 1e-10
+    np.testing.assert_allclose(np.sort(packed.residuals), np.sort(direct.residuals), rtol=0, atol=1e-10)
+    # Each lifted vector's true residual is its certificate.
+    Z = packed.vectors
+    true = np.linalg.norm(Q @ (A @ (Q.conj().T @ Z)) - Z * packed.lambdas[None, :], axis=0)
+    np.testing.assert_allclose(true, packed.residuals, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(np.linalg.norm(Z, axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+def test_compressed_pair_peak_memory_stays_near_the_input():
+    # No explicit Q, and the reflector buffer is released before the
+    # complex vectors are assembled.
+    rng = _rng(117)
+    pair = SnapshotPair(rng.standard_normal((20000, 60)), rng.standard_normal((20000, 60)))
+    peak = _peak_bytes(lambda: ddmd_rrr_compressed(pair))
+    assert peak <= 2.125 * (pair.X.nbytes + pair.Y.nbytes)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_exact_dmd_ritz_values_are_dmds_bit_for_bit(order):
+    _, F = _orbit(119, 200, 30, spectrum="unit-disc", conditioning=10.0)
+    G = np.asarray(F.F, order=order)
+    X, Y = G[:, :-1], G[:, 1:]
+    assert np.array_equal(np.sort_complex(exact_dmd(X, Y).lambdas), np.sort_complex(dmd(X, Y).lambdas))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_exact_dmd_vectors_are_the_normalized_images(order):
+    _, F = _orbit(121, 200, 30, spectrum="unit-disc", conditioning=10.0)
+    G = np.asarray(F.F, order=order)
+    X, Y = G[:, :-1], G[:, 1:]
+    dec = exact_dmd(X, Y)
+    scaled, _ = scale_columns(SnapshotPair(X, Y))
+    basis = truncated_svd(scaled.X, RankPolicy.spectral(default_epsilon(*X.shape)))
+    B = action_on_basis(scaled.Y, basis.V, basis.sigma)
+    S = ((basis.U.conj().T @ scaled.Y) @ basis.V) / basis.sigma[None, :]
+    lambdas, W, _ = ritz_pairs(S, basis.U)
+    assert np.array_equal(dec.lambdas, lambdas[dec.ordering])
+    assert dec.vector_present.all()
+    for j, i in enumerate(dec.ordering):
+        z = B @ W[:, i] / lambdas[i]
+        np.testing.assert_allclose(dec.vectors[:, j], z / np.linalg.norm(z), rtol=0, atol=1e-13)
+
+
+def test_exact_dmd_peak_memory_stays_near_the_input():
+    # Only the exact vectors are formed: no plain Ritz vectors and no
+    # complex copy of B.
+    rng = _rng(123)
+    X, Y = rng.standard_normal((20000, 40)), rng.standard_normal((20000, 40))
+    assert _peak_bytes(lambda: exact_dmd(X, Y)) <= 4.1 * (X.nbytes + Y.nbytes)
 
 
 @pytest.mark.parametrize("scale", [True, False])
