@@ -184,15 +184,41 @@ def _quotient(basis, Ys):
     return (S, *_eig(S))
 
 
+def _permute_columns(Z, perm):
+    """Z[:, perm] written into Z itself, one cycle of the permutation at a time.
+
+    Column i receives column perm[i]; each cycle is followed with one
+    column buffer, so no second copy of Z is formed.
+    """
+    done = np.zeros(len(perm), dtype=bool)
+    for start in range(len(perm)):
+        if done[start] or perm[start] == start:
+            continue
+        held = Z[:, start].copy()
+        i = start
+        while perm[i] != start:
+            Z[:, i] = Z[:, perm[i]]
+            done[i] = True
+            i = perm[i]
+        Z[:, i] = held
+        done[i] = True
+    return Z
+
+
 def _package(lambdas, Z, residuals, refined, variant, rank, weight=None):
+    """Order the pairs by residual into a decomposition.
+
+    Z must be an array the pipeline allocated itself: a column-major
+    complex Z is reordered in place, so it is not copied.
+    """
     lambdas = np.asarray(lambdas, dtype=complex)
-    Z = np.asarray(Z, dtype=complex)
+    Z = np.asarray(Z, dtype=complex, order="F")
     residuals = np.asarray(residuals, dtype=np.float64)
     perm = order_pairs(residuals, lambdas)
     refined = refined if refined is not None else [None] * len(lambdas)
     return RitzDecomposition(
         lambdas=lambdas[perm],
-        vectors=Z[:, perm],
+        vectors=_permute_columns(Z, perm),
         residuals=residuals[perm],
         refined=tuple(refined[i] for i in perm),
         ordering=perm,
@@ -214,9 +240,9 @@ def dmd(X, Y, config=VariantConfig()):
     basis, Ys, B = _project(pair.X, pair.Y, config)
     _, lambdas, W = _quotient(basis, Ys)
     del Ys
-    Z = _lift(basis.U, W)
     residuals = data_driven_residuals(B, basis.U, W, lambdas)
-    return _package(lambdas, Z, residuals, None, "dmd", basis.rank)
+    del B
+    return _package(lambdas, _lift(basis.U, W), residuals, None, "dmd", basis.rank)
 
 
 @_one_blas_thread
@@ -230,6 +256,7 @@ def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
     basis, B = _project(X, Y, config, weight=weight, right=right)[::2]
     k = basis.rank
     stack = qr_stack(basis.U, B)
+    del B
     S = rayleigh_from_qr(stack)
 
     if config.refine == "all":
@@ -253,8 +280,10 @@ def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
         W = np.column_stack([W[:, i] if rec is None else rec.w for i, rec in enumerate(refined)])
         residuals = np.array([residuals[i] if rec is None else rec.sigma_min for i, rec in enumerate(refined)])
 
-    Z_tilde = _lift(basis.U, W)
-    Z = weight.lift(Z_tilde) if weight is not None else Z_tilde
+    Z = _lift(basis.U, W)
+    del basis
+    if weight is not None:
+        Z = weight.lift(Z)
     return _package(lambdas, Z, residuals, refined, variant, k, weight=weight)
 
 
@@ -436,6 +465,7 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
     fwd, Bf = _project(X, Y, config, policy)[::2]
     Uf, k = fwd.U, fwd.rank
     stack_f = qr_stack(Uf, Bf)
+    del fwd, Bf
     S_fwd = rayleigh_from_qr(stack_f)
 
     try:
@@ -458,6 +488,7 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
     # The backward quotient in the forward basis: a sign change or rotation
     # of the backward basis cancels between the two factors.
     S_back = (Uf.conj().T @ Bb) @ (back.U.conj().T @ Uf)
+    del back, Bb
 
     sv = scipy.linalg.svdvals(S_back)
     if sv[0] <= 0.0 or sv[-1] <= k * _EPS * sv[0]:
@@ -492,7 +523,9 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
         with np.errstate(over="ignore"):
             lambdas, omegas, evidence = lambdas / c, omegas / c / c, evidence / c
 
-    dec = _package(lambdas, _lift(Uf, W), residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
+    Z = _lift(Uf, W)
+    del Uf
+    dec = _package(lambdas, Z, residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
     perm = dec.ordering
     fb = FbSpectrum(
         omegas=omegas[perm],

@@ -28,7 +28,7 @@ from dmdkit.variants import (
     select_pairs,
 )
 from dmdkit.verify import make_oracle, match_eigenvalues, trajectory
-from dmdkit.weighted import weighted_dmd
+from dmdkit.weighted import two_sided_weighted_dmd, weighted_dmd
 
 
 def _rng(seed):
@@ -506,22 +506,20 @@ def test_fb_spectrum_of_scaled_data_is_scaled(s):
         np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want), rtol=1e-12)
 
 
-@pytest.mark.parametrize("pipeline", [
-    dmd, ddmd_rrr, exact_dmd,
-    pytest.param(lambda X, Y: fb_dmd_mrf(X, Y)[0], id="fb_dmd_mrf"),
-    pytest.param(lambda X, Y: ddmd_rrr_compressed(SnapshotPair(X, Y)), id="ddmd_rrr_compressed"),
-    pytest.param(lambda X, Y: weighted_dmd(X, Y, InnerProduct.diagonal(np.linspace(1, 2, len(X)))), id="weighted_dmd"),
-])
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_vectors_are_column_major(pipeline, order):
-    _, F = _orbit(103, 200, 30)
-    G = np.asarray(F.F, order=order)
-    assert pipeline(G[:, :-1], G[:, 1:]).vectors.flags.f_contiguous
-
-
-def _complex_pair(seed, n, m):
-    Q, A, G = _lifted_system(seed, n, m)
-    return SnapshotPair(Q @ G, Q @ (A @ G))
+# Every public pipeline, called on the pair (X, Y) or the trajectory F, with
+# the state weight M and the snapshot-index weight N.
+_PIPELINES = {
+    "dmd": lambda X, Y, F, M, N: dmd(X, Y),
+    "exact_dmd": lambda X, Y, F, M, N: exact_dmd(X, Y),
+    "fb_dmd_mrf": lambda X, Y, F, M, N: fb_dmd_mrf(X, Y)[0],
+    "ddmd_rrr": lambda X, Y, F, M, N: ddmd_rrr(X, Y),
+    "ddmd_rrr_compressed": lambda X, Y, F, M, N: ddmd_rrr_compressed(SnapshotPair(X, Y)),
+    "ddmd_rrr_compressed_trajectory": lambda X, Y, F, M, N: ddmd_rrr_compressed(F),
+    "ddmd_rrr_auto": lambda X, Y, F, M, N: ddmd_rrr_auto(SnapshotPair(X, Y)),
+    "ddmd_rrr_auto_trajectory": lambda X, Y, F, M, N: ddmd_rrr_auto(F),
+    "weighted_dmd": lambda X, Y, F, M, N: weighted_dmd(X, Y, M),
+    "two_sided_weighted_dmd": lambda X, Y, F, M, N: two_sided_weighted_dmd(X, Y, M, N),
+}
 
 
 def _complex_trajectory(seed, n, m):
@@ -532,12 +530,70 @@ def _complex_trajectory(seed, n, m):
     return Q @ np.column_stack(cols)
 
 
-@pytest.mark.parametrize("data", [
-    pytest.param(lambda: _complex_pair(105, 300, 20), id="pair"),
-    pytest.param(lambda: _complex_trajectory(107, 300, 20), id="trajectory"),
-])
-def test_compressed_vectors_of_complex_data_are_column_major(data):
-    assert ddmd_rrr_compressed(data()).vectors.flags.f_contiguous
+def _snapshots(dtype, order):
+    """A 200 x 31 trajectory: the direct route of ddmd_rrr_auto for its pair, the compressed one for itself."""
+    G = _orbit(103, 200, 30)[1].F if dtype is float else _complex_trajectory(107, 200, 30)
+    return np.asarray(G, order=order)
+
+
+def _weights(kind, n, m):
+    if kind == "identity":
+        return InnerProduct.identity(n), InnerProduct.identity(m)
+    if kind == "diagonal":
+        return InnerProduct.diagonal(np.linspace(0.5, 2.0, n)), InnerProduct.diagonal(np.linspace(1.0, 0.5, m))
+    G = np.diag(np.linspace(1.0, 3.0, n)) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    return InnerProduct.from_matrix(G), InnerProduct.diagonal(np.linspace(1.0, 0.5, m))
+
+
+@pytest.mark.parametrize("pipeline", list(_PIPELINES.values()), ids=list(_PIPELINES))
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_vectors_are_column_major(pipeline, order):
+    G = _snapshots(float, order)
+    M, N = _weights("diagonal", *np.shape(G[:, 1:]))
+    assert pipeline(G[:, :-1], G[:, 1:], G, M, N).vectors.flags.f_contiguous
+
+
+@pytest.mark.parametrize("pipeline", list(_PIPELINES.values()), ids=list(_PIPELINES))
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_vectors_of_complex_data_are_column_major(pipeline, order):
+    G = _snapshots(complex, order)
+    M, N = _weights("diagonal", *np.shape(G[:, 1:]))
+    dec = pipeline(G[:, :-1], G[:, 1:], G, M, N)
+    assert dec.vectors.dtype == complex and dec.vectors.flags.f_contiguous
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_package_orders_the_vectors_in_place(seed):
+    rng = _rng(seed)
+    n, k = 5000, 37
+    Z = np.asfortranarray(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+    want = Z.copy()
+    lambdas = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    residuals = rng.uniform(size=k)
+    residuals[::5] = residuals[0]
+    out = []
+    # one column buffer, no second copy of Z
+    assert _peak_bytes(lambda: out.append(variants._package(lambdas, Z, residuals, None, "dmd", k))) < 4 * n * Z.itemsize
+    dec = out[0]
+    assert dec.vectors is Z
+    assert np.array_equal(dec.vectors, want[:, dec.ordering])
+    assert np.array_equal(dec.residuals, residuals[dec.ordering])
+
+
+@pytest.mark.parametrize("name, weights", [(name, "identity") for name in _PIPELINES] + [
+    (name, kind) for name in ("weighted_dmd", "two_sided_weighted_dmd") for kind in ("diagonal", "gram")])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pipelines_do_not_write_to_their_inputs(name, weights, dtype):
+    # _package reorders the vectors in place; only arrays the pipeline
+    # allocated itself may be written.
+    G = _snapshots(dtype, "F")
+    X, Y = np.array(G[:, :-1], order="F"), np.array(G[:, 1:], order="F")
+    M, N = _weights(weights, *X.shape)
+    inputs = (X, Y, G, M.factor, N.factor)
+    before = [a.copy() for a in inputs]
+    _PIPELINES[name](X, Y, G, M, N)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_compressed_pair_applies_its_reflectors_instead_of_forming_q(monkeypatch):
@@ -608,12 +664,30 @@ def test_exact_dmd_vectors_are_the_normalized_images(order):
         np.testing.assert_allclose(dec.vectors[:, j], z / np.linalg.norm(z), rtol=0, atol=1e-13)
 
 
+def _gaussian_pair(seed):
+    rng = _rng(seed)
+    return rng.standard_normal((20000, 60)), rng.standard_normal((20000, 60))
+
+
 def test_exact_dmd_peak_memory_stays_near_the_input():
     # Only the exact vectors are formed: no plain Ritz vectors and no
     # complex copy of B.
-    rng = _rng(123)
-    X, Y = rng.standard_normal((20000, 40)), rng.standard_normal((20000, 40))
-    assert _peak_bytes(lambda: exact_dmd(X, Y)) <= 4.1 * (X.nbytes + Y.nbytes)
+    X, Y = _gaussian_pair(123)
+    assert _peak_bytes(lambda: exact_dmd(X, Y)) <= 2.6 * (X.nbytes + Y.nbytes)
+
+
+def test_dmd_peak_memory_stays_near_the_input():
+    # The residuals are taken and B dropped before the vectors are lifted,
+    # and the vectors are ordered in place.
+    X, Y = _gaussian_pair(125)
+    assert _peak_bytes(lambda: dmd(X, Y)) <= 3.2 * (X.nbytes + Y.nbytes)
+
+
+def test_fb_dmd_mrf_peak_memory_stays_near_the_input():
+    # Each basis image is dropped after its last use, the backward basis
+    # once S_back is formed, and the forward basis after the lift.
+    X, Y = _gaussian_pair(127)
+    assert _peak_bytes(lambda: fb_dmd_mrf(X, Y)) <= 2.7 * (X.nbytes + Y.nbytes)
 
 
 @pytest.mark.parametrize("scale", [True, False])
@@ -659,20 +733,11 @@ def test_trajectory_input_type_flexibility():
 
 
 def test_ddmd_rrr_peak_memory_stays_near_the_input():
-    # The scaled copy of Y is dropped once B_k is formed, so it is not
-    # alive during refinement and the lift.
-    rng = np.random.Generator(np.random.Philox(71))
-    X = rng.standard_normal((4000, 40))
-    Y = rng.standard_normal((4000, 40))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        ddmd_rrr(X, Y)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.3 * (X.nbytes + Y.nbytes)
+    # The scaled copy of Y is dropped once B_k is formed, B_k once it is
+    # stacked, and the basis once the vectors are lifted, which are then
+    # ordered in place.
+    X, Y = _gaussian_pair(71)
+    assert _peak_bytes(lambda: ddmd_rrr(X, Y)) <= 2.2 * (X.nbytes + Y.nbytes)
 
 
 _ONES = np.ones((3, 3))
