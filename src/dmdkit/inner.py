@@ -7,8 +7,10 @@ inverse.  All pipelines work in transformed Euclidean coordinates:
 * orientation ``"M"``: vectors x map to L* x, bases lift back via L^{-*},
 * orientation ``"M-inverse"``: vectors map to L^{-1} x, bases lift via L.
 
-The factor is used exactly as given and need not be triangular; a dense
-factor with no nonzero entry above its diagonal is solved by substitution.
+The factor is used exactly as given and its shape sets its structure: a
+1-D factor holds the diagonal of L, a 2-D factor is L itself, square and
+not necessarily triangular; one with no nonzero entry above its diagonal
+is solved by substitution.
 The Gram matrix is only materialized on explicit request.
 The same container doubles as a column-space weight, applied from the
 right with the adjoint conventions swapped accordingly.
@@ -29,27 +31,22 @@ __all__ = ["InnerProduct"]
 class InnerProduct:
     factor: np.ndarray
     orientation: str = "M"
-    structure: str = "dense"
     lower_triangular: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         factor = np.asarray(self.factor)
         if self.orientation not in ("M", "M-inverse"):
             raise DataError("orientation must be 'M' or 'M-inverse'")
-        if self.structure == "diagonal":
-            factor = factor.reshape(-1)
+        if factor.ndim == 1:
             if not np.all(np.isfinite(factor)) or np.any(factor.real <= 0) or np.any(factor.imag != 0):
                 raise DataError("diagonal weight factor must be strictly positive and finite")
             factor = factor.real.astype(np.float64)
-        elif self.structure == "dense":
-            if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
-                raise ShapeError("dense weight factor must be square, got shape %r" % (factor.shape,))
-            if not np.all(np.isfinite(factor)):
-                raise DataError("weight factor contains non-finite entries")
-        else:
-            raise DataError("structure must be 'dense' or 'diagonal'")
+        elif factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
+            raise ShapeError("weight factor must be 1-D (diagonal) or square 2-D, got shape %r" % (factor.shape,))
+        elif not np.all(np.isfinite(factor)):
+            raise DataError("weight factor contains non-finite entries")
         object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "lower_triangular", self.structure == "dense" and not np.triu(factor, 1).any())
+        object.__setattr__(self, "lower_triangular", factor.ndim == 2 and not np.triu(factor, 1).any())
 
     # -- constructors ------------------------------------------------------
 
@@ -75,7 +72,7 @@ class InnerProduct:
         w = np.asarray(weights).reshape(-1)
         if not np.all(np.isfinite(w)) or np.any(w.real <= 0) or np.any(w.imag != 0):
             raise DataError("diagonal weights must be strictly positive and finite")
-        return cls(np.sqrt(w.real), orientation=orientation, structure="diagonal")
+        return cls(np.sqrt(w.real), orientation=orientation)
 
     @classmethod
     def identity(cls, n):
@@ -99,13 +96,13 @@ class InnerProduct:
     # -- factor application and solves --------------------------------------
 
     def _apply(self, B, adjoint):
-        if self.structure == "diagonal":
+        if self.factor.ndim == 1:
             return B * self.factor[:, None]
         L = self.factor.conj().T if adjoint else self.factor
         return L @ B
 
     def _solve(self, B, adjoint):
-        if self.structure == "diagonal":
+        if self.factor.ndim == 1:
             return B / self.factor[:, None]
         L = self.factor
         try:
@@ -144,7 +141,7 @@ class InnerProduct:
         if self.orientation == "M":
             # X K^{-*}: solve K Z* = X* for Z*.
             return self._solve(X.conj().T, adjoint=False).conj().T
-        return X @ (np.diag(self.factor) if self.structure == "diagonal" else self.factor)
+        return X @ (np.diag(self.factor) if self.factor.ndim == 1 else self.factor)
 
     # -- norms and materialization -------------------------------------------
 
@@ -161,7 +158,7 @@ class InnerProduct:
 
     def gram_matrix(self):
         """Materialize the Gram matrix of the geometry in force."""
-        if self.structure == "diagonal":
+        if self.factor.ndim == 1:
             d = self.factor**2
             return np.diag(d if self.orientation == "M" else 1.0 / d)
         if self.orientation == "M":

@@ -25,28 +25,23 @@ _HEADER_LEN = len(MAGIC) + 8 + 8 + 1
 _STORE_BLOCK_BYTES = 1 << 22
 
 
-def _format_for(path, fmt):
-    if fmt is not None:
-        if fmt not in ("dmm", "csv"):
-            raise DataError("unknown matrix format %r (expected 'dmm' or 'csv')" % (fmt,))
-        return fmt
+def _format_for(path):
     ext = os.path.splitext(str(path))[1].lower()
     if ext == ".csv":
         return "csv"
     if ext in (".dmm", ".dmm1", ".bin"):
         return "dmm"
-    raise DataError("cannot infer matrix format from %r; pass fmt='dmm' or fmt='csv'" % (str(path),))
+    raise DataError("cannot infer matrix format from %r; use .csv, .dmm, .dmm1 or .bin" % (str(path),))
 
 
-def store_matrix(a, path, fmt=None):
-    """Write a 2-D matrix to ``path`` in DMM1 binary or CSV form."""
+def store_matrix(a, path):
+    """Write a 2-D matrix to ``path``: CSV for ``.csv``, DMM1 for ``.dmm``, ``.dmm1`` or ``.bin``."""
     a = np.asarray(a)
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise ShapeError("store_matrix needs a 2-D array, got ndim=%d" % a.ndim)
-    fmt = _format_for(path, fmt)
-    if fmt == "csv":
+    if _format_for(path) == "csv":
         if np.iscomplexobj(a):
             raise DataError("complex data requires the DMM1 binary format, not CSV")
         lines = [",".join(repr(float(v)) for v in row) for row in a]
@@ -130,14 +125,13 @@ def _load_dmm(path):
     return flat.reshape((n, m), order="F")
 
 
-def load_matrix(path, fmt=None):
-    """Read a matrix written by :func:`store_matrix`.
+def load_matrix(path):
+    """Read a matrix written by :func:`store_matrix`, in the format its extension names.
 
     Non-finite entries are rejected so downstream factorizations never see
     NaN or infinity.
     """
-    fmt = _format_for(path, fmt)
-    a = _load_csv(path) if fmt == "csv" else _load_dmm(path)
+    a = _load_csv(path) if _format_for(path) == "csv" else _load_dmm(path)
     if not np.all(np.isfinite(a)):
         raise DataError("%s: non-finite entries in matrix" % (path,))
     return a

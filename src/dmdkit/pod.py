@@ -4,8 +4,6 @@ The numerical rank is a policy decision, not a property of the data
 alone, so every decomposition states which rule produced its rank:
 
 * ``spectral``: keep sigma_i strictly above epsilon * sigma_1,
-* ``energy``: keep the head whose discarded tail energy stays at or
-  below epsilon^2 times the total,
 * ``fixed``: a caller-chosen dimension.
 
 One code path computes singular values and vectors together; there is
@@ -54,11 +52,11 @@ class RankPolicy:
     """Rule mapping a singular value profile to a truncation rank."""
 
     def __init__(self, kind, epsilon=None, k=None):
-        if kind not in ("spectral", "energy", "fixed"):
+        if kind not in ("spectral", "fixed"):
             raise DataError("unknown rank policy kind %r" % (kind,))
-        if kind in ("spectral", "energy"):
+        if kind == "spectral":
             if epsilon is None or not (0.0 < float(epsilon) < 1.0):
-                raise DataError("threshold policies need 0 < epsilon < 1, got %r" % (epsilon,))
+                raise DataError("spectral policy needs 0 < epsilon < 1, got %r" % (epsilon,))
             epsilon = float(epsilon)
         if kind == "fixed":
             if k is None or int(k) < 1:
@@ -73,17 +71,13 @@ class RankPolicy:
         return cls("spectral", epsilon=epsilon)
 
     @classmethod
-    def energy(cls, epsilon):
-        return cls("energy", epsilon=epsilon)
-
-    @classmethod
     def fixed(cls, k):
         return cls("fixed", k=k)
 
     def __repr__(self):
         if self.kind == "fixed":
             return "RankPolicy.fixed(%d)" % self.k
-        return "RankPolicy.%s(%g)" % (self.kind, self.epsilon)
+        return "RankPolicy.spectral(%g)" % self.epsilon
 
 
 def numerical_rank(sigma, policy):
@@ -95,9 +89,6 @@ def numerical_rank(sigma, policy):
         raise ConditioningError("numerical_rank: zero matrix has no positive rank", sigma_min=0.0)
     if policy.kind == "spectral":
         return int(np.count_nonzero(sigma > policy.epsilon * sigma[0]))
-    if policy.kind == "energy":
-        tail = np.cumsum((sigma**2)[::-1])[::-1]
-        return int(np.count_nonzero(tail > policy.epsilon**2 * tail[0]))
     if policy.k > sigma.size or sigma[policy.k - 1] <= 0.0:
         raise ConditioningError(
             "numerical_rank: data cannot support fixed rank %d (only %d positive singular values)"
@@ -124,18 +115,25 @@ class PodBasis:
     sigma_all: np.ndarray
 
 
-def _householder_qr(a):
-    """Householder QR of the column-major ``a``, in place (LAPACK ?geqrt).
+def _householder_qr(*blocks):
+    """Householder QR of the blocks side by side (LAPACK ?geqrt).
 
-    Returns (a, T): R on and above the diagonal of ``a``, the reflectors
-    below it, and the block reflector factors T for ?gemqrt.  The panels
-    are factored recursively, so the work runs in matrix-matrix products.
+    The blocks, of equal height, are written into one column-major buffer
+    ``a`` of their common dtype (at least float64), which the
+    factorization overwrites.  Returns (a, T, R): the reflectors below the
+    diagonal of ``a``, the block reflector factors T for ?gemqrt, and R,
+    the upper triangle of the top min(rows, columns) rows of ``a``.  The
+    panels are factored recursively, so the work runs in matrix-matrix
+    products.
     """
+    n, cols = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
+    a = np.empty((n, cols), dtype=np.result_type(*blocks, np.float64), order="F")
+    np.concatenate(blocks, axis=1, out=a)
     (geqrt,) = scipy.linalg.get_lapack_funcs(("geqrt",), (a,))
     a, t, info = geqrt(min(32, *a.shape), a, overwrite_a=True)
     if info != 0:
         raise BackendError("QR backend failed: ?geqrt returned info = %d" % info)
-    return a, t
+    return a, t, np.triu(a[: min(a.shape)])
 
 
 def _apply_reflectors(a, t, top):
@@ -173,8 +171,8 @@ def _thin_svd(G):
     n, m = G.shape
     if n <= m:
         return _gesvd(G)
-    a, t = _householder_qr(np.array(G, dtype=np.result_type(G, np.float64), order="F"))
-    Ur, s, Vh = _gesvd(np.triu(a[:m]))
+    a, t, R = _householder_qr(G)
+    Ur, s, Vh = _gesvd(R)
     return _apply_reflectors(a, t, Ur), s, Vh
 
 

@@ -167,12 +167,8 @@ def qr_stack(U_k, B_k):
     B_k = np.asarray(B_k)
     if U_k.ndim != 2 or U_k.shape != B_k.shape:
         raise ShapeError("U_k and B_k must be 2-D with equal shapes, got %r and %r" % (U_k.shape, B_k.shape))
-    n, k = U_k.shape
-    stacked = np.empty((n, 2 * k), dtype=np.result_type(U_k, B_k, np.float64), order="F")
-    stacked[:, :k] = U_k
-    stacked[:, k:] = B_k
-    stacked, _ = _householder_qr(stacked)
-    R = np.triu(stacked[: min(n, 2 * k)])
+    k = U_k.shape[1]
+    R = _householder_qr(U_k, B_k)[2]
     diag = np.diagonal(R)
     phases = np.ones(diag.shape[0], dtype=R.dtype if np.iscomplexobj(R) else np.float64)
     nz = np.abs(diag) > 0.0
@@ -213,16 +209,16 @@ def _lift(A, W):
     """A @ W for a tall real A and a small complex W, in real arithmetic.
 
     W is viewed as a real matrix with interleaved real and imaginary
-    columns, so A is never cast to complex; one real product per block of
-    rows of A fills a column-major complex result.  Column-major A only:
-    on the kernels measured (OpenBLAS 0.3.31, Haswell) this rounds like
-    numpy's mixed product A @ W bit for bit while A has at most 96
-    columns, and can differ by roundoff beyond; for a row-major A it differs
-    already at 16 columns.  Any other operand, or a single row or column,
-    takes the plain product.
+    columns, so A is never cast to complex, whatever its memory layout;
+    one real product per block of rows of A fills a column-major complex
+    result.  On the kernels measured (OpenBLAS 0.3.31, Haswell) this
+    rounds like numpy's mixed product A @ W bit for bit for a column-major
+    A with at most 96 columns, and can differ by roundoff beyond; for a
+    row-major A it differs already at 16 columns.  Any other dtype, or a
+    single row or column, takes the plain product.
     """
     n, p = A.shape[0], W.shape[1]
-    if A.dtype != np.float64 or W.dtype != np.complex128 or not A.flags.f_contiguous or min(n, p) < 2:
+    if A.dtype != np.float64 or W.dtype != np.complex128 or min(n, p) < 2:
         return A @ W
     Wr = np.ascontiguousarray(W).view(np.float64)
     Z = np.empty((n, p), dtype=complex, order="F")

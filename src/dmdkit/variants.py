@@ -310,11 +310,7 @@ def _compressed_pair(pair, config):
     assembled.
     """
     n, m = pair.n, pair.m
-    XY = np.empty((n, 2 * m), dtype=np.result_type(pair.X, pair.Y), order="F")
-    XY[:, :m] = pair.X
-    XY[:, m:] = pair.Y
-    XY, T = _householder_qr(XY)
-    R = np.triu(XY[: min(n, 2 * m)])
+    XY, T, R = _householder_qr(pair.X, pair.Y)
     inner = _rrr_pipeline(R[:, :m], R[:, m:], config, "rrr-compressed")
     W = inner.vectors
     if np.iscomplexobj(XY):
@@ -388,7 +384,8 @@ def exact_dmd(X, Y, config=VariantConfig()):
     pair = SnapshotPair(X, Y)
     basis, Ys, B = _project(pair.X, pair.Y, config)
     S, lambdas, W = _quotient(basis, Ys)
-    del Ys
+    k = basis.rank
+    del basis, Ys
     guard = 1e3 * _EPS * float(np.linalg.norm(S, 2))
     alive = np.abs(lambdas) > guard
     if not np.any(alive):
@@ -396,20 +393,13 @@ def exact_dmd(X, Y, config=VariantConfig()):
             "exact_dmd: all Ritz values are numerically zero; no exact vectors exist",
             sigma_min=float(np.abs(lambdas).max(initial=0.0)),
         )
-    # B (W / lambda) for real B as one real product on the interleaved
-    # real and imaginary parts; a column whose norm is 0 divides to NaN,
-    # like a column that is not alive.
-    idx = np.flatnonzero(alive)
-    C = np.ascontiguousarray(W[:, idx] / lambdas[idx])
-    BC = B @ C if np.iscomplexobj(B) else (B @ C.view(np.float64)).view(complex)
-    del B
+    # B (W / lambda), NaN in the columns that are not alive; a column
+    # whose norm is 0 divides to NaN too.
     with np.errstate(invalid="ignore"):
-        BC /= _column_norms(BC)
-    Z = np.full((BC.shape[0], len(lambdas)), np.nan, dtype=complex, order="F")
-    Z[:, idx] = BC
-    del BC
-    residuals = np.full(len(lambdas), np.nan)
-    return _package(lambdas, Z, residuals, None, "exact", basis.rank)
+        Z = _lift(B, W / np.where(alive, lambdas, np.nan))
+        del B
+        Z /= _column_norms(Z)
+    return _package(lambdas, Z, np.full(k, np.nan), None, "exact", k)
 
 
 def exact_dmd_sequential_diagnostic(F, decomposition):
@@ -477,7 +467,7 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
             sigma_max=exc.sigma_max,
         ) from exc
     sb_all = back.sigma_all
-    if policy.kind in ("spectral", "energy") and sb_all[k - 1] <= policy.epsilon * sb_all[0]:
+    if policy.kind == "spectral" and sb_all[k - 1] <= policy.epsilon * sb_all[0]:
         raise ConditioningError(
             "fb_dmd_mrf: backward POD cannot support the forward rank %d "
             "(backward sigma_%d/sigma_1 = %.3e below threshold %.3e)"

@@ -343,11 +343,11 @@ DEFAULT_FIXTURES = (
 )
 
 
-def write_fixture_set(directory, entries=DEFAULT_FIXTURES):
+def write_fixture_set(directory):
     """Write oracle/trajectory fixtures to DMM1 files plus a JSON manifest."""
     os.makedirs(directory, exist_ok=True)
     manifest = []
-    for spec in entries:
+    for spec in DEFAULT_FIXTURES:
         oracle = make_oracle(
             spec["n"], spectrum=spec["spectrum"], conditioning=spec["conditioning"], seed=spec["seed"]
         )

@@ -97,7 +97,7 @@ def weighted_bauer_fike(residual_M, M, kappa_assumption=None, relative_residual_
         raise DataError("residual_M must be a finite nonnegative real")
     M = _require_weight(M, "M")
 
-    if M.structure == "diagonal":
+    if M.factor.ndim == 1:
         mu2 = 1.0
     else:
         G = M.gram_matrix()

@@ -65,12 +65,16 @@ def test_vector_is_stored_as_column(tmp_path):
 
 def test_format_inferred_from_extension(tmp_path):
     a = np.eye(2)
-    store_matrix(a, tmp_path / "a.csv")
-    store_matrix(a, tmp_path / "a.bin")
-    assert np.array_equal(load_matrix(tmp_path / "a.csv"), a)
-    assert np.array_equal(load_matrix(tmp_path / "a.bin"), a)
-    with pytest.raises(DataError):
+    for name in ("a.csv", "a.bin", "b.DMM1", "b.CSV"):
+        store_matrix(a, tmp_path / name)
+        assert np.array_equal(load_matrix(tmp_path / name), a)
+    assert (tmp_path / "b.DMM1").read_bytes().startswith(MAGIC)
+    assert (tmp_path / "b.CSV").read_text() == "1.0,0.0\n0.0,1.0\n"
+    with pytest.raises(DataError, match=r"\.csv, \.dmm, \.dmm1 or \.bin"):
         store_matrix(a, tmp_path / "a.mystery")
+    (tmp_path / "a.mystery").write_bytes((tmp_path / "a.bin").read_bytes())
+    with pytest.raises(DataError, match=r"\.csv, \.dmm, \.dmm1 or \.bin"):
+        load_matrix(tmp_path / "a.mystery")
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -35,15 +35,6 @@ def test_spectral_threshold_is_strict():
     assert numerical_rank(np.array([1.0, 0.5, 0.25]), RankPolicy.spectral(0.49)) == 2
 
 
-def test_energy_policy_counts_tail_energy():
-    sigma = np.array([2.0, 1.0, 0.5])
-    # brute-force oracle: keep indices whose tail energy exceeds eps^2 * total
-    for eps in (0.1, 0.3, 0.5, 0.9):
-        tails = np.cumsum((sigma**2)[::-1])[::-1]
-        want = int(np.count_nonzero(tails > eps**2 * tails[0]))
-        assert numerical_rank(sigma, RankPolicy.energy(eps)) == want
-
-
 def test_fixed_policy_validates_support():
     sigma = np.array([1.0, 0.5, 0.0])
     assert numerical_rank(sigma, RankPolicy.fixed(2)) == 2

@@ -552,7 +552,7 @@ def test_lift_matches_the_mixed_product(order, n, k, p):
     Z = _lift(A, W)
     bound = 2 * k * np.finfo(float).eps * (np.abs(A) @ np.abs(W))
     assert np.all(np.abs(Z - A @ W) <= bound)
-    if order == "F" and min(n, p) > 1:
+    if min(n, p) > 1:
         assert Z.flags.f_contiguous
 
 
@@ -563,13 +563,15 @@ def test_lift_takes_the_plain_product_for_other_operands():
 
 
 def test_lift_never_casts_the_tall_operand_to_complex():
-    A, W = _lift_operands(6, 20000, 40, 30, "F")
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        Z = _lift(A, W)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    # The result and one block of rows; a complex copy of A is 12.8 MB.
-    assert peak < Z.nbytes + (2 << 20)
+    for order in ("C", "F"):
+        A, W = _lift_operands(6, 20000, 40, 30, order)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            Z = _lift(A, W)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # The result and one block of rows; a complex copy of A is 12.8 MB.
+        assert peak < Z.nbytes + (2 << 20), order
+        assert Z.flags.f_contiguous, order

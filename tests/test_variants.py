@@ -670,10 +670,10 @@ def _gaussian_pair(seed):
 
 
 def test_exact_dmd_peak_memory_stays_near_the_input():
-    # Only the exact vectors are formed: no plain Ritz vectors and no
-    # complex copy of B.
+    # Only the exact vectors are formed, straight from B in real
+    # arithmetic, and the POD basis is dropped once the quotient is taken.
     X, Y = _gaussian_pair(123)
-    assert _peak_bytes(lambda: exact_dmd(X, Y)) <= 2.6 * (X.nbytes + Y.nbytes)
+    assert _peak_bytes(lambda: exact_dmd(X, Y)) <= 2.2 * (X.nbytes + Y.nbytes)
 
 
 def test_dmd_peak_memory_stays_near_the_input():

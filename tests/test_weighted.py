@@ -209,6 +209,22 @@ def test_direct_lower_triangular_factor_solves_like_from_matrix():
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("orientation", ["M", "M-inverse"])
+def test_a_one_dimensional_factor_is_the_diagonal_weight(orientation):
+    w = np.geomspace(4.0, 0.25, 6)
+    direct = InnerProduct(np.sqrt(w), orientation=orientation)
+    diag = InnerProduct.diagonal(w, orientation=orientation)
+    X = _rng(128).standard_normal((6, 6))
+    for f in ("transform", "lift", "transform_right"):
+        assert np.array_equal(getattr(direct, f)(X), getattr(diag, f)(X))
+    assert np.array_equal(direct.gram_matrix(), diag.gram_matrix())
+    for bad in (np.float64(2.0), np.ones((2, 2, 2)), np.ones((3, 2))):
+        with pytest.raises(ShapeError):
+            InnerProduct(bad, orientation=orientation)
+    with pytest.raises(TypeError):
+        InnerProduct(np.sqrt(w), orientation=orientation, structure="diagonal")
+
+
 def test_inverse_orientation_gram_matrix():
     d = np.array([4.0, 1.0, 0.25])
     M = InnerProduct.diagonal(d, orientation="M-inverse")
