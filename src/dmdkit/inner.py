@@ -68,8 +68,11 @@ class InnerProduct:
 
     @classmethod
     def diagonal(cls, weights, orientation="M"):
-        """Diagonal Gram matrix given by its strictly positive diagonal."""
-        w = np.asarray(weights).reshape(-1)
+        """Diagonal Gram matrix given by its strictly positive diagonal: a vector, one row or one column."""
+        w = np.asarray(weights)
+        if w.ndim not in (1, 2) or (w.ndim == 2 and 1 not in w.shape):
+            raise ShapeError("diagonal weights must be a vector, one row or one column, got shape %r" % (w.shape,))
+        w = w.reshape(-1)
         if not np.all(np.isfinite(w)) or np.any(w.real <= 0) or np.any(w.imag != 0):
             raise DataError("diagonal weights must be strictly positive and finite")
         return cls(np.sqrt(w.real), orientation=orientation)

@@ -18,6 +18,7 @@ stack of :mod:`dmdkit.ritz`.
 """
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +55,14 @@ class RankPolicy:
     def __init__(self, kind, epsilon=None, k=None):
         if kind not in ("spectral", "fixed"):
             raise DataError("unknown rank policy kind %r" % (kind,))
+        # bool is an Integral, numpy's bool_ neither Real nor Integral
         if kind == "spectral":
-            if epsilon is None or not (0.0 < float(epsilon) < 1.0):
-                raise DataError("spectral policy needs 0 < epsilon < 1, got %r" % (epsilon,))
+            if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real) or not 0.0 < epsilon < 1.0:
+                raise DataError("spectral policy needs a real 0 < epsilon < 1, got %r" % (epsilon,))
             epsilon = float(epsilon)
         if kind == "fixed":
-            if k is None or int(k) < 1:
-                raise DataError("fixed rank policy needs k >= 1, got %r" % (k,))
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+                raise DataError("fixed rank policy needs an integer k >= 1, got %r" % (k,))
             k = int(k)
         self.kind = kind
         self.epsilon = epsilon

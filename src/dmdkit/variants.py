@@ -48,10 +48,6 @@ __all__ = [
 
 _EPS = float(np.finfo(np.float64).eps)
 
-# Ambient dimension over snapshot count beyond which the QR-compressed
-# route is cheaper than working on the full-height data.
-_COMPRESS_CROSSOVER = 4
-
 
 @dataclass(frozen=True)
 class VariantConfig:
@@ -82,6 +78,8 @@ class VariantConfig:
     refine: str | float = "all"
 
     def __post_init__(self):
+        if not isinstance(self.scale, (bool, np.bool_)):
+            raise DataError("scale must be a boolean, got %r" % (self.scale,))
         if isinstance(self.refine, str):
             if self.refine not in ("none", "all"):
                 raise DataError("refine must be 'none', 'all', or a residual cap")
@@ -119,9 +117,9 @@ class SequentialDiagnostic:
 
 
 def _check_cap(cap):
-    """A residual cap as a float; NaN, negative, boolean and non-numeric caps are rejected."""
-    if isinstance(cap, (bool, np.bool_)):
-        raise DataError("residual cap must be a real number, not a boolean, got %r" % (cap,))
+    """A residual cap as a float; NaN, negative, boolean, text and non-numeric caps are rejected."""
+    if isinstance(cap, (bool, np.bool_, str, bytes)):
+        raise DataError("residual cap must be a real number, got %r" % (cap,))
     try:
         value = float(cap)
     except (TypeError, ValueError) as exc:
@@ -333,7 +331,8 @@ def ddmd_rrr_compressed(data, config=VariantConfig()):
     applies them to the coefficients; a trajectory still forms the
     orthonormal factor Q and multiplies by it.  Residuals and Ritz values
     are unchanged by the unitary change of basis.  The containers have
-    checked the data for non-finite entries already.
+    checked the data for non-finite entries already.  Also exported as
+    ``ddmd_rrr_auto``.
     """
     if not isinstance(data, SnapshotPair):
         data = _as_trajectory(data)
@@ -352,23 +351,8 @@ def ddmd_rrr_compressed(data, config=VariantConfig()):
     return dataclasses.replace(inner, vectors=np.asfortranarray(_lift(Q, inner.vectors)))
 
 
-def ddmd_rrr_auto(data, config=VariantConfig()):
-    """Refined decomposition, compressed automatically when it pays.
-
-    Sequential or paired data routes through the QR-compressed pipeline
-    when the ambient dimension exceeds four times the column count.
-    """
-    if isinstance(data, SnapshotPair):
-        n, cols = data.n, 2 * data.m
-    else:
-        data = _as_trajectory(data)
-        n, cols = data.n, data.m + 1
-    if n > _COMPRESS_CROSSOVER * cols:
-        return ddmd_rrr_compressed(data, config)
-    # The container has checked the data; the engine need not scan it again.
-    if isinstance(data, SnapshotPair):
-        return _rrr_pipeline(data.X, data.Y, config, "rrr")
-    return _rrr_pipeline(data.F[:, :-1], data.F[:, 1:], config, "rrr")
+# Kept while bench/harness.py imports it; the name goes with ROADMAP item 6.
+ddmd_rrr_auto = ddmd_rrr_compressed
 
 
 def exact_dmd(X, Y, config=VariantConfig()):

@@ -28,7 +28,6 @@ from dmdkit.snapshots import SnapshotPair, scale_columns
 from dmdkit.variants import (
     VariantConfig,
     ddmd_rrr,
-    ddmd_rrr_auto,
     ddmd_rrr_compressed,
     dmd,
     exact_dmd,
@@ -83,8 +82,6 @@ _N_WEIGHT = InnerProduct.diagonal(np.geomspace(1.0, 0.25, 30))
     pytest.param(lambda X, Y: ddmd_rrr(X, Y), (200, 30), id="ddmd_rrr"),
     pytest.param(lambda X, Y: ddmd_rrr(X, Y, VariantConfig(refine="none")), (200, 30), id="ddmd_rrr-none"),
     pytest.param(lambda X, Y: ddmd_rrr_compressed(SnapshotPair(X, Y)), (200, 30), id="ddmd_rrr_compressed"),
-    pytest.param(lambda X, Y: ddmd_rrr_auto(SnapshotPair(X, Y)), (400, 30), id="ddmd_rrr_auto-compressed"),
-    pytest.param(lambda X, Y: ddmd_rrr_auto(SnapshotPair(X, Y)), (40, 30), id="ddmd_rrr_auto-direct"),
     pytest.param(lambda X, Y: weighted_dmd(X, Y, InnerProduct.diagonal(np.linspace(1, 2, len(X)))), (200, 30),
                  id="weighted_dmd"),
     pytest.param(lambda X, Y: two_sided_weighted_dmd(X, Y, InnerProduct.diagonal(np.linspace(1, 2, len(X))),

@@ -53,6 +53,15 @@ def test_policy_constructor_rejects_bad_arguments():
         RankPolicy.spectral(1.0)
     with pytest.raises(DataError):
         RankPolicy.fixed(0)
+    for k in (2.5, True, np.True_, float("nan"), "a"):
+        with pytest.raises(DataError):
+            RankPolicy.fixed(k)
+    with pytest.raises(DataError):
+        RankPolicy("fixed", k=float("inf"))
+    for epsilon in ("x", "0.5"):
+        with pytest.raises(DataError):
+            RankPolicy.spectral(epsilon)
+    assert RankPolicy.fixed(np.int64(3)).k == 3 and RankPolicy.spectral(np.float32(0.25)).epsilon == 0.25
 
 
 @settings(max_examples=50, deadline=None)

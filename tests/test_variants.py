@@ -184,16 +184,17 @@ def test_compressed_square_trajectory_is_a_no_op():
     assert match_eigenvalues(direct.lambdas, packed.lambdas) <= 1e-10
 
 
-def test_auto_routing_crossover():
-    _, F_tall = _orbit(73, 200, 10)  # n > 4(m+1): compressed route
-    dec_tall = ddmd_rrr_auto(F_tall)
-    assert dec_tall.variant == "rrr-compressed"
-    _, F_wide = _orbit(75, 20, 10)  # n < 4(m+1): direct route
-    dec_wide = ddmd_rrr_auto(F_wide)
-    assert dec_wide.variant == "rrr"
-    direct = ddmd_rrr(F_tall.F[:, :-1], F_tall.F[:, 1:])
-    assert direct.variant == "rrr"
-    assert match_eigenvalues(dec_tall.lambdas, direct.lambdas) <= 1e-10
+def test_auto_is_the_compressed_route_on_every_shape():
+    assert ddmd_rrr_auto is ddmd_rrr_compressed
+    # inputs that a shape rule n > 4 x columns would send to the direct route
+    Q, A, G = _lifted_system(115, 40, 30, float)
+    for data in (_orbit(75, 20, 10)[1], _orbit(113, 12, 20)[1], SnapshotPair(Q @ G, Q @ (A @ G))):
+        X, Y = (data.X, data.Y) if isinstance(data, SnapshotPair) else (data.F[:, :-1], data.F[:, 1:])
+        direct = ddmd_rrr(X, Y)
+        packed = ddmd_rrr_auto(data)
+        assert packed.variant == "rrr-compressed"
+        assert packed.rank == direct.rank
+        assert match_eigenvalues(direct.lambdas, packed.lambdas) <= 1e-10
 
 
 def test_exact_dmd_shares_spectrum_and_satisfies_pinv_operator():
@@ -386,12 +387,19 @@ def test_config_validation():
         VariantConfig(refine="sometimes")
     for bad in ({"refine": float("nan")}, {"refine": -1.0}, {"refine": [0.1]},
                 {"refine": True}, {"refine": False}, {"refine": np.True_},
-                {"refine": lambda lam, r: True}):
+                {"refine": lambda lam, r: True}, {"scale": "False"}, {"scale": 1}, {"scale": None}):
         with pytest.raises(DataError):
             VariantConfig(**bad)
-    # a policy that is not a RankPolicy is rejected where the rank is taken
+    for bad in (np.ones((3, 3)), np.ones((2, 2, 1)), np.float64(2.0)):
+        with pytest.raises(ShapeError):
+            InnerProduct.diagonal(bad)
     _, F = _orbit(85, 20, 6)
     X, Y = F.F[:, :-1], F.F[:, 1:]
+    dec = ddmd_rrr(X, Y)
+    for cap in ("1e-3", b"1e-3"):
+        with pytest.raises(DataError):
+            select_pairs(dec, cap)
+    # a policy that is not a RankPolicy is rejected where the rank is taken
     for pipeline in (dmd, ddmd_rrr, exact_dmd, fb_dmd_mrf):
         with pytest.raises(DataError):
             pipeline(X, Y, VariantConfig(policy="spectral"))
@@ -531,7 +539,7 @@ def _complex_trajectory(seed, n, m):
 
 
 def _snapshots(dtype, order):
-    """A 200 x 31 trajectory: the direct route of ddmd_rrr_auto for its pair, the compressed one for itself."""
+    """A 200 x 31 trajectory, real or complex, in the given memory order."""
     G = _orbit(103, 200, 30)[1].F if dtype is float else _complex_trajectory(107, 200, 30)
     return np.asarray(G, order=order)
 
@@ -717,7 +725,6 @@ def test_float32_input_runs_in_double_precision():
 @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
 @pytest.mark.parametrize("pipeline", [
     dmd, ddmd_rrr, exact_dmd, fb_dmd_mrf,
-    pytest.param(lambda X, Y: ddmd_rrr_auto(X), id="ddmd_rrr_auto"),
     pytest.param(lambda X, Y: ddmd_rrr_compressed(X), id="ddmd_rrr_compressed"),
 ])
 def test_empty_snapshots_are_a_shape_error(pipeline, shape):
