@@ -14,7 +14,6 @@ acceptance tests call the individual checks at their default sizes.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DmdkitError
 from .inner import InnerProduct
@@ -33,6 +32,7 @@ from .variants import _project
 from .weighted import two_sided_weighted_dmd, weighted_bauer_fike, weighted_dmd
 from .verify import (
     _conjugate_closed,
+    _matching,
     _rng,
     corrupted_sigma_etas,
     explicit_residuals,
@@ -71,8 +71,7 @@ def _band_spectrum(n, lo, hi, seed):
 
 def _matched_gaps(a, b):
     """Largest |dlambda| and |dresidual| of two decompositions under the best one-to-one matching."""
-    cost = np.abs(a.lambdas[:, None] - b.lambdas[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    cost, rows, cols = _matching(a.lambdas, b.lambdas)
     return float(cost[rows, cols].max()), float(np.abs(a.residuals[rows] - b.residuals[cols]).max())
 
 

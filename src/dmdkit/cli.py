@@ -20,7 +20,6 @@ import time
 
 import numpy as np
 
-from . import checks
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
 from .matrixio import load_matrix, store_matrix
@@ -207,6 +206,8 @@ def cmd_verify(args):
     if args.n < 2 or args.m < 1 or args.seed < 0:
         raise DataError("verify needs --n >= 2, --m >= 1 and --seed >= 0, got %d, %d and %d"
                         % (args.n, args.m, args.seed))
+    from . import checks  # only verify runs the checks; decompose never loads them
+
     t0 = time.monotonic()
     results = checks.run_all(n=args.n, m=args.m, seed=args.seed)
     elapsed = time.monotonic() - t0

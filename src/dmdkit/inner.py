@@ -7,10 +7,10 @@ inverse.  All pipelines work in transformed Euclidean coordinates:
 * orientation ``"M"``: vectors x map to L* x, bases lift back via L^{-*},
 * orientation ``"M-inverse"``: vectors map to L^{-1} x, bases lift via L.
 
-The factor is used exactly as given and its shape sets its structure: a
-1-D factor holds the diagonal of L, a 2-D factor is L itself, square and
-not necessarily triangular; one with no nonzero entry above its diagonal
-is solved by substitution.
+The factor is used as given, in double precision, and its shape sets
+its structure: a 1-D factor holds the diagonal of L, a 2-D factor is L
+itself, square and not necessarily triangular; one with no nonzero entry
+above its diagonal is solved by substitution.
 The Gram matrix is only materialized on explicit request.
 The same container doubles as a column-space weight, applied from the
 right with the adjoint conventions swapped accordingly.
@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConditioningError, DataError, ShapeError
-from .snapshots import _column_norms
+from .snapshots import _as_double, _column_norms
 
 __all__ = ["InnerProduct"]
 
@@ -34,7 +34,7 @@ class InnerProduct:
     lower_triangular: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        factor = np.asarray(self.factor)
+        factor = _as_double(self.factor, "weight factor")
         if self.orientation not in ("M", "M-inverse"):
             raise DataError("orientation must be 'M' or 'M-inverse'")
         if factor.ndim == 1:
@@ -53,7 +53,7 @@ class InnerProduct:
     @classmethod
     def from_matrix(cls, M, orientation="M"):
         """Factor a Hermitian positive definite Gram matrix by Cholesky."""
-        M = np.asarray(M)
+        M = _as_double(M, "weight matrix")
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ShapeError("weight matrix must be square, got shape %r" % (M.shape,))
         if not np.all(np.isfinite(M)):
@@ -69,7 +69,7 @@ class InnerProduct:
     @classmethod
     def diagonal(cls, weights, orientation="M"):
         """Diagonal Gram matrix given by its strictly positive diagonal: a vector, one row or one column."""
-        w = np.asarray(weights)
+        w = _as_double(weights, "diagonal weights")
         if w.ndim not in (1, 2) or (w.ndim == 2 and 1 not in w.shape):
             raise ShapeError("diagonal weights must be a vector, one row or one column, got shape %r" % (w.shape,))
         w = w.reshape(-1)

@@ -26,14 +26,30 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _check_matrix(a, name):
-    """A finite, non-empty 2-D array of at least double precision.
+def _as_double(a, name):
+    """``a`` as a float64 or complex128 array.
 
-    Narrower floats, integers and booleans become float64 and complex64
-    becomes complex128; float64 and complex128 arrays pass uncopied.
+    Booleans, integers and real floats become float64 and complex floats
+    complex128, long double included; float64 and complex128 arrays pass
+    uncopied.  Any other dtype kind, and a finite long-double value
+    beyond the double range, is a :class:`DataError`.
     """
     a = np.asarray(a)
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
+    if a.dtype.kind not in "biufc":
+        raise DataError("%s must be boolean, integer, real or complex, got dtype %s" % (name, a.dtype))
+    double = np.complex128 if a.dtype.kind == "c" else np.float64
+    if a.dtype.itemsize <= np.dtype(double).itemsize:
+        return a.astype(double, copy=False)
+    with np.errstate(over="ignore"):
+        d = a.astype(double)
+    if np.any(np.isinf(d) & np.isfinite(a)):
+        raise DataError("%s has finite entries beyond the double precision range" % (name,))
+    return d
+
+
+def _check_matrix(a, name):
+    """A finite, non-empty 2-D array in double precision (see :func:`_as_double`)."""
+    a = _as_double(a, name)
     if a.ndim != 2:
         raise ShapeError("%s must be a 2-D array, got ndim=%d" % (name, a.ndim))
     if a.shape[0] < 1 or a.shape[1] < 1:

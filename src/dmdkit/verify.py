@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 
 from .errors import BackendError, DataError, ShapeError
 from .inner import InnerProduct
@@ -294,14 +293,26 @@ def eigen_reference(A):
     return alphas.astype(complex)
 
 
+def _matching(a, b):
+    """Distances |a_i - b_j| and the one-to-one assignment minimizing their sum.
+
+    ``scipy.optimize`` is imported here, on first use, so that importing
+    the package or running a decomposition never loads it.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return cost, rows, cols
+
+
 def match_eigenvalues(computed, reference):
     """Largest matched distance under the optimal one-to-one assignment."""
     a = np.asarray(computed, dtype=complex).reshape(-1)
     b = np.asarray(reference, dtype=complex).reshape(-1)
     if a.shape != b.shape:
         raise ShapeError("eigenvalue sets must have equal size to be matched")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    cost, rows, cols = _matching(a, b)
     return float(cost[rows, cols].max())
 
 

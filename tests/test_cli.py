@@ -356,3 +356,37 @@ def test_verify_rejects_bad_sizes_before_any_check(tmp_path, capsys, flags):
     assert captured.out == ""
     assert "verify needs" in captured.err
     assert not (tmp_path / "v.json").exists()
+
+
+_COLD_START = r"""
+import sys
+
+def unloaded(when):
+    loaded = [name for name in ("scipy.optimize", "dmdkit.checks") if name in sys.modules]
+    assert not loaded, (when, loaded)
+
+import dmdkit
+unloaded("import dmdkit")
+import dmdkit.cli
+seq = sys.argv[1]
+for variant in ("rrr-compressed", "dmd"):
+    rc = dmdkit.cli.main(["decompose", "--seq", seq, "--variant", variant, "--out", seq + "." + variant + ".json"])
+    assert rc == 0, (variant, rc)
+    unloaded("decompose --variant " + variant)
+assert dmdkit.match_eigenvalues([1.0, 2j], [2j, 1.0]) == 0.0
+assert "scipy.optimize" in sys.modules
+assert dmdkit.cli.main(["verify", "--n", "40"]) == 0
+assert "dmdkit.checks" in sys.modules
+"""
+
+
+def test_import_and_decompose_load_neither_scipy_optimize_nor_the_checks(tmp_path):
+    # Only eigenvalue matching and `dmdkit verify` need them; a fresh
+    # interpreter shows what a one-shot `dmdkit decompose` process loads.
+    write_fixture_set(str(tmp_path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmdkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path / "disc-small_trajectory.dmm")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "11/11 checks passed" in done.stdout

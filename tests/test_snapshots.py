@@ -33,7 +33,8 @@ def test_pair_rejects_shape_mismatch_and_non_finite():
 def test_matrices_are_promoted_to_double_precision():
     X = np.arange(6.0).reshape(3, 2)
     for dtype, want in ((np.float16, np.float64), (np.float32, np.float64), (np.int32, np.float64),
-                        (bool, np.float64), (np.complex64, np.complex128)):
+                        (bool, np.float64), (np.complex64, np.complex128),
+                        (np.longdouble, np.float64), (np.clongdouble, np.complex128)):
         pair = SnapshotPair(X.astype(dtype), X.astype(dtype))
         assert pair.X.dtype == want and pair.Y.dtype == want
         assert np.array_equal(pair.X, X.astype(dtype))

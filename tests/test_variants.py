@@ -722,6 +722,84 @@ def test_float32_input_runs_in_double_precision():
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+def _rejected_everywhere(a):
+    """Snapshots and weights of a's dtype are a DataError in every entry point."""
+    X, Y = a[:, :-1], a[:, 1:]
+    M, N = _weights("diagonal", *X.shape)
+    with pytest.raises(DataError, match="dtype"):
+        SnapshotPair(X, Y)
+    for pipeline in _PIPELINES.values():
+        with pytest.raises(DataError, match="dtype"):
+            pipeline(X, Y, a, M, N)
+    for weight in (InnerProduct.diagonal, InnerProduct, lambda w: InnerProduct.from_matrix(np.diag(w))):
+        with pytest.raises(DataError, match="dtype"):
+            weight(a[:, 0])
+
+
+_NUMBERS = np.arange(1.0, 13.0).reshape(4, 3)
+
+
+def test_object_snapshots_are_a_data_error():
+    _rejected_everywhere(_NUMBERS.astype(object))
+
+
+def test_str_snapshots_are_a_data_error():
+    _rejected_everywhere(_NUMBERS.astype(str))
+
+
+def test_bytes_snapshots_are_a_data_error():
+    _rejected_everywhere(_NUMBERS.astype(bytes))
+
+
+def test_datetime64_snapshots_are_a_data_error():
+    _rejected_everywhere(_NUMBERS.astype("datetime64[s]"))
+
+
+def test_timedelta64_snapshots_are_a_data_error():
+    _rejected_everywhere(_NUMBERS.astype("timedelta64[s]"))
+
+
+def test_structured_snapshots_are_a_data_error():
+    a = np.zeros(_NUMBERS.shape, dtype=[("re", np.float64), ("im", np.float64)])
+    a["re"] = _NUMBERS
+    _rejected_everywhere(a)
+
+
+@pytest.mark.skipif(not hasattr(getattr(np, "dtypes", None), "StringDType"), reason="numpy has no StringDType")
+def test_variable_width_string_snapshots_are_a_data_error():
+    _rejected_everywhere(_NUMBERS.astype(np.dtypes.StringDType()))
+
+
+@pytest.mark.parametrize("name", list(_PIPELINES))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_long_double_input_runs_in_double_precision(name, dtype):
+    # float128 / complex256 where the platform has them: cast on entry, so
+    # the result is the double-precision one bit for bit.
+    G = _snapshots(dtype, "F")
+    wide = G.astype(np.clongdouble if dtype is complex else np.longdouble)
+    w, v = np.linspace(0.5, 2.0, G.shape[0]), np.linspace(1.0, 0.5, G.shape[1] - 1)
+    M, N = InnerProduct.diagonal(w), InnerProduct.diagonal(v)
+    Mw, Nw = InnerProduct.diagonal(w.astype(np.longdouble)), InnerProduct.diagonal(v.astype(np.longdouble))
+    got = _PIPELINES[name](wide[:, :-1], wide[:, 1:], wide, Mw, Nw)
+    want = _PIPELINES[name](G[:, :-1], G[:, 1:], G, M, N)
+    for field in ("lambdas", "vectors", "residuals", "ordering"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max, reason="long double is double here")
+@pytest.mark.parametrize("dtype", [np.longdouble, np.clongdouble])
+def test_long_double_beyond_the_double_range_is_a_data_error(dtype):
+    X = np.ones((4, 3), dtype=dtype)
+    X[1, 2] = np.longdouble(10) ** 400
+    with pytest.raises(DataError, match="double precision range"):
+        SnapshotPair(X, X)
+    with pytest.raises(DataError, match="double precision range"):
+        ddmd_rrr(X, X)
+    with pytest.raises(DataError, match="double precision range"):
+        InnerProduct.diagonal(X.real[:, 2])
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
 @pytest.mark.parametrize("pipeline", [
     dmd, ddmd_rrr, exact_dmd, fb_dmd_mrf,

@@ -239,3 +239,14 @@ def test_norm_survives_extreme_scales(value):
     M = InnerProduct.identity(3)
     assert M.norm(np.array([value, 0.0, 0.0])) == value
     assert np.array_equal(M.norm(np.array([[value], [0.0], [0.0]])), [value])
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int32, np.longdouble])
+def test_weights_are_cast_to_double_before_use(dtype):
+    # as for snapshots: a weight gives bit for bit the weight of its float64 cast
+    w = np.linspace(1.0, 7.0, 7).astype(dtype)
+    L = np.diag(w) + np.tril(np.ones((7, 7)), -1)
+    for make, arg in ((InnerProduct.diagonal, w), (InnerProduct, w), (InnerProduct, L),
+                      (InnerProduct.from_matrix, L @ L.T)):
+        got, want = make(arg).factor, make(arg.astype(np.float64)).factor
+        assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
