@@ -20,12 +20,12 @@ import time
 
 import numpy as np
 
-from .errors import BackendError, ConditioningError, DataError, ShapeError
+from .errors import BackendError, ConditioningError, DataError
 from .inner import InnerProduct
 from .matrixio import load_matrix, store_matrix
 from .pod import RankPolicy
 from .ritz import koopman_log_map
-from .snapshots import SnapshotPair
+from .snapshots import SequentialTrajectory, SnapshotPair
 from .variants import (
     VariantConfig,
     _check_cap,
@@ -43,19 +43,18 @@ from .weighted import two_sided_weighted_dmd, weighted_dmd
 __all__ = ["main"]
 
 
-# Each variant: its pipeline call on (X, Y, F, M, N, config), where F is
-# the trajectory or None and M, N are the loaded weights or None, and the
-# weight flags it applies.
+# Each variant: its pipeline call on (X, Y, data, M, N, config), where data
+# is the loaded pair or trajectory, (X, Y) its snapshot pairs and M, N the
+# loaded weights or None; and the weight flags it applies.
 _VARIANTS = {
-    "dmd": (lambda X, Y, F, M, N, config: dmd(X, Y, config), ()),
-    "rrr": (lambda X, Y, F, M, N, config: ddmd_rrr(X, Y, config), ()),
-    "rrr-compressed": (lambda X, Y, F, M, N, config:
-                       ddmd_rrr_compressed(SnapshotPair(X, Y) if F is None else F, config), ()),
-    "exact": (lambda X, Y, F, M, N, config: exact_dmd(X, Y, config), ()),
-    "fb": (lambda X, Y, F, M, N, config: fb_dmd_mrf(X, Y, config)[0], ()),
-    "weighted": (lambda X, Y, F, M, N, config: weighted_dmd(X, Y, M, config),
+    "dmd": (lambda X, Y, data, M, N, config: dmd(X, Y, config), ()),
+    "rrr": (lambda X, Y, data, M, N, config: ddmd_rrr(X, Y, config), ()),
+    "rrr-compressed": (lambda X, Y, data, M, N, config: ddmd_rrr_compressed(data, config), ()),
+    "exact": (lambda X, Y, data, M, N, config: exact_dmd(X, Y, config), ()),
+    "fb": (lambda X, Y, data, M, N, config: fb_dmd_mrf(X, Y, config)[0], ()),
+    "weighted": (lambda X, Y, data, M, N, config: weighted_dmd(X, Y, M, config),
                  ("--weight", "--weight-inverse")),
-    "weighted2": (lambda X, Y, F, M, N, config: two_sided_weighted_dmd(X, Y, M, N, config),
+    "weighted2": (lambda X, Y, data, M, N, config: two_sided_weighted_dmd(X, Y, M, N, config),
                   ("--weight", "--weight-n", "--weight-inverse")),
 }
 
@@ -90,26 +89,19 @@ def _load_weight(path, inverse=False):
 
 
 def _load_input(args):
-    """(X, Y, F) from the input files; F is the trajectory, or None for --x/--y.
+    """The input files as a SequentialTrajectory (--seq) or a SnapshotPair (--x/--y).
 
-    :func:`load_matrix` has rejected non-finite entries and every pipeline
-    validates its own input, so only the shapes are checked here.  Every
-    variant decomposes the column-major arrays as loaded, uncopied, so a
-    report equals the library call on ``load_matrix(file)``.
+    The containers check the shapes.  Every variant decomposes the
+    column-major arrays as loaded, uncopied, so a report equals the
+    library call on ``load_matrix(file)``.
     """
     if args.seq is not None:
         if args.x is not None or args.y is not None:
             raise DataError("--seq cannot be combined with --x/--y")
-        F = load_matrix(args.seq)
-        if F.shape[1] < 2:
-            raise ShapeError("trajectory needs at least 2 columns, got %d" % F.shape[1])
-        return F[:, :-1], F[:, 1:], F
+        return SequentialTrajectory(load_matrix(args.seq))
     if args.x is None or args.y is None:
         raise DataError("either --seq FILE or both --x FILE and --y FILE are required")
-    X, Y = load_matrix(args.x), load_matrix(args.y)
-    if X.shape != Y.shape:
-        raise ShapeError("X and Y must have equal shapes, got %r and %r" % (X.shape, Y.shape))
-    return X, Y, None
+    return SnapshotPair(load_matrix(args.x), load_matrix(args.y))
 
 
 def _check_weight_flags(args):
@@ -164,13 +156,14 @@ def cmd_decompose(args):
         refine=_parse_refine(args.refine),
     )
 
-    X, Y, F = _load_input(args)
+    data = _load_input(args)
+    X, Y = (data.X, data.Y) if isinstance(data, SnapshotPair) else (data.F[:, :-1], data.F[:, 1:])
     n, m = X.shape
 
     M = _load_weight(args.weight, args.weight_inverse) if args.weight else None
     N = _load_weight(args.weight_n) if args.weight_n else None
 
-    dec = _VARIANTS[args.variant][0](X, Y, F, M, N, config)
+    dec = _VARIANTS[args.variant][0](X, Y, data, M, N, config)
 
     meta = {
         "variant": args.variant,

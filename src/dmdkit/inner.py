@@ -8,21 +8,21 @@ inverse.  All pipelines work in transformed Euclidean coordinates:
 * orientation ``"M-inverse"``: vectors map to L^{-1} x, bases lift via L.
 
 The factor is used as given, in double precision, and its shape sets
-its structure: a 1-D factor holds the diagonal of L, a 2-D factor is L
-itself, square and not necessarily triangular; one with no nonzero entry
-above its diagonal is solved by substitution.
-The Gram matrix is only materialized on explicit request.
+its structure: a 1-D factor holds the strictly positive diagonal of L, a
+2-D factor is L itself, square and lower triangular, and solves with it
+are substitutions.  :meth:`InnerProduct.from_matrix` produces one from a
+Gram matrix.  The Gram matrix is only materialized on explicit request.
 The same container doubles as a column-space weight, applied from the
 right with the adjoint conventions swapped accordingly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConditioningError, DataError, ShapeError
-from .snapshots import _as_double, _column_norms
+from .snapshots import _as_double, _check_matrix, _column_norms
 
 __all__ = ["InnerProduct"]
 
@@ -31,33 +31,30 @@ __all__ = ["InnerProduct"]
 class InnerProduct:
     factor: np.ndarray
     orientation: str = "M"
-    lower_triangular: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        factor = _as_double(self.factor, "weight factor")
         if self.orientation not in ("M", "M-inverse"):
             raise DataError("orientation must be 'M' or 'M-inverse'")
+        factor = _check_matrix(self.factor, "weight factor", ndims=(1, 2))
         if factor.ndim == 1:
-            if not np.all(np.isfinite(factor)) or np.any(factor.real <= 0) or np.any(factor.imag != 0):
-                raise DataError("diagonal weight factor must be strictly positive and finite")
-            factor = factor.real.astype(np.float64)
-        elif factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
-            raise ShapeError("weight factor must be 1-D (diagonal) or square 2-D, got shape %r" % (factor.shape,))
-        elif not np.all(np.isfinite(factor)):
-            raise DataError("weight factor contains non-finite entries")
+            if np.any(factor.real <= 0) or np.any(factor.imag != 0):
+                raise DataError("diagonal weight factor must be real and strictly positive")
+            factor = factor.real.copy()
+        elif factor.shape[0] != factor.shape[1]:
+            raise ShapeError("a 2-D weight factor must be square, got shape %r" % (factor.shape,))
+        elif np.triu(factor, 1).any():
+            raise ShapeError("a 2-D weight factor must be lower triangular; "
+                             "InnerProduct.from_matrix factors a Gram matrix")
         object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "lower_triangular", factor.ndim == 2 and not np.triu(factor, 1).any())
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_matrix(cls, M, orientation="M"):
         """Factor a Hermitian positive definite Gram matrix by Cholesky."""
-        M = _as_double(M, "weight matrix")
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        M = _check_matrix(M, "weight matrix")
+        if M.shape[0] != M.shape[1]:
             raise ShapeError("weight matrix must be square, got shape %r" % (M.shape,))
-        if not np.all(np.isfinite(M)):
-            raise DataError("weight matrix contains non-finite entries")
         if np.linalg.norm(M - M.conj().T) > 1e-12 * max(1.0, np.linalg.norm(M)):
             raise DataError("weight matrix must be Hermitian")
         try:
@@ -69,12 +66,12 @@ class InnerProduct:
     @classmethod
     def diagonal(cls, weights, orientation="M"):
         """Diagonal Gram matrix given by its strictly positive diagonal: a vector, one row or one column."""
-        w = _as_double(weights, "diagonal weights")
-        if w.ndim not in (1, 2) or (w.ndim == 2 and 1 not in w.shape):
+        w = _check_matrix(weights, "diagonal weights", ndims=(1, 2))
+        if w.ndim == 2 and 1 not in w.shape:
             raise ShapeError("diagonal weights must be a vector, one row or one column, got shape %r" % (w.shape,))
         w = w.reshape(-1)
-        if not np.all(np.isfinite(w)) or np.any(w.real <= 0) or np.any(w.imag != 0):
-            raise DataError("diagonal weights must be strictly positive and finite")
+        if np.any(w.real <= 0) or np.any(w.imag != 0):
+            raise DataError("diagonal weights must be real and strictly positive")
         return cls(np.sqrt(w.real), orientation=orientation)
 
     @classmethod
@@ -88,7 +85,7 @@ class InnerProduct:
         return self.factor.shape[0]
 
     def _check_rows(self, B, side_name):
-        B = np.asarray(B)
+        B = _as_double(B, side_name)
         rows = B.shape[0]
         if rows != self.n:
             raise ShapeError(
@@ -107,12 +104,8 @@ class InnerProduct:
     def _solve(self, B, adjoint):
         if self.factor.ndim == 1:
             return B / self.factor[:, None]
-        L = self.factor
         try:
-            if self.lower_triangular:
-                return scipy.linalg.solve_triangular(L, B, lower=True, trans="C" if adjoint else "N")
-            A = L.conj().T if adjoint else L
-            return scipy.linalg.solve(A, B)
+            return scipy.linalg.solve_triangular(self.factor, B, lower=True, trans="C" if adjoint else "N")
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise ConditioningError("weight factor is singular: %s" % exc) from exc
 
@@ -136,15 +129,14 @@ class InnerProduct:
 
     def transform_right(self, X):
         """Apply the geometry to the columns index, i.e. from the right."""
-        X = np.asarray(X)
+        X = _as_double(X, "snapshot matrix")
         if X.shape[1] != self.n:
             raise ShapeError(
                 "weight factor of size %d does not conform to snapshot count %d" % (self.n, X.shape[1])
             )
-        if self.orientation == "M":
-            # X K^{-*}: solve K Z* = X* for Z*.
-            return self._solve(X.conj().T, adjoint=False).conj().T
-        return X @ (np.diag(self.factor) if self.factor.ndim == 1 else self.factor)
+        # (X K^{-*})* = K^{-1} X* and (X K)* = K* X*.
+        return (self._solve(X.conj().T, adjoint=False) if self.orientation == "M"
+                else self._apply(X.conj().T, adjoint=True)).conj().T
 
     # -- norms and materialization -------------------------------------------
 

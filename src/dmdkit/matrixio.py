@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from .errors import DataError, ShapeError
+from .snapshots import _as_double
 
 __all__ = ["load_matrix", "store_matrix"]
 
@@ -35,8 +36,11 @@ def _format_for(path):
 
 
 def store_matrix(a, path):
-    """Write a 2-D matrix to ``path``: CSV for ``.csv``, DMM1 for ``.dmm``, ``.dmm1`` or ``.bin``."""
-    a = np.asarray(a)
+    """Write a 2-D matrix to ``path``: CSV for ``.csv``, DMM1 for ``.dmm``, ``.dmm1`` or ``.bin``.
+
+    A dtype the readers reject is a :class:`DataError`, and no file is written.
+    """
+    a = _as_double(a, "store_matrix input")
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BackendError, ConditioningError, DataError, ShapeError
+from .errors import BackendError, ConditioningError, DataError
 from .inner import InnerProduct
-from .snapshots import _column_norms
+from .snapshots import _check_matrix, _column_norms
 
 __all__ = [
     "RankPolicy",
@@ -199,15 +199,11 @@ def truncated_svd(X, policy=None):
     Returns a :class:`PodBasis` whose retained singular values are all
     strictly positive and whose basis satisfies U*U = I to roundoff.
     """
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ShapeError("POD input must be a 2-D array, got ndim=%d" % X.ndim)
-    if not np.all(np.isfinite(X)):
-        raise DataError("POD input contains non-finite entries")
+    X = _check_matrix(X, "POD input")
     if policy is None:
         policy = RankPolicy.spectral(default_epsilon(*X.shape))
     U, s, V = _svd_for_pod(X)
-    if s.size == 0 or s[0] <= 0.0:
+    if s[0] <= 0.0:
         raise ConditioningError("truncated_svd: input matrix is numerically zero", sigma_min=0.0)
     k = numerical_rank(s, policy)
     return PodBasis(U=U[:, :k], sigma=s[:k].copy(), V=V[:, :k], rank=k, sigma_all=s)
@@ -222,5 +218,5 @@ def weighted_pod(X, weight, policy=None):
     """
     if not isinstance(weight, InnerProduct):
         raise DataError("weighted_pod needs an InnerProduct weight")
-    basis = truncated_svd(weight.transform(np.asarray(X)), policy)
+    basis = truncated_svd(weight.transform(X), policy)
     return dataclasses.replace(basis, U=weight.lift(basis.U))

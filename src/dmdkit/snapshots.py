@@ -47,12 +47,13 @@ def _as_double(a, name):
     return d
 
 
-def _check_matrix(a, name):
-    """A finite, non-empty 2-D array in double precision (see :func:`_as_double`)."""
+def _check_matrix(a, name, ndims=(2,)):
+    """A finite, non-empty array in double precision (see :func:`_as_double`), its ndim one of ``ndims``."""
     a = _as_double(a, name)
-    if a.ndim != 2:
-        raise ShapeError("%s must be a 2-D array, got ndim=%d" % (name, a.ndim))
-    if a.shape[0] < 1 or a.shape[1] < 1:
+    if a.ndim not in ndims:
+        accepted = " or ".join("%d-D" % d for d in ndims)
+        raise ShapeError("%s must be a %s array, got ndim=%d" % (name, accepted, a.ndim))
+    if a.size == 0:
         raise ShapeError("%s must be non-empty, got shape %r" % (name, a.shape))
     if not np.all(np.isfinite(a)):
         raise DataError("%s contains non-finite entries" % (name,))
@@ -92,11 +93,9 @@ class ColumnScaling:
     d: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.float64)
-        if d.ndim != 1:
-            raise ShapeError("scaling factors must be a vector")
-        if np.any(d < 0) or not np.all(np.isfinite(d)):
-            raise DataError("scaling factors must be finite and nonnegative")
+        d = _check_matrix(self.d, "scaling factors", ndims=(1,))
+        if d.dtype.kind == "c" or np.any(d < 0):
+            raise DataError("scaling factors must be real and nonnegative")
         object.__setattr__(self, "d", d)
 
 
@@ -140,7 +139,7 @@ class KrylovCompanion:
 
 
 def _as_trajectory(F):
-    return F if isinstance(F, SequentialTrajectory) else SequentialTrajectory(np.asarray(F))
+    return F if isinstance(F, SequentialTrajectory) else SequentialTrajectory(F)
 
 
 def odd_even_split(F):

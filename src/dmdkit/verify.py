@@ -13,6 +13,7 @@ singular values truncated sincerely in one place and optimistically in
 another).
 """
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -23,8 +24,10 @@ import scipy.linalg
 from .errors import BackendError, DataError, ShapeError
 from .inner import InnerProduct
 from .matrixio import store_matrix
+from .pod import truncated_svd
+from .ritz import _lift, action_on_basis, data_driven_residuals
 from .snapshots import SequentialTrajectory, SnapshotPair, _as_trajectory, _scale_arrays
-from .pod import default_epsilon
+from .variants import _quotient
 
 __all__ = [
     "OracleOperator",
@@ -319,29 +322,21 @@ def match_eigenvalues(computed, reference):
 def corrupted_sigma_etas(oracle, F, floor=1e-8):
     """Replay a backend failure: small singular values optimistically floored.
 
-    Runs the classic pipeline on the scaled trajectory data but replaces
-    every singular value below ``floor * sigma_1`` by the floor, exactly
-    the signature of an SVD routine that stops resolving far below the
-    noise level.  The data-driven residuals of the junk directions then
+    Runs the stages of :func:`dmd`, its one POD SVD path included, on the
+    scaled trajectory data, but raises every retained singular value below
+    ``floor * sigma_1`` to that floor: exactly the signature of an SVD
+    routine that stops resolving far below the noise level.  The data-driven residuals of the junk directions then
     come out far smaller than the truth, so the returned eta ratios dip
     orders of magnitude below 1.
     """
     traj = _as_trajectory(F)
-    X, Y = traj.F[:, :-1], traj.F[:, 1:]
-    Xs, Ys, _ = _scale_arrays(X, Y)
-    U, s, Vh = scipy.linalg.svd(Xs, full_matrices=False, lapack_driver="gesvd")
-    eps_rank = default_epsilon(*Xs.shape)
-    k = int(np.count_nonzero(s > eps_rank * s[0]))
-    s_bad = np.maximum(s[:k], floor * s[0])
-    Uk, Vk = U[:, :k], Vh[:k, :].conj().T
-    B_bad = Ys @ (Vk / s_bad[None, :])
-    S_bad = ((Uk.conj().T @ Ys) @ Vk) / s_bad[None, :]
-    lambdas, W = np.linalg.eig(S_bad)
-    W = W / np.linalg.norm(W, axis=0)[None, :]
-    dd = np.linalg.norm(B_bad @ W - Uk @ (W * lambdas[None, :]), axis=0)
-    A = _operator_of(oracle)
-    Z = Uk @ W
-    true = np.linalg.norm(A @ Z - Z * lambdas[None, :], axis=0)
+    Xs, Ys, _ = _scale_arrays(traj.F[:, :-1], traj.F[:, 1:])
+    basis = truncated_svd(Xs)
+    basis = dataclasses.replace(basis, sigma=np.maximum(basis.sigma, floor * basis.sigma[0]))
+    _, lambdas, W = _quotient(basis, Ys)
+    dd = data_driven_residuals(action_on_basis(Ys, basis.V, basis.sigma), basis.U, W, lambdas)
+    Z = _lift(basis.U, W)
+    true = np.linalg.norm(_operator_of(oracle) @ Z - Z * lambdas[None, :], axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = dd / true
     return eta

@@ -227,3 +227,23 @@ def test_row_major_store_copies_one_block_at_a_time(tmp_path):
     _, peak = _traced_peak(lambda: store_matrix(a, path))
     assert peak < matrixio._STORE_BLOCK_BYTES + a.shape[0] * a.itemsize + (1 << 20)
     assert np.array_equal(load_matrix(path), a)
+
+
+_LONG_DOUBLE_BEYOND = (np.longdouble(10) ** 400 if np.finfo(np.longdouble).max > np.finfo(np.float64).max
+                       else None)
+
+
+@pytest.mark.parametrize("ext", [".dmm", ".csv"])
+@pytest.mark.parametrize("a", [
+    pytest.param(np.arange(6).reshape(3, 2).astype("datetime64[s]"), id="datetime64"),
+    pytest.param(np.arange(6).reshape(3, 2).astype(str), id="str"),
+    pytest.param(np.arange(6.0).reshape(3, 2).astype(object), id="object"),
+    pytest.param(np.full((3, 2), _LONG_DOUBLE_BEYOND), id="long-double-beyond-double",
+                 marks=pytest.mark.skipif(_LONG_DOUBLE_BEYOND is None, reason="long double is double here")),
+])
+def test_store_rejects_what_the_readers_reject(tmp_path, a, ext):
+    # the readers' dtype rule, applied before any byte is written
+    path = tmp_path / ("m" + ext)
+    with pytest.raises(DataError):
+        store_matrix(a, path)
+    assert not path.exists()

@@ -122,6 +122,14 @@ def test_scaling_rejects_negative_factors():
         ColumnScaling(np.array([1.0, -1.0]))
 
 
+def test_complex_scaling_factors_are_a_data_error():
+    # column norms are real; the imaginary part was dropped with a ComplexWarning
+    from dmdkit.snapshots import ColumnScaling
+
+    with pytest.raises(DataError, match="real"):
+        ColumnScaling(np.array([1.0 + 1.0j, 2.0]))
+
+
 def test_companion_matches_polynomial_roots():
     # oracle: eigenvalues of the unit-subdiagonal companion with last
     # column c are the roots of z^m - c_m z^(m-1) - ... - c_1

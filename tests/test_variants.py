@@ -12,7 +12,7 @@ import scipy.linalg
 from dmdkit import variants
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
-from dmdkit.pod import RankPolicy, default_epsilon, truncated_svd
+from dmdkit.pod import RankPolicy, default_epsilon, truncated_svd, weighted_pod
 from dmdkit.ritz import QrStack, RefinedPair, action_on_basis, qr_stack, rayleigh_from_qr, refine_ritz, ritz_pairs
 from dmdkit.snapshots import ColumnScaling, KrylovCompanion, SequentialTrajectory, SnapshotPair, scale_columns
 from dmdkit.variants import (
@@ -731,9 +731,13 @@ def _rejected_everywhere(a):
     for pipeline in _PIPELINES.values():
         with pytest.raises(DataError, match="dtype"):
             pipeline(X, Y, a, M, N)
-    for weight in (InnerProduct.diagonal, InnerProduct, lambda w: InnerProduct.from_matrix(np.diag(w))):
+    for weight in (InnerProduct.diagonal, InnerProduct, lambda w: InnerProduct.from_matrix(np.diag(w)), ColumnScaling):
         with pytest.raises(DataError, match="dtype"):
             weight(a[:, 0])
+    # so is a matrix handed to the POD or to a weight's methods
+    for call in (truncated_svd, lambda X: weighted_pod(X, M), M.transform, M.lift, M.norm, N.transform_right):
+        with pytest.raises(DataError, match="dtype"):
+            call(X)
 
 
 _NUMBERS = np.arange(1.0, 13.0).reshape(4, 3)

@@ -191,13 +191,14 @@ def test_inverse_orientation_round_trip():
 
 
 def test_direct_lower_triangular_factor_solves_like_from_matrix():
-    # A lower-triangular factor is recognized from its entries, so passing
-    # the Cholesky factor directly takes the same substitution solves.
+    # Passing the Cholesky factor directly takes the same substitution
+    # solves; a 2-D factor with a nonzero entry above its diagonal, upper
+    # triangular or general, is rejected in favour of from_matrix.
     _, M = _spd_weight(12, 125)
     direct = InnerProduct(M.factor.copy())
-    assert direct.lower_triangular and M.lower_triangular
-    assert not InnerProduct(M.factor.T.copy()).lower_triangular
-    assert not InnerProduct.diagonal(np.ones(12)).lower_triangular
+    for bad in (M.factor.T.copy(), M.factor + 0.5 * np.eye(12, k=3)):
+        with pytest.raises(ShapeError, match="from_matrix"):
+            InnerProduct(bad)
     X = _rng(126).standard_normal((12, 4))
     assert np.array_equal(direct.lift(X), M.lift(X))
     inv = InnerProduct.from_matrix(M.gram_matrix(), orientation="M-inverse")
