@@ -22,13 +22,14 @@ import numpy as np
 
 from .errors import BackendError, ConditioningError, DataError
 from .inner import InnerProduct
-from .matrixio import load_matrix, store_matrix
+from .matrixio import _store_row_blocks, load_matrix, store_matrix
 from .pod import RankPolicy
-from .ritz import koopman_log_map
+from .ritz import _lift_blocks, koopman_log_map
 from .snapshots import SequentialTrajectory, SnapshotPair
 from .variants import (
     VariantConfig,
     _check_cap,
+    _compressed_trajectory,
     _resolve_policy,
     _selected,
     dmd,
@@ -93,7 +94,8 @@ def _load_input(args):
 
     The containers check the shapes.  Every variant decomposes the
     column-major arrays as loaded, uncopied, so a report equals the
-    library call on ``load_matrix(file)``.
+    library call on ``load_matrix(file)``; ``rrr-compressed`` on a
+    trajectory also factors the loaded array in place.
     """
     if args.seq is not None:
         if args.x is not None or args.y is not None:
@@ -163,7 +165,12 @@ def cmd_decompose(args):
     M = _load_weight(args.weight, args.weight_inverse) if args.weight else None
     N = _load_weight(args.weight_n) if args.weight_n else None
 
-    dec = _VARIANTS[args.variant][0](X, Y, data, M, N, config)
+    if args.variant == "rrr-compressed" and isinstance(data, SequentialTrajectory):
+        # The loaded array is the CLI's own: the QR overwrites it, and the
+        # vectors, coefficients in Q here, are lifted only into the modes file.
+        Q, dec = _compressed_trajectory(data.F, config)
+    else:
+        Q, dec = None, _VARIANTS[args.variant][0](X, Y, data, M, N, config)
 
     meta = {
         "variant": args.variant,
@@ -190,7 +197,12 @@ def cmd_decompose(args):
         present = dec.vector_present
         if not np.any(present):
             raise DataError("no vectors present to store in --modes-out")
-        store_matrix(dec.vectors if present.all() else dec.vectors[:, present], args.modes_out)
+        if Q is None:
+            store_matrix(dec.vectors if present.all() else dec.vectors[:, present], args.modes_out)
+        else:
+            # A NaN coefficient column lifts to a NaN column of Q @ W, and
+            # only there, so the coefficients tell which vectors are present.
+            _store_row_blocks(_lift_blocks(Q, dec.vectors), n, np.flatnonzero(present), args.modes_out)
         print("modes: %s (%d columns)" % (args.modes_out, int(present.sum())), file=sys.stderr)
     return 0
 

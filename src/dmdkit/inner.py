@@ -86,6 +86,8 @@ class InnerProduct:
 
     def _check_rows(self, B, side_name):
         B = _as_double(B, side_name)
+        if B.ndim not in (1, 2):
+            raise ShapeError("%s must be a vector or a 2-D array, got ndim=%d" % (side_name, B.ndim))
         rows = B.shape[0]
         if rows != self.n:
             raise ShapeError(
@@ -95,15 +97,19 @@ class InnerProduct:
 
     # -- factor application and solves --------------------------------------
 
+    def _diagonal_for(self, B):
+        """The diagonal factor shaped to scale the rows of a vector or a matrix B."""
+        return self.factor if B.ndim == 1 else self.factor[:, None]
+
     def _apply(self, B, adjoint):
         if self.factor.ndim == 1:
-            return B * self.factor[:, None]
+            return B * self._diagonal_for(B)
         L = self.factor.conj().T if adjoint else self.factor
         return L @ B
 
     def _solve(self, B, adjoint):
         if self.factor.ndim == 1:
-            return B / self.factor[:, None]
+            return B / self._diagonal_for(B)
         try:
             return scipy.linalg.solve_triangular(self.factor, B, lower=True, trans="C" if adjoint else "N")
         except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -112,14 +118,14 @@ class InnerProduct:
     # -- state-space (row) weighting ----------------------------------------
 
     def transform(self, X):
-        """Map ambient columns into the Euclidean coordinates of the geometry."""
+        """Map ambient columns, or one vector, into the Euclidean coordinates of the geometry."""
         X = self._check_rows(X, "state matrix")
         if self.orientation == "M":
             return self._apply(X, adjoint=True)
         return self._solve(X, adjoint=False)
 
     def lift(self, U_tilde):
-        """Pull transformed basis columns back to ambient coordinates."""
+        """Pull transformed basis columns, or one vector, back to ambient coordinates."""
         U_tilde = self._check_rows(U_tilde, "transformed basis")
         if self.orientation == "M":
             return self._solve(U_tilde, adjoint=True)
@@ -130,6 +136,8 @@ class InnerProduct:
     def transform_right(self, X):
         """Apply the geometry to the columns index, i.e. from the right."""
         X = _as_double(X, "snapshot matrix")
+        if X.ndim != 2:
+            raise ShapeError("snapshot matrix must be a 2-D array, got ndim=%d" % X.ndim)
         if X.shape[1] != self.n:
             raise ShapeError(
                 "weight factor of size %d does not conform to snapshot count %d" % (self.n, X.shape[1])

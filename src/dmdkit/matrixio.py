@@ -35,6 +35,28 @@ def _format_for(path):
     raise DataError("cannot infer matrix format from %r; use .csv, .dmm, .dmm1 or .bin" % (str(path),))
 
 
+def _header(n, m, kind):
+    return MAGIC + np.uint64(n).tobytes() + np.uint64(m).tobytes() + bytes([kind])
+
+
+def _store_row_blocks(blocks, n, columns, path):
+    """Write the chosen ``columns`` of an n-row complex matrix, given by row blocks, as DMM1.
+
+    ``blocks`` yields (start, rows) pairs that cover rows 0..n-1; each
+    column piece of a block is written at its offset in the column-major
+    payload, so only one block is held at a time, and the file's bytes
+    are those :func:`store_matrix` writes for the assembled matrix.
+    """
+    dtype = np.dtype("<c16")
+    with open(path, "wb") as fh:
+        fh.write(_header(n, len(columns), _KIND_COMPLEX128))
+        for start, rows in blocks:
+            for c, j in enumerate(columns):
+                fh.seek(_HEADER_LEN + (c * n + start) * dtype.itemsize)
+                fh.write(np.ascontiguousarray(rows[:, j], dtype=dtype))
+            del rows  # not held while the next block is formed
+
+
 def store_matrix(a, path):
     """Write a 2-D matrix to ``path``: CSV for ``.csv``, DMM1 for ``.dmm``, ``.dmm1`` or ``.bin``.
 
@@ -58,9 +80,8 @@ def store_matrix(a, path):
         kind, dtype = _KIND_REAL64, np.dtype("<f8")
     a = a.astype(dtype, copy=False)
     n, m = a.shape
-    header = MAGIC + np.uint64(n).tobytes() + np.uint64(m).tobytes() + bytes([kind])
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_header(n, m, kind))
         if a.flags.f_contiguous:
             # The transpose of a column-major array is a C-contiguous view
             # whose bytes are the payload: written without a copy.

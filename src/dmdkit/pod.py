@@ -26,7 +26,7 @@ import scipy.linalg
 
 from .errors import BackendError, ConditioningError, DataError
 from .inner import InnerProduct
-from .snapshots import _check_matrix, _column_norms
+from .snapshots import _as_double, _check_matrix, _column_norms
 
 __all__ = [
     "RankPolicy",
@@ -86,7 +86,9 @@ def numerical_rank(sigma, policy):
     """Apply a rank policy to a descending singular value profile."""
     if not isinstance(policy, RankPolicy):
         raise DataError("rank policy must be a RankPolicy, got %r" % (policy,))
-    sigma = np.asarray(sigma, dtype=np.float64)
+    sigma = _as_double(sigma, "singular value profile")
+    if sigma.dtype.kind == "c":
+        raise DataError("singular value profile must be real, got dtype %s" % sigma.dtype)
     if sigma.size == 0 or sigma[0] <= 0.0:
         raise ConditioningError("numerical_rank: zero matrix has no positive rank", sigma_min=0.0)
     if policy.kind == "spectral":

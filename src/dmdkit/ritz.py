@@ -201,33 +201,50 @@ def _eig(S):
     return lambdas.astype(complex), W
 
 
-# Rows of the real operand per block product in :func:`_lift`.
+# Rows of the real operand per block product in :func:`_lift_blocks`.
 _LIFT_BLOCK = 2048
 
 
-def _lift(A, W):
-    """A @ W for a tall real A and a small complex W, in real arithmetic.
+def _by_real_view(A, W):
+    """Whether :func:`_lift_blocks` runs A @ W as real products by row blocks."""
+    return A.dtype == np.float64 and W.dtype == np.complex128 and min(A.shape[0], W.shape[1]) >= 2
 
-    W is viewed as a real matrix with interleaved real and imaginary
-    columns, so A is never cast to complex, whatever its memory layout;
-    one real product per block of rows of A fills a column-major complex
-    result.  On the kernels measured (OpenBLAS 0.3.31, Haswell) this
-    rounds like numpy's mixed product A @ W bit for bit for a column-major
-    A with at most 96 columns, and can differ by roundoff beyond; for a
-    row-major A it differs already at 16 columns.  Any other dtype, or a
-    single row or column, takes the plain product.
+
+def _lift_blocks(A, W):
+    """A @ W for a tall A and a small W, as (start, rows) blocks in row order.
+
+    For a real A and a complex W, W is viewed as a real matrix with
+    interleaved real and imaginary columns, so A is never cast to
+    complex, whatever its memory layout; each block is one real product
+    on at most ``_LIFT_BLOCK`` + 1 rows of A.  On the kernels measured
+    (OpenBLAS 0.3.31, Haswell) this rounds like numpy's mixed product
+    A @ W bit for bit for a column-major A with at most 96 columns, and
+    can differ by roundoff beyond; for a row-major A it differs already
+    at 16 columns.  Any other dtype, or a single row or column, takes the
+    plain product as one block: split by rows, a complex product of one
+    column rounds differently on two threads.
     """
-    n, p = A.shape[0], W.shape[1]
-    if A.dtype != np.float64 or W.dtype != np.complex128 or min(n, p) < 2:
-        return A @ W
+    if not _by_real_view(A, W):
+        yield 0, A @ W
+        return
+    n = A.shape[0]
     Wr = np.ascontiguousarray(W).view(np.float64)
-    Z = np.empty((n, p), dtype=complex, order="F")
     start = 0
     while start < n:
         # Never leave a one-row block: numpy runs that as a vector product.
         stop = n if n - start < _LIFT_BLOCK + 2 else start + _LIFT_BLOCK
-        Z[start:stop] = (A[start:stop] @ Wr).view(complex)
+        yield start, (A[start:stop] @ Wr).view(complex)
         start = stop
+
+
+def _lift(A, W):
+    """A @ W from :func:`_lift_blocks`; the blocks of the real-view route fill a column-major result."""
+    if not _by_real_view(A, W):
+        return A @ W
+    Z = np.empty((A.shape[0], W.shape[1]), dtype=complex, order="F")
+    for start, block in _lift_blocks(A, W):
+        Z[start:start + len(block)] = block
+        del block  # not held while the next block is formed
     return Z
 
 

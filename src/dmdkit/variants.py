@@ -322,32 +322,40 @@ def _compressed_pair(pair, config):
     return dataclasses.replace(inner, vectors=Z)
 
 
+def _compressed_trajectory(F, config):
+    """The compressed route of a checked trajectory F, overwritten in place.
+
+    Returns (Q, inner): the thin QR factor Q, in F's buffer where F is a
+    column-major double array, and the engine's decomposition on R, whose
+    vectors are coefficients in Q.  The route keeps scipy's QR and the
+    explicit Q because bench/tracing.py recomposes it as scipy.linalg.qr
+    and Q @ vectors and must match it bit for bit (ROADMAP item 2).
+    """
+    config = dataclasses.replace(config, policy=_resolve_policy(config, (F.shape[0], F.shape[1] - 1)))
+    Q, R = scipy.linalg.qr(F, mode="economic", overwrite_a=True, check_finite=False)
+    return Q, _rrr_pipeline(R[:, :-1], R[:, 1:], config, "rrr-compressed")
+
+
 def ddmd_rrr_compressed(data, config=VariantConfig()):
     """Refined decomposition after QR compression of the raw data.
 
     Works on the triangular factor of a thin QR (of the trajectory, or of
     the stacked pair for general data), then lifts the vectors back to
     the ambient space.  A pair keeps its Householder reflectors and
-    applies them to the coefficients; a trajectory still forms the
-    orthonormal factor Q and multiplies by it.  Residuals and Ritz values
-    are unchanged by the unitary change of basis.  The containers have
-    checked the data for non-finite entries already.  Also exported as
-    ``ddmd_rrr_auto``.
+    applies them to the coefficients; a trajectory factors a
+    column-major copy of F in place, so the caller's array is never
+    modified, and multiplies the orthonormal factor Q, held in that
+    copy, by the coefficients (by row blocks for real data).  Residuals
+    and Ritz values are unchanged by the unitary change of basis.  The
+    default threshold is read off the ambient shape, not the compressed
+    one, so compressed and direct runs truncate identically.  The
+    containers have checked the data for non-finite entries already.
+    Also exported as ``ddmd_rrr_auto``.
     """
-    if not isinstance(data, SnapshotPair):
-        data = _as_trajectory(data)
-    # Default threshold from the ambient shape, not the compressed one, so
-    # compressed and direct runs truncate identically.
-    config = dataclasses.replace(config, policy=_resolve_policy(config, (data.n, data.m)))
     if isinstance(data, SnapshotPair):
+        config = dataclasses.replace(config, policy=_resolve_policy(config, (data.n, data.m)))
         return _compressed_pair(data, config)
-    # The trajectory keeps the explicit Q: the benchmark recomposes this
-    # route as scipy.linalg.qr and Q @ vectors (bench/tracing.py,
-    # ddmd_rrr_compressed) and must match it bit for bit.  It moves to the
-    # reflectors with ROADMAP item 2, once item 1's in-library trace
-    # replaces that recomposition.
-    Q, R = scipy.linalg.qr(data.F, mode="economic", check_finite=False)
-    inner = _rrr_pipeline(R[:, :-1], R[:, 1:], config, "rrr-compressed")
+    Q, inner = _compressed_trajectory(np.array(_as_trajectory(data).F, order="F"), config)
     return dataclasses.replace(inner, vectors=np.asfortranarray(_lift(Q, inner.vectors)))
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,16 @@ import dmdkit
 from dmdkit.cli import main
 from dmdkit.inner import InnerProduct
 from dmdkit.matrixio import load_matrix, store_matrix
-from dmdkit.pod import default_epsilon
-from dmdkit.variants import ddmd_rrr, ddmd_rrr_compressed, dmd, exact_dmd, fb_dmd_mrf, select_pairs
+from dmdkit.pod import RankPolicy, default_epsilon
+from dmdkit.variants import (
+    VariantConfig,
+    ddmd_rrr,
+    ddmd_rrr_compressed,
+    dmd,
+    exact_dmd,
+    fb_dmd_mrf,
+    select_pairs,
+)
 from dmdkit.verify import make_oracle, trajectory, write_fixture_set
 from dmdkit.weighted import two_sided_weighted_dmd, weighted_dmd
 
@@ -272,6 +281,56 @@ def test_modes_out_bytes_equal_the_stored_vectors(traj_file, tmp_path, capsys, v
     assert [r["residual"] for r in records] == [None if np.isnan(r) else float(r) for r in dec.residuals]
     store_matrix(dec.vectors[:, dec.vector_present], tmp_path / "ref.dmm")
     assert modes.read_bytes() == (tmp_path / "ref.dmm").read_bytes()
+
+
+# Rows around the 2048-row blocks of the lift: a one-row tail that joins
+# the last block, a two-row tail, and two blocks and a tail.
+@pytest.mark.parametrize("n", [2049, 2050, 4099])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("rank", [None, 1])
+def test_streamed_modes_equal_the_library_vectors(tmp_path, capsys, n, dtype, rank):
+    # rrr-compressed on a trajectory writes the modes file by row blocks
+    rng = np.random.default_rng(n)
+    F = rng.standard_normal((n, 7)) + (1j * rng.standard_normal((n, 7)) if dtype is complex else 0)
+    store_matrix(F, tmp_path / "t.dmm")
+    flags = ["--seq", str(tmp_path / "t.dmm"), "--variant", "rrr-compressed"]
+    if rank is not None:
+        flags += ["--rank", str(rank)]
+    assert main(["decompose", *flags, "--out", str(tmp_path / "plain.json")]) == 0
+    assert main(["decompose", *flags, "--out", str(tmp_path / "r.json"), "--modes-out", str(tmp_path / "m.dmm")]) == 0
+    report = (tmp_path / "r.json").read_bytes()
+    assert report == (tmp_path / "plain.json").read_bytes()
+    dec = ddmd_rrr_compressed(load_matrix(tmp_path / "t.dmm"),
+                              VariantConfig(policy=None if rank is None else RankPolicy.fixed(rank)))
+    records = json.loads(report)["records"]
+    assert len(records) == dec.k == (6 if rank is None else 1)
+    assert [complex(r["lambda_re"], r["lambda_im"]) for r in records] == dec.lambdas.tolist()
+    assert [r["residual"] for r in records] == dec.residuals.tolist()
+    store_matrix(dec.vectors, tmp_path / "ref.dmm")
+    assert (tmp_path / "m.dmm").read_bytes() == (tmp_path / "ref.dmm").read_bytes()
+
+
+def test_compressed_trajectory_route_holds_little_beyond_the_loaded_file(tmp_path, capsys):
+    # The QR overwrites the loaded array and the modes go out by row
+    # blocks: what remains is the file and the finiteness checks' boolean
+    # temporaries (1/8 of it).  Holding the QR's copy, Q and the vectors
+    # took about 4x.
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((40000, 41))
+    store_matrix(F, tmp_path / "t.dmm")
+    del F
+    argv = ["decompose", "--seq", str(tmp_path / "t.dmm"), "--variant", "rrr-compressed",
+            "--out", str(tmp_path / "r.json"), "--modes-out", str(tmp_path / "m.dmm")]
+    main(argv)  # warm caches and imports outside the traced call
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 1.3 * 40000 * 41 * 8, peak / (40000 * 41 * 8)
 
 
 def test_input_shapes_are_checked(tmp_path, capsys):

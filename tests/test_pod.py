@@ -44,6 +44,20 @@ def test_fixed_policy_validates_support():
         numerical_rank(sigma, RankPolicy.fixed(4))
 
 
+def test_profile_takes_the_shared_input_rule():
+    # a str profile was converted to float64 and ranked
+    policy = RankPolicy.spectral(0.1)
+    for bad in (np.array(["1", "2"]), np.array([1.0, 0.5], dtype=object),
+                np.array([2, 1], dtype="datetime64[s]"), np.array([1.0 + 0j, 0.5])):
+        with pytest.raises(DataError):
+            numerical_rank(bad, policy)
+    for empty_or_zero in (np.array([]), np.array([0.0, 0.0])):
+        with pytest.raises(ConditioningError):
+            numerical_rank(empty_or_zero, policy)
+    assert numerical_rank(np.array([4, 2, 0]), policy) == 2
+    assert numerical_rank(np.array([1.0, 0.5], dtype=np.float32), policy) == 2
+
+
 def test_policy_constructor_rejects_bad_arguments():
     with pytest.raises(DataError):
         RankPolicy("magic")

@@ -167,6 +167,22 @@ def test_compressed_matches_direct_rrr():
     assert np.allclose(np.linalg.norm(packed.vectors, axis=0), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_compressed_trajectory_leaves_the_callers_array_unmodified(order, dtype):
+    # the route factors its own column-major copy in place
+    rng = _rng(68)
+    F = rng.standard_normal((300, 9)) + (1j * rng.standard_normal((300, 9)) if dtype is complex else 0)
+    F = np.asarray(F, order=order)
+    before = F.copy()
+    traj = SequentialTrajectory(F)
+    assert traj.F is F
+    for data in (F, traj):
+        dec = ddmd_rrr_compressed(data)
+        assert np.array_equal(F, before)
+        assert dec.vectors.flags.f_contiguous
+
+
 def test_compressed_accepts_general_pairs():
     rng = _rng(69)
     X = rng.standard_normal((40, 10))

@@ -226,6 +226,27 @@ def test_a_one_dimensional_factor_is_the_diagonal_weight(orientation):
         InnerProduct(np.sqrt(w), orientation=orientation, structure="diagonal")
 
 
+@pytest.mark.parametrize("orientation", ["M", "M-inverse"])
+def test_one_vector_maps_to_one_vector_for_both_factor_kinds(orientation):
+    # a diagonal factor broadcast a vector into an n x n outer product
+    diag = InnerProduct.diagonal([1.0, 4.0, 9.0], orientation=orientation)
+    dense = InnerProduct.from_matrix(np.diag([1.0, 4.0, 9.0]), orientation=orientation)
+    x = np.array([1.0, -2.0, 0.5])
+    for f in ("transform", "lift"):
+        for M in (diag, dense):
+            y = getattr(M, f)(x)
+            assert y.shape == (3,), (f, M.factor.ndim)
+            assert np.allclose(y, getattr(M, f)(x[:, None])[:, 0], rtol=1e-15, atol=0)
+        assert np.allclose(getattr(diag, f)(x), getattr(dense, f)(x), rtol=1e-15, atol=0)
+    for M in (diag, dense):
+        with pytest.raises(ShapeError, match="2-D"):
+            M.transform_right(x)
+        for bad in (np.float64(1.0), np.ones((3, 2, 1))):
+            for f in ("transform", "lift"):
+                with pytest.raises(ShapeError):
+                    getattr(M, f)(bad)
+
+
 def test_inverse_orientation_gram_matrix():
     d = np.array([4.0, 1.0, 0.25])
     M = InnerProduct.diagonal(d, orientation="M-inverse")
