@@ -23,26 +23,25 @@ Each solve runs its small QR and SVD on one thread of numpy's OpenBLAS,
 whatever thread count the process was started with, so the solves round
 the same bits under any BLAS thread setting.  The refined pipelines and
 fb of :mod:`dmdkit.variants` hold that one thread from start to finish
-through the same scope (:data:`_one_blas_thread`, a context manager and
-decorator); dmd and exact_dmd do not, because their long product U* Y
-rounds differently by thread count.  While a scope is held, numpy's
+through the same scope (:data:`dmdkit.pod._one_numpy_thread`, a context
+manager and decorator); dmd and exact_dmd do not, because their long
+product U* Y rounds differently by thread count.  scipy's separate
+OpenBLAS runs the tall factorizations, among them the QR of the stack,
+and each of them holds that library at one thread in turn
+(:data:`dmdkit.pod._one_scipy_thread`).  While a scope is held, its
 OpenBLAS uses one thread for the whole process: a computation running
 concurrently in another Python thread of the same process may then
-round differently from run to run.  scipy's separate OpenBLAS, which
-runs the tall factorizations, keeps its threads.
+round differently from run to run.
 """
 
-import contextlib
-import ctypes
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
-from .pod import _householder_qr
+from .pod import _householder_qr, _one_numpy_thread
 from .snapshots import _column_norms, _inexact_norms
 
 __all__ = [
@@ -285,70 +284,6 @@ def residuals_from_stack(stack, lambdas, W):
     return res
 
 
-@functools.cache
-def _numpy_blas_threads():
-    """(set, get) thread-count functions of numpy's OpenBLAS, or None.
-
-    Looked up through the linear-algebra extension module, so the symbols
-    found are those of the library numpy itself links (scipy's OpenBLAS,
-    a separate build, is not reached).  The names cover the scipy-openblas
-    wheels (64- and 32-bit integers) and a plain OpenBLAS.
-    """
-    try:
-        from numpy.linalg import _umath_linalg
-
-        lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            try:
-                set_threads = getattr(lib, prefix + "_set_num_threads" + suffix)
-                get_threads = getattr(lib, prefix + "_get_num_threads" + suffix)
-            except AttributeError:
-                continue
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            return set_threads, get_threads
-    return None
-
-
-class _OneBlasThread(contextlib.ContextDecorator):
-    """Context manager and decorator holding numpy's OpenBLAS at one thread.
-
-    The count is process-wide, so scopes share one depth counter: the
-    first scope in (from any thread) saves the count and sets one thread,
-    nested and concurrent scopes change nothing, and the last one out
-    restores the saved count, also when leaving by an exception.  A no-op
-    where numpy's BLAS exposes no thread setter.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = None
-
-    def __enter__(self):
-        threads = _numpy_blas_threads()
-        with self._lock:
-            if self._depth == 0 and threads is not None:
-                set_threads, get_threads = threads
-                self._saved = get_threads()
-                set_threads(1)
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        threads = _numpy_blas_threads()
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and threads is not None:
-                set_threads, _ = threads
-                set_threads(self._saved)
-
-
-_one_blas_thread = _OneBlasThread()
-
-
 def refine_ritz(stack, lam):
     """Optimal unit vector of the POD subspace for the Ritz value ``lam``.
 
@@ -377,7 +312,7 @@ def refine_ritz(stack, lam):
     key = (lam.dtype.str, lam.tobytes())
     hit = stack._refined.get(key)
     if hit is None:
-        with _one_blas_thread:
+        with _one_numpy_thread:
             R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
             try:
                 _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))

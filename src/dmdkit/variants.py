@@ -14,11 +14,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BackendError, ConditioningError, DataError, ShapeError
-from .pod import RankPolicy, _apply_reflectors, _householder_qr, default_epsilon, truncated_svd
+from .pod import RankPolicy, _apply_reflectors, _householder_qr, _one_numpy_thread, default_epsilon, truncated_svd
 from .ritz import (
     _eig,
     _lift,
-    _one_blas_thread,
     RefinedPair,
     RitzDecomposition,
     action_on_basis,
@@ -61,16 +60,19 @@ class VariantConfig:
 
     The refined pipelines and :func:`fb_dmd_mrf` hold numpy's OpenBLAS at
     one thread from start to finish, whatever the process's BLAS thread
-    setting, and run their refinement solves one after another; scipy's
-    separate OpenBLAS keeps its threads for the tall factorizations.
-    :func:`dmd` and :func:`exact_dmd` keep numpy's threads, because their
-    long product U* Y rounds differently by thread count and must round
-    like the same product written inline.  The thread count is
-    process-wide: while a scoped pipeline runs, a pipeline running
-    concurrently in another Python thread of the same process computes
-    with one numpy BLAS thread too, and its output may round differently
-    from run to run.  Reports are byte-identical across runs only where
-    the process runs one pipeline at a time.
+    setting, and run their refinement solves one after another.  Every
+    pipeline runs its tall factorizations (the POD's QR and SVD, the QR
+    of the residual stack, the compression of a pair) on one thread of
+    scipy's separate OpenBLAS.  :func:`dmd` and :func:`exact_dmd` keep
+    numpy's threads, because their long product U* Y rounds differently
+    by thread count and must round like the same product written inline.
+    The QR that compresses a trajectory in :func:`ddmd_rrr_compressed`
+    keeps scipy's threads, so that route's bits depend on the thread
+    count too.  The thread counts are process-wide: while a scope is
+    held, a pipeline running concurrently in another Python thread of the
+    same process computes with one BLAS thread too, and its output may
+    round differently from run to run.  Reports are byte-identical across
+    runs only where the process runs one pipeline at a time.
     """
 
     policy: RankPolicy | None = None
@@ -174,9 +176,10 @@ def _quotient(basis, Ys):
     hold numpy's OpenBLAS at one thread: the long-K product U* Y rounds
     differently by thread count, and it must keep rounding like the same
     product written inline by a caller, so that a recomposition from the
-    public stages stays bit-identical to :func:`dmd`.  Both pipelines
-    share this quotient and its eigensolve, so exact_dmd's Ritz values
-    stay bitwise dmd's.
+    public stages stays bit-identical to :func:`dmd`.  Their POD runs on
+    one thread of scipy's OpenBLAS, inside :func:`truncated_svd`, which a
+    recomposition calls too.  Both pipelines share this quotient and its
+    eigensolve, so exact_dmd's Ritz values stay bitwise dmd's.
     """
     S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
     return (S, *_eig(S))
@@ -243,7 +246,7 @@ def dmd(X, Y, config=VariantConfig()):
     return _package(lambdas, _lift(basis.U, W), residuals, None, "dmd", basis.rank)
 
 
-@_one_blas_thread
+@_one_numpy_thread
 def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
     """Shared refined Rayleigh-Ritz engine.
 
@@ -329,7 +332,10 @@ def _compressed_trajectory(F, config):
     column-major double array, and the engine's decomposition on R, whose
     vectors are coefficients in Q.  The route keeps scipy's QR and the
     explicit Q because bench/tracing.py recomposes it as scipy.linalg.qr
-    and Q @ vectors and must match it bit for bit (ROADMAP item 2).
+    and Q @ vectors and must match it bit for bit (ROADMAP item 2).  For
+    the same reason this QR runs on the process's scipy BLAS threads,
+    unlike the kernels of :mod:`dmdkit.pod`, so its bits depend on the
+    thread count.
     """
     config = dataclasses.replace(config, policy=_resolve_policy(config, (F.shape[0], F.shape[1] - 1)))
     Q, R = scipy.linalg.qr(F, mode="economic", overwrite_a=True, check_finite=False)
@@ -423,7 +429,7 @@ def exact_dmd_sequential_diagnostic(F, decomposition):
     return tuple(SequentialDiagnostic(eta_m=e, r_norm=comp.r_norm) for e in eta_m)
 
 
-@_one_blas_thread
+@_one_numpy_thread
 def fb_dmd_mrf(X, Y, config=VariantConfig()):
     """Forward-backward DMD without any matrix square root.
 

@@ -1,21 +1,39 @@
-"""Which pipelines hold numpy's OpenBLAS at one thread, and what that costs in bits.
+"""Which computations hold an OpenBLAS at one thread, and what that costs in bits.
 
-The refined pipelines and fb run under ``ritz._one_blas_thread``; ``dmd``
-and ``exact_dmd`` do not.  The recompositions here compute the same
-stages from public functions, inline and outside any scope, at two and
-four numpy BLAS threads, and must match the library bit for bit: the
-benchmark's traced mode makes the same comparison.
+The refined pipelines and fb run under ``pod._one_numpy_thread``; ``dmd``
+and ``exact_dmd`` do not.  Every LAPACK kernel of :mod:`dmdkit.pod` runs
+under ``pod._one_scipy_thread``; the QR that compresses a trajectory does
+not.  The recompositions here compute the same stages from public
+functions, inline and outside any numpy scope, at two and four numpy BLAS
+threads, and must match the library bit for bit: the benchmark's traced
+mode makes the same comparison.  Fresh processes at one, two and four
+threads check which pipelines and reports are byte-identical.
 """
+
+import json
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import dmdkit
 from dmdkit import variants
-from dmdkit.errors import ConditioningError
+from dmdkit.errors import BackendError, ConditioningError
 from dmdkit.inner import InnerProduct
-from dmdkit.pod import RankPolicy, default_epsilon, truncated_svd
+from dmdkit.matrixio import store_matrix
+from dmdkit.pod import (
+    RankPolicy,
+    _OneBlasThread,
+    _one_numpy_thread,
+    _one_scipy_thread,
+    default_epsilon,
+    truncated_svd,
+)
 from dmdkit.ritz import (
-    _numpy_blas_threads,
     action_on_basis,
     data_driven_residuals,
     order_pairs,
@@ -54,9 +72,19 @@ def _pair(n, m, seed=21):
 @pytest.fixture
 def blas_threads():
     """Numpy's (set, get) BLAS thread functions; the count is restored afterwards."""
-    threads = _numpy_blas_threads()
+    yield from _held_threads(_one_numpy_thread, "numpy")
+
+
+@pytest.fixture
+def scipy_threads():
+    """scipy's (set, get) BLAS thread functions; the count is restored afterwards."""
+    yield from _held_threads(_one_scipy_thread, "scipy")
+
+
+def _held_threads(scope, name):
+    threads = scope.threads()
     if threads is None:
-        pytest.skip("numpy's BLAS exposes no thread setter")
+        pytest.skip("%s's BLAS exposes no thread setter" % name)
     set_threads, get_threads = threads
     before = get_threads()
     yield set_threads, get_threads
@@ -182,3 +210,200 @@ def test_library_matches_the_inline_recomposition_bit_for_bit(blas_threads, thre
     lambdas, Z, residuals, (basis, Ys, S) = _inline_dmd(X, Y)
     assert np.array_equal(variants._quotient(basis, Ys)[0], S)
     _assert_same_bits(dmd(X, Y), lambdas, Z, residuals)
+
+
+def _spy_lapack(monkeypatch, get_threads):
+    """Record (kernel, scipy's BLAS thread count) at each LAPACK call of dmdkit.
+
+    The kernels reached through ``get_lapack_funcs`` are named by LAPACK
+    routine; ``svd`` and ``qr`` by function, a pivoted QR as ``qr-pivoted``.
+    """
+    seen = []
+
+    def watch(name, kernel):
+        def call(*args, **kwargs):
+            seen.append((name, get_threads()))
+            return kernel(*args, **kwargs)
+        return call
+
+    get_funcs = scipy.linalg.get_lapack_funcs
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                        lambda names, *args, **kwargs: [watch(name, f) for name, f in
+                                                        zip(names, get_funcs(names, *args, **kwargs))])
+    for name in ("svd", "qr"):
+        def call(*args, _kernel=getattr(scipy.linalg, name), _name=name, **kwargs):
+            seen.append((_name + ("-pivoted" if kwargs.get("pivoting") else ""), get_threads()))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, call)
+    return seen
+
+
+def _graded_pod(X, Y):
+    # column norms over 12 decades: the POD takes the pivoted QR first
+    return truncated_svd(X[:, :10] * np.geomspace(1.0, 1e-12, 10)[None, :], RankPolicy.fixed(10))
+
+
+@pytest.mark.parametrize("pipeline, kernels", [
+    pytest.param(lambda X, Y: dmd(X, Y), {"geqrt", "gemqrt", "svd"}, id="dmd"),
+    pytest.param(lambda X, Y: exact_dmd(X, Y), {"geqrt", "gemqrt", "svd"}, id="exact_dmd"),
+    pytest.param(lambda X, Y: ddmd_rrr(X, Y), {"geqrt", "gemqrt", "svd"}, id="ddmd_rrr"),
+    pytest.param(lambda X, Y: ddmd_rrr_compressed(SnapshotPair(X, Y)), {"geqrt", "gemqrt", "svd"},
+                 id="ddmd_rrr_compressed-pair"),
+    pytest.param(lambda X, Y: weighted_dmd(X, Y, InnerProduct.diagonal(np.linspace(1, 2, len(X)))),
+                 {"geqrt", "gemqrt", "svd"}, id="weighted_dmd"),
+    pytest.param(lambda X, Y: two_sided_weighted_dmd(X, Y, InnerProduct.diagonal(np.linspace(1, 2, len(X))),
+                                                     _N_WEIGHT), {"geqrt", "gemqrt", "svd"},
+                 id="two_sided_weighted_dmd"),
+    pytest.param(lambda X, Y: fb_dmd_mrf(X, Y), {"geqrt", "gemqrt", "svd"}, id="fb_dmd_mrf"),
+    pytest.param(_graded_pod, {"qr-pivoted", "svd"}, id="pivoted-pod"),
+])
+def test_lapack_kernels_run_on_one_scipy_thread(monkeypatch, scipy_threads, pipeline, kernels):
+    set_threads, get_threads = scipy_threads
+    set_threads(2)
+    seen = _spy_lapack(monkeypatch, get_threads)
+    pipeline(*_pair(200, 30))
+    assert {name for name, _ in seen} == kernels
+    assert {count for _, count in seen} == {1}
+    assert get_threads() == 2
+
+
+def test_trajectory_qr_keeps_the_process_scipy_threads(monkeypatch, scipy_threads):
+    set_threads, get_threads = scipy_threads
+    set_threads(2)
+    seen = _spy_lapack(monkeypatch, get_threads)
+    X, Y = _pair(200, 30)
+    ddmd_rrr_compressed(np.column_stack([X, Y[:, -1]]))
+    assert seen[0] == ("qr", 2)
+    assert {name for name, _ in seen[1:]} == {"geqrt", "gemqrt", "svd"}
+    assert {count for _, count in seen[1:]} == {1}
+    assert get_threads() == 2
+
+
+@pytest.mark.parametrize("scope", [_one_numpy_thread, _one_scipy_thread], ids=["numpy", "scipy"])
+@pytest.mark.parametrize("error", [ConditioningError, BackendError])
+def test_scope_restores_the_count_after_nesting_and_errors(scope, error):
+    threads = scope.threads()
+    if threads is None:
+        pytest.skip("this BLAS exposes no thread setter")
+    set_threads, get_threads = threads
+    before = get_threads()
+    set_threads(2)
+    try:
+        with scope:
+            with scope:
+                assert get_threads() == 1
+            assert get_threads() == 1
+        assert get_threads() == 2
+        with pytest.raises(error):
+            with scope:
+                with scope:
+                    raise error("left from inside two scopes")
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_a_failed_kernel_restores_scipys_count(monkeypatch, scipy_threads):
+    set_threads, get_threads = scipy_threads
+    set_threads(2)
+    seen = []
+
+    def failing_svd(*args, **kwargs):
+        seen.append(get_threads())
+        raise scipy.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "svd", failing_svd)
+    with pytest.raises(BackendError):
+        truncated_svd(_pair(200, 30)[0])
+    assert seen == [1]
+    assert get_threads() == 2
+
+
+def test_scopes_on_one_library_share_the_count(blas_threads):
+    # Two scopes on one library, as where numpy and scipy link the same
+    # OpenBLAS: the last one out restores the count, whichever it is.
+    set_threads, get_threads = blas_threads
+    set_threads(2)
+    other = _OneBlasThread(_one_numpy_thread.module)
+    first_in, first_out = threading.Event(), threading.Event()
+    seen = []
+
+    def hold_first():
+        with _one_numpy_thread:
+            first_in.set()
+            first_out.wait(30)
+
+    worker = threading.Thread(target=hold_first)
+    worker.start()
+    assert first_in.wait(30)
+    with other:
+        first_out.set()
+        worker.join(30)
+        seen.append(get_threads())
+    assert not worker.is_alive()
+    assert seen == [1]
+    assert get_threads() == 2
+
+
+# Run in a fresh process with the stored inputs in argv[1]; writes the
+# reports to the working directory and prints the hashes as JSON.
+_PIPELINE_HASHES = """
+import hashlib, json, os, sys
+import numpy as np
+from dmdkit import (InnerProduct, SnapshotPair, ddmd_rrr, ddmd_rrr_compressed, fb_dmd_mrf, load_matrix,
+                    two_sided_weighted_dmd, weighted_dmd)
+from dmdkit.cli import main
+from dmdkit.pod import _one_numpy_thread, _one_scipy_thread
+
+x, y, w, wn = (os.path.join(sys.argv[1], name + ".dmm") for name in ("X", "Y", "w", "wn"))
+X, Y = load_matrix(x), load_matrix(y)
+M = InnerProduct.diagonal(load_matrix(w)[:, 0])
+N = InnerProduct.diagonal(load_matrix(wn)[:, 0])
+out = {"threads": [t and t[1]() for t in (_one_numpy_thread.threads(), _one_scipy_thread.threads())]}
+for name, dec in (("ddmd_rrr", ddmd_rrr(X, Y)), ("weighted_dmd", weighted_dmd(X, Y, M)),
+                  ("two_sided_weighted_dmd", two_sided_weighted_dmd(X, Y, M, N)),
+                  ("fb_dmd_mrf", fb_dmd_mrf(X, Y)[0]),
+                  ("ddmd_rrr_compressed-pair", ddmd_rrr_compressed(SnapshotPair(X, Y)))):
+    out[name] = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+                 for a in (dec.lambdas, dec.vectors, dec.residuals)]
+for variant in ("rrr", "rrr-compressed", "fb", "weighted", "weighted2"):
+    weights = {"weighted": ["--weight", w], "weighted2": ["--weight", w, "--weight-n", wn]}
+    report = "report-%s.json" % variant
+    argv = ["decompose", "--x", x, "--y", y, "--variant", variant, "--out", report]
+    assert main(argv + weights.get(variant, [])) == 0
+    with open(report, "rb") as fh:
+        out["decompose-" + variant] = hashlib.sha256(fh.read()).hexdigest()
+json.dump(out, sys.stdout)
+"""
+
+
+def test_scoped_pipelines_and_reports_do_not_depend_on_blas_threads(tmp_path):
+    # The inputs are stored first, so they do not depend on the thread count.
+    X, Y = _pair(6000, 40, seed=23)
+    store_matrix(X, tmp_path / "X.dmm")
+    store_matrix(Y, tmp_path / "Y.dmm")
+    store_matrix(np.geomspace(0.5, 2.0, len(X))[:, None], tmp_path / "w.dmm")
+    store_matrix(np.linspace(1.0, 0.5, X.shape[1])[:, None], tmp_path / "wn.dmm")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmdkit.__file__)))
+    runs = {}
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        work = tmp_path / threads
+        work.mkdir()
+        runs[threads] = subprocess.Popen([sys.executable, "-c", _PIPELINE_HASHES, str(tmp_path)], cwd=work,
+                                         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    hashes, counts = {}, {}
+    for threads, proc in runs.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        hashes[threads] = json.loads(out)
+        counts[threads] = hashes[threads].pop("threads")
+    # the setting took effect (OpenBLAS caps it at the number of cores)
+    if None not in (_one_numpy_thread.threads(), _one_scipy_thread.threads()):
+        assert counts["1"] == [1, 1]
+        if len(os.sched_getaffinity(0)) > 1:
+            assert counts["2"] == [2, 2]
+    assert len(hashes["1"]) == 10
+    assert hashes["1"] == hashes["2"] == hashes["4"]

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmdkit.errors import ConditioningError, DataError
+from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
 from dmdkit.pod import RankPolicy, default_epsilon, numerical_rank, truncated_svd, weighted_pod
 
@@ -56,6 +56,23 @@ def test_profile_takes_the_shared_input_rule():
             numerical_rank(empty_or_zero, policy)
     assert numerical_rank(np.array([4, 2, 0]), policy) == 2
     assert numerical_rank(np.array([1.0, 0.5], dtype=np.float32), policy) == 2
+
+
+@pytest.mark.parametrize("profile", [[np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan], [1.0, -np.inf]],
+                         ids=["nan-first", "inf-first", "nan-later", "minus-inf-later"])
+@pytest.mark.parametrize("policy", [RankPolicy.spectral(0.1), RankPolicy.fixed(1)], ids=repr)
+def test_profile_with_a_non_finite_entry_is_a_data_error(profile, policy):
+    # a NaN or infinite first entry gave rank 0
+    with pytest.raises(DataError):
+        numerical_rank(np.array(profile), policy)
+
+
+@pytest.mark.parametrize("profile", [np.float64(1.0), np.array([[1.0, 0.5]]), np.ones((2, 2))],
+                         ids=["0-D", "1x2", "2x2"])
+def test_profile_that_is_not_a_vector_is_a_shape_error(profile):
+    # raw IndexError (0-D) and ValueError (2-D) before
+    with pytest.raises(ShapeError):
+        numerical_rank(profile, RankPolicy.spectral(0.1))
 
 
 def test_policy_constructor_rejects_bad_arguments():

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 import dmdkit
 from dmdkit.errors import ConditioningError, DataError, ShapeError
-from dmdkit.pod import RankPolicy, truncated_svd
+from dmdkit.pod import RankPolicy, _one_numpy_thread, _one_scipy_thread, truncated_svd
 from dmdkit.ritz import (
     _lift,
-    _numpy_blas_threads,
-    _one_blas_thread,
     QrStack,
     RitzDecomposition,
     action_on_basis,
@@ -469,7 +467,7 @@ def test_refinement_bits_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_refinement_scope_sets_and_restores_the_count():
-    threads = _numpy_blas_threads()
+    threads = _one_numpy_thread.threads()
     if threads is None:
         pytest.skip("numpy's BLAS exposes no thread setter")
     set_threads, get_threads = threads
@@ -477,17 +475,17 @@ def test_refinement_scope_sets_and_restores_the_count():
     interval = sys.getswitchinterval()
     set_threads(2)
     try:
-        with _one_blas_thread:
+        with _one_numpy_thread:
             assert get_threads() == 1
         assert get_threads() == 2
 
         with pytest.raises(RuntimeError):
-            with _one_blas_thread:
+            with _one_numpy_thread:
                 raise RuntimeError("leave by an exception")
         assert get_threads() == 2
 
-        with _one_blas_thread:
-            with _one_blas_thread:
+        with _one_numpy_thread:
+            with _one_numpy_thread:
                 assert get_threads() == 1
             assert get_threads() == 1
         assert get_threads() == 2
@@ -497,7 +495,7 @@ def test_refinement_scope_sets_and_restores_the_count():
         seen = []
 
         def enter_and_leave():
-            with _one_blas_thread:
+            with _one_numpy_thread:
                 inside.wait()
                 seen.append(get_threads())
                 inside.wait()
@@ -516,13 +514,19 @@ def test_refinement_scope_sets_and_restores_the_count():
 
 
 def test_numpy_openblas_thread_setter_is_found():
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except TypeError:
-        pytest.skip("numpy < 1.26 reports no build configuration")
-    if blas["name"] != "scipy-openblas":
-        pytest.skip("numpy's BLAS is %s" % blas["name"])
-    assert _numpy_blas_threads() is not None
+    import scipy
+
+    checked = 0
+    for package, scope in ((np, _one_numpy_thread), (scipy, _one_scipy_thread)):
+        try:
+            blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except TypeError:
+            continue  # numpy < 1.26 and scipy < 1.11 report no build configuration
+        if blas["name"] == "scipy-openblas":
+            assert scope.threads() is not None, package.__name__
+            checked += 1
+    if not checked:
+        pytest.skip("neither numpy nor scipy links scipy-openblas")
 
 
 def _lift_operands(seed, n, k, p, order):
