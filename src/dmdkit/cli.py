@@ -93,9 +93,10 @@ def _load_input(args):
     """The input files as a SequentialTrajectory (--seq) or a SnapshotPair (--x/--y).
 
     The containers check the shapes.  Every variant decomposes the
-    column-major arrays as loaded, uncopied, so a report equals the
-    library call on ``load_matrix(file)``; ``rrr-compressed`` on a
-    trajectory also factors the loaded array in place.
+    arrays as loaded, uncopied, so a report equals the library call on
+    ``load_matrix(file)``, and a CSV file gives the same report as the
+    DMM1 file of the same matrix; ``rrr-compressed`` on a trajectory
+    also factors the loaded array in place.
     """
     if args.seq is not None:
         if args.x is not None or args.y is not None:

@@ -11,7 +11,10 @@ The factor is used as given, in double precision, and its shape sets
 its structure: a 1-D factor holds the strictly positive diagonal of L, a
 2-D factor is L itself, square and lower triangular, and solves with it
 are substitutions.  :meth:`InnerProduct.from_matrix` produces one from a
-Gram matrix.  The Gram matrix is only materialized on explicit request.
+Gram matrix; its Cholesky and every product and solve with a 2-D factor
+run on one thread of every OpenBLAS in the process
+(:data:`dmdkit._blas._one_blas_thread`).  The Gram matrix is only
+materialized on explicit request.
 The same container doubles as a column-space weight, applied from the
 right with the adjoint conventions swapped accordingly.
 """
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._blas import _one_blas_thread
 from .errors import ConditioningError, DataError, ShapeError
 from .snapshots import _as_double, _check_matrix, _column_norms
 
@@ -55,12 +59,13 @@ class InnerProduct:
         M = _check_matrix(M, "weight matrix")
         if M.shape[0] != M.shape[1]:
             raise ShapeError("weight matrix must be square, got shape %r" % (M.shape,))
-        if np.linalg.norm(M - M.conj().T) > 1e-12 * max(1.0, np.linalg.norm(M)):
-            raise DataError("weight matrix must be Hermitian")
-        try:
-            L = scipy.linalg.cholesky(M, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise DataError("weight matrix is not positive definite: %s" % exc) from exc
+        with _one_blas_thread:
+            if np.linalg.norm(M - M.conj().T) > 1e-12 * max(1.0, np.linalg.norm(M)):
+                raise DataError("weight matrix must be Hermitian")
+            try:
+                L = scipy.linalg.cholesky(M, lower=True)
+            except scipy.linalg.LinAlgError as exc:
+                raise DataError("weight matrix is not positive definite: %s" % exc) from exc
         return cls(L, orientation=orientation)
 
     @classmethod
@@ -105,13 +110,15 @@ class InnerProduct:
         if self.factor.ndim == 1:
             return B * self._diagonal_for(B)
         L = self.factor.conj().T if adjoint else self.factor
-        return L @ B
+        with _one_blas_thread:
+            return L @ B
 
     def _solve(self, B, adjoint):
         if self.factor.ndim == 1:
             return B / self._diagonal_for(B)
         try:
-            return scipy.linalg.solve_triangular(self.factor, B, lower=True, trans="C" if adjoint else "N")
+            with _one_blas_thread:
+                return scipy.linalg.solve_triangular(self.factor, B, lower=True, trans="C" if adjoint else "N")
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise ConditioningError("weight factor is singular: %s" % exc) from exc
 
@@ -165,6 +172,6 @@ class InnerProduct:
             d = self.factor**2
             return np.diag(d if self.orientation == "M" else 1.0 / d)
         if self.orientation == "M":
-            return self.factor @ self.factor.conj().T
+            return self._apply(self.factor.conj().T, adjoint=False)
         eye = np.eye(self.n, dtype=self.factor.dtype)
         return self._solve(self._solve(eye, adjoint=False), adjoint=True)

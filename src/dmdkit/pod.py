@@ -16,26 +16,19 @@ reflectors to its left singular vectors; values and vectors still come
 from the same factorization.  The same QR kernel factors the residual
 stack of :mod:`dmdkit.ritz`.
 
-Each LAPACK kernel here runs on one thread of scipy's OpenBLAS
-(:data:`_one_scipy_thread`), whatever thread count the process was
-started with, so its bits do not depend on the BLAS thread setting, and
-it wakes no scipy thread to spin while numpy's pool works.  numpy links a
-separate OpenBLAS build; :data:`_one_numpy_thread` holds that one for
-the refined pipelines of :mod:`dmdkit.variants`.
+Each LAPACK kernel here runs on one thread of every OpenBLAS in the
+process (the one BLAS scope, :data:`dmdkit._blas._one_blas_thread`), so
+its bits do not depend on the BLAS thread setting.
 """
 
-import contextlib
-import ctypes
 import dataclasses
-import functools
-import importlib
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
 from .snapshots import _as_double, _check_matrix, _column_norms
@@ -54,82 +47,6 @@ _EPS = float(np.finfo(np.float64).eps)
 # Column-norm spread above which a pivoted QR preprocessing step is applied
 # before the SVD, so heavily graded columns do not poison the backend.
 _QR_PREPROCESS_SPREAD = 1e8
-
-
-@functools.cache
-def _blas_threads(module):
-    """(set, get) thread-count functions of the OpenBLAS an extension module links, or None.
-
-    ``module`` names the extension module, so the symbols found are those
-    of the library it links: numpy and scipy each ship their own build.
-    The names cover the scipy-openblas wheels (64- and 32-bit integers)
-    and a plain OpenBLAS.
-    """
-    try:
-        lib = ctypes.CDLL(importlib.import_module(module).__file__)
-    except (ImportError, OSError):
-        return None
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("64_", ""):
-            try:
-                set_threads = getattr(lib, prefix + "_set_num_threads" + suffix)
-                get_threads = getattr(lib, prefix + "_get_num_threads" + suffix)
-            except AttributeError:
-                continue
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            return set_threads, get_threads
-    return None
-
-
-class _OneBlasThread(contextlib.ContextDecorator):
-    """Context manager and decorator holding one OpenBLAS at one thread.
-
-    ``module`` names the extension module whose OpenBLAS is held.  The
-    count is process-wide, so the scopes on one library share one depth
-    counter, also where two modules link the same library: the first
-    scope in (from any thread) saves the count and sets one thread,
-    nested and concurrent scopes change nothing, and the last one out
-    restores the saved count, also when leaving by an exception.  A no-op
-    where the library exposes no thread setter.
-    """
-
-    _lock = threading.Lock()
-    _held = {}  # address of a library's setter -> [open scopes, saved count]
-
-    def __init__(self, module):
-        self.module = module
-
-    def threads(self):
-        """The (set, get) thread-count functions of the held library, or None."""
-        return _blas_threads(self.module)
-
-    def __enter__(self):
-        threads = self.threads()
-        if threads is None:
-            return
-        set_threads, get_threads = threads
-        with self._lock:
-            held = self._held.setdefault(ctypes.cast(set_threads, ctypes.c_void_p).value, [0, None])
-            if held[0] == 0:
-                held[1] = get_threads()
-                set_threads(1)
-            held[0] += 1
-
-    def __exit__(self, *exc):
-        threads = self.threads()
-        if threads is None:
-            return
-        set_threads, _ = threads
-        with self._lock:
-            held = self._held[ctypes.cast(set_threads, ctypes.c_void_p).value]
-            held[0] -= 1
-            if held[0] == 0:
-                set_threads(held[1])
-
-
-_one_numpy_thread = _OneBlasThread("numpy.linalg._umath_linalg")
-_one_scipy_thread = _OneBlasThread("scipy.linalg._flapack")
 
 
 def default_epsilon(n, m):
@@ -226,7 +143,7 @@ def _householder_qr(*blocks):
     a = np.empty((n, cols), dtype=np.result_type(*blocks, np.float64), order="F")
     np.concatenate(blocks, axis=1, out=a)
     (geqrt,) = scipy.linalg.get_lapack_funcs(("geqrt",), (a,))
-    with _one_scipy_thread:
+    with _one_blas_thread:
         a, t, info = geqrt(min(32, *a.shape), a, overwrite_a=True)
     if info != 0:
         raise BackendError("QR backend failed: ?geqrt returned info = %d" % info)
@@ -243,7 +160,7 @@ def _apply_reflectors(a, t, top):
     C = np.zeros((a.shape[0], top.shape[1]), dtype=a.dtype, order="F")
     C[: top.shape[0]] = top
     (gemqrt,) = scipy.linalg.get_lapack_funcs(("gemqrt",), (a,))
-    with _one_scipy_thread:
+    with _one_blas_thread:
         C, info = gemqrt(a[:, : t.shape[1]], t, C, overwrite_c=True)
     if info != 0:
         raise BackendError("QR backend failed: ?gemqrt returned info = %d" % info)
@@ -252,7 +169,7 @@ def _apply_reflectors(a, t, top):
 
 def _gesvd(G):
     try:
-        with _one_scipy_thread:
+        with _one_blas_thread:
             return scipy.linalg.svd(G, full_matrices=False, lapack_driver="gesvd")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise BackendError("SVD backend failed to converge: %s" % exc) from exc
@@ -280,7 +197,7 @@ def _svd_for_pod(G):
     norms = _column_norms(G)
     positive = norms[norms > 0.0]
     if positive.size and positive.max() > _QR_PREPROCESS_SPREAD * positive.min():
-        with _one_scipy_thread:
+        with _one_blas_thread:
             Q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True)
         Ur, s, Vh_p = _thin_svd(R)
         U = Q @ Ur

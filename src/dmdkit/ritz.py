@@ -19,19 +19,12 @@ triangular factor per distinct shift.  When the blocks are real, the
 stack of a conjugate shift is the conjugate stack, so each conjugate
 pair of Ritz values is solved once; the solves are memoized on the
 :class:`QrStack` and every caller holding the same stack shares them.
-Each solve runs its small QR and SVD on one thread of numpy's OpenBLAS,
-whatever thread count the process was started with, so the solves round
-the same bits under any BLAS thread setting.  The refined pipelines and
-fb of :mod:`dmdkit.variants` hold that one thread from start to finish
-through the same scope (:data:`dmdkit.pod._one_numpy_thread`, a context
-manager and decorator); dmd and exact_dmd do not, because their long
-product U* Y rounds differently by thread count.  scipy's separate
-OpenBLAS runs the tall factorizations, among them the QR of the stack,
-and each of them holds that library at one thread in turn
-(:data:`dmdkit.pod._one_scipy_thread`).  While a scope is held, its
-OpenBLAS uses one thread for the whole process: a computation running
-concurrently in another Python thread of the same process may then
-round differently from run to run.
+Each solve, like every LAPACK kernel of :mod:`dmdkit.pod`, runs on one
+thread of every OpenBLAS in the process (the one BLAS scope,
+:data:`dmdkit._blas._one_blas_thread`), so it rounds the same bits under
+any BLAS thread setting.  The refined pipelines and fb hold that scope
+from start to finish; dmd and exact_dmd do not (see
+:class:`dmdkit.variants.VariantConfig`).
 """
 
 import functools
@@ -39,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
-from .pod import _householder_qr, _one_numpy_thread
+from .pod import _householder_qr
 from .snapshots import _column_norms, _inexact_norms
 
 __all__ = [
@@ -299,8 +293,8 @@ def refine_ritz(stack, lam):
     negative imaginary part returns the conjugate of the solve for its
     partner.  Solves are memoized on ``stack``: a repeated or conjugate
     shift returns the same bits as a fresh solve, at no cost.  A solve runs
-    on one thread of numpy's OpenBLAS, so its bits do not depend on the
-    BLAS thread setting.
+    inside the one BLAS scope, so its bits do not depend on the BLAS
+    thread setting.
     """
     lam = np.asarray(lam)[()]
     flip = lam.imag < 0 and not any(np.iscomplexobj(b) for b in (stack.r11, stack.r12, stack.r22))
@@ -312,7 +306,7 @@ def refine_ritz(stack, lam):
     key = (lam.dtype.str, lam.tobytes())
     hit = stack._refined.get(key)
     if hit is None:
-        with _one_numpy_thread:
+        with _one_blas_thread:
             R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
             try:
                 _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))

@@ -190,13 +190,21 @@ def _scale_arrays(X, Y):
     factor 0 and are left untouched.  Returns the scaled copies and the
     recorded norms, which are finite for finite data (see
     :func:`_column_norms`).  A scaled Y may overflow; the pipelines report
-    that as a :class:`ConditioningError` where B_k is formed.
+    that as a :class:`ConditioningError` where B_k is formed.  The norms
+    and both copies are column-major, so the bits do not depend on the
+    memory layout of X and Y.
     """
-    d = _column_norms(X)
+    Xf = np.asfortranarray(X)
+    d = _column_norms(Xf)
     nz = d >= np.finfo(np.float64).tiny
     inv = 1.0 / np.where(nz, d, 1.0)
     with np.errstate(over="ignore"):
-        return X * inv, Y * inv, ColumnScaling(np.where(nz, d, 0.0))
+        return _scaled(X, Xf, inv), _scaled(Y, np.asfortranarray(Y), inv), ColumnScaling(np.where(nz, d, 0.0))
+
+
+def _scaled(A, Af, inv):
+    """A * inv from Af, the column-major A, which is scaled in place where it is a copy."""
+    return Af * inv if np.may_share_memory(Af, A) else np.multiply(Af, inv, out=Af)
 
 
 def scale_columns(pair):

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
-from .pod import RankPolicy, _apply_reflectors, _householder_qr, _one_numpy_thread, default_epsilon, truncated_svd
+from .pod import RankPolicy, _apply_reflectors, _householder_qr, default_epsilon, truncated_svd
 from .ritz import (
     _eig,
     _lift,
@@ -58,21 +59,19 @@ class VariantConfig:
     exactly the pairs whose Ritz residual :func:`select_pairs` keeps at
     that cap.  A NaN, negative, boolean or non-numeric cap is rejected.
 
-    The refined pipelines and :func:`fb_dmd_mrf` hold numpy's OpenBLAS at
-    one thread from start to finish, whatever the process's BLAS thread
-    setting, and run their refinement solves one after another.  Every
-    pipeline runs its tall factorizations (the POD's QR and SVD, the QR
-    of the residual stack, the compression of a pair) on one thread of
-    scipy's separate OpenBLAS.  :func:`dmd` and :func:`exact_dmd` keep
-    numpy's threads, because their long product U* Y rounds differently
-    by thread count and must round like the same product written inline.
-    The QR that compresses a trajectory in :func:`ddmd_rrr_compressed`
-    keeps scipy's threads, so that route's bits depend on the thread
-    count too.  The thread counts are process-wide: while a scope is
-    held, a pipeline running concurrently in another Python thread of the
-    same process computes with one BLAS thread too, and its output may
-    round differently from run to run.  Reports are byte-identical across
-    runs only where the process runs one pipeline at a time.
+    One thread rule holds: every LAPACK kernel, the refined pipelines and
+    :func:`fb_dmd_mrf` from start to finish, and every dense weight run on
+    one thread of every OpenBLAS in the process (the one BLAS scope,
+    :data:`dmdkit._blas._one_blas_thread`), whatever its thread setting;
+    refinement solves run one after another.  Only the quotient U* Y of
+    :func:`dmd` and :func:`exact_dmd`, which must round like the same
+    product written inline, and the QR that compresses a trajectory in
+    :func:`ddmd_rrr_compressed` keep the process's threads, so their bits
+    depend on the thread count.  The counts are process-wide: while the
+    scope is held, a pipeline running concurrently in another Python
+    thread computes with one BLAS thread too, and may round differently
+    from run to run.  Reports are byte-identical across runs only where
+    the process runs one pipeline at a time.
     """
 
     policy: RankPolicy | None = None
@@ -173,13 +172,13 @@ def _quotient(basis, Ys):
     Returns (S, lambdas, W) with unit-norm coefficient columns W.
 
     Unlike the refined pipelines, :func:`dmd` and :func:`exact_dmd` do not
-    hold numpy's OpenBLAS at one thread: the long-K product U* Y rounds
-    differently by thread count, and it must keep rounding like the same
-    product written inline by a caller, so that a recomposition from the
-    public stages stays bit-identical to :func:`dmd`.  Their POD runs on
-    one thread of scipy's OpenBLAS, inside :func:`truncated_svd`, which a
-    recomposition calls too.  Both pipelines share this quotient and its
-    eigensolve, so exact_dmd's Ritz values stay bitwise dmd's.
+    hold the one BLAS scope: the long-K product U* Y rounds differently by
+    thread count, and it must keep rounding like the same product written
+    inline by a caller, so that a recomposition from the public stages
+    stays bit-identical to :func:`dmd`.  Their POD's kernels hold the
+    scope inside :func:`truncated_svd`, which a recomposition calls too.
+    Both pipelines share this quotient and its eigensolve, so exact_dmd's
+    Ritz values stay bitwise dmd's.
     """
     S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
     return (S, *_eig(S))
@@ -246,7 +245,7 @@ def dmd(X, Y, config=VariantConfig()):
     return _package(lambdas, _lift(basis.U, W), residuals, None, "dmd", basis.rank)
 
 
-@_one_numpy_thread
+@_one_blas_thread
 def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
     """Shared refined Rayleigh-Ritz engine.
 
@@ -333,9 +332,8 @@ def _compressed_trajectory(F, config):
     vectors are coefficients in Q.  The route keeps scipy's QR and the
     explicit Q because bench/tracing.py recomposes it as scipy.linalg.qr
     and Q @ vectors and must match it bit for bit (ROADMAP item 2).  For
-    the same reason this QR runs on the process's scipy BLAS threads,
-    unlike the kernels of :mod:`dmdkit.pod`, so its bits depend on the
-    thread count.
+    the same reason this QR runs outside the one BLAS scope, on the
+    process's BLAS threads, so its bits depend on the thread count.
     """
     config = dataclasses.replace(config, policy=_resolve_policy(config, (F.shape[0], F.shape[1] - 1)))
     Q, R = scipy.linalg.qr(F, mode="economic", overwrite_a=True, check_finite=False)
@@ -429,7 +427,7 @@ def exact_dmd_sequential_diagnostic(F, decomposition):
     return tuple(SequentialDiagnostic(eta_m=e, r_norm=comp.r_norm) for e in eta_m)
 
 
-@_one_numpy_thread
+@_one_blas_thread
 def fb_dmd_mrf(X, Y, config=VariantConfig()):
     """Forward-backward DMD without any matrix square root.
 

@@ -1,13 +1,13 @@
-"""Which computations hold an OpenBLAS at one thread, and what that costs in bits.
+"""Which computations hold every OpenBLAS at one thread, and what that costs in bits.
 
-The refined pipelines and fb run under ``pod._one_numpy_thread``; ``dmd``
-and ``exact_dmd`` do not.  Every LAPACK kernel of :mod:`dmdkit.pod` runs
-under ``pod._one_scipy_thread``; the QR that compresses a trajectory does
-not.  The recompositions here compute the same stages from public
-functions, inline and outside any numpy scope, at two and four numpy BLAS
-threads, and must match the library bit for bit: the benchmark's traced
-mode makes the same comparison.  Fresh processes at one, two and four
-threads check which pipelines and reports are byte-identical.
+The refined pipelines, fb, every LAPACK kernel of :mod:`dmdkit.pod` and
+every dense weight run inside ``_blas._one_blas_thread``; the quotient of
+``dmd`` and ``exact_dmd`` and the QR that compresses a trajectory do not.
+The recompositions here compute the same stages from public functions,
+inline and outside the scope, at two and four numpy BLAS threads, and
+must match the library bit for bit: the benchmark's traced mode makes
+the same comparison.  Fresh processes at one, two and four threads check
+which pipelines and reports are byte-identical.
 """
 
 import json
@@ -22,17 +22,11 @@ import scipy.linalg
 
 import dmdkit
 from dmdkit import variants
+from dmdkit._blas import _MODULES, _blas_threads, _one_blas_thread
 from dmdkit.errors import BackendError, ConditioningError
 from dmdkit.inner import InnerProduct
 from dmdkit.matrixio import store_matrix
-from dmdkit.pod import (
-    RankPolicy,
-    _OneBlasThread,
-    _one_numpy_thread,
-    _one_scipy_thread,
-    default_epsilon,
-    truncated_svd,
-)
+from dmdkit.pod import RankPolicy, default_epsilon, truncated_svd
 from dmdkit.ritz import (
     action_on_basis,
     data_driven_residuals,
@@ -69,23 +63,31 @@ def _pair(n, m, seed=21):
     return Q @ G, Q @ (A @ G)
 
 
+_NUMPY, _SCIPY = _MODULES
+
+
 @pytest.fixture
 def blas_threads():
     """Numpy's (set, get) BLAS thread functions; the count is restored afterwards."""
-    yield from _held_threads(_one_numpy_thread, "numpy")
+    yield from _held_threads(_NUMPY)
 
 
 @pytest.fixture
 def scipy_threads():
     """scipy's (set, get) BLAS thread functions; the count is restored afterwards."""
-    yield from _held_threads(_one_scipy_thread, "scipy")
+    yield from _held_threads(_SCIPY)
 
 
-def _held_threads(scope, name):
-    threads = scope.threads()
-    if threads is None:
-        pytest.skip("%s's BLAS exposes no thread setter" % name)
-    set_threads, get_threads = threads
+def _library(module):
+    """The (set, get) thread functions of the OpenBLAS ``module`` links; skips where it has none."""
+    threads = _blas_threads((module,))
+    if not threads:
+        pytest.skip("the BLAS of %s exposes no thread setter" % module)
+    return threads[0]
+
+
+def _held_threads(module):
+    set_threads, get_threads = _library(module)
     before = get_threads()
     yield set_threads, get_threads
     set_threads(before)
@@ -268,6 +270,23 @@ def test_lapack_kernels_run_on_one_scipy_thread(monkeypatch, scipy_threads, pipe
     assert get_threads() == 2
 
 
+@pytest.mark.parametrize("orientation", ["M", "M-inverse"])
+def test_dense_weight_kernels_run_on_one_scipy_thread(monkeypatch, scipy_threads, orientation):
+    set_threads, get_threads = scipy_threads
+    set_threads(2)
+    seen = []
+    for name in ("cholesky", "solve_triangular"):
+        def call(*args, _kernel=getattr(scipy.linalg, name), _name=name, **kwargs):
+            seen.append((_name, get_threads()))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, call)
+    M = InnerProduct.from_matrix(_spd(50, 27), orientation)
+    M.lift(M.transform(np.ones((50, 3))))
+    assert seen == [("cholesky", 1), ("solve_triangular", 1)]
+    assert get_threads() == 2
+
+
 def test_trajectory_qr_keeps_the_process_scipy_threads(monkeypatch, scipy_threads):
     set_threads, get_threads = scipy_threads
     set_threads(2)
@@ -280,24 +299,21 @@ def test_trajectory_qr_keeps_the_process_scipy_threads(monkeypatch, scipy_thread
     assert get_threads() == 2
 
 
-@pytest.mark.parametrize("scope", [_one_numpy_thread, _one_scipy_thread], ids=["numpy", "scipy"])
+@pytest.mark.parametrize("module", _MODULES, ids=["numpy", "scipy"])
 @pytest.mark.parametrize("error", [ConditioningError, BackendError])
-def test_scope_restores_the_count_after_nesting_and_errors(scope, error):
-    threads = scope.threads()
-    if threads is None:
-        pytest.skip("this BLAS exposes no thread setter")
-    set_threads, get_threads = threads
+def test_scope_restores_the_count_after_nesting_and_errors(module, error):
+    set_threads, get_threads = _library(module)
     before = get_threads()
     set_threads(2)
     try:
-        with scope:
-            with scope:
+        with _one_blas_thread:
+            with _one_blas_thread:
                 assert get_threads() == 1
             assert get_threads() == 1
         assert get_threads() == 2
         with pytest.raises(error):
-            with scope:
-                with scope:
+            with _one_blas_thread:
+                with _one_blas_thread:
                     raise error("left from inside two scopes")
         assert get_threads() == 2
     finally:
@@ -321,23 +337,25 @@ def test_a_failed_kernel_restores_scipys_count(monkeypatch, scipy_threads):
 
 
 def test_scopes_on_one_library_share_the_count(blas_threads):
-    # Two scopes on one library, as where numpy and scipy link the same
-    # OpenBLAS: the last one out restores the count, whichever it is.
+    # Two modules that link one library, as where numpy and scipy link the
+    # same OpenBLAS, yield one setter pair, so the scope saves its count once.
+    assert len(_blas_threads((_NUMPY, _NUMPY))) == 1
+    # Scopes held from two Python threads: the last one out restores the
+    # count, whichever it is.
     set_threads, get_threads = blas_threads
     set_threads(2)
-    other = _OneBlasThread(_one_numpy_thread.module)
     first_in, first_out = threading.Event(), threading.Event()
     seen = []
 
     def hold_first():
-        with _one_numpy_thread:
+        with _one_blas_thread:
             first_in.set()
             first_out.wait(30)
 
     worker = threading.Thread(target=hold_first)
     worker.start()
     assert first_in.wait(30)
-    with other:
+    with _one_blas_thread:
         first_out.set()
         worker.join(30)
         seen.append(get_threads())
@@ -353,29 +371,46 @@ import hashlib, json, os, sys
 import numpy as np
 from dmdkit import (InnerProduct, SnapshotPair, ddmd_rrr, ddmd_rrr_compressed, fb_dmd_mrf, load_matrix,
                     two_sided_weighted_dmd, weighted_dmd)
+from dmdkit._blas import _MODULES, _blas_threads
 from dmdkit.cli import main
-from dmdkit.pod import _one_numpy_thread, _one_scipy_thread
 
-x, y, w, wn = (os.path.join(sys.argv[1], name + ".dmm") for name in ("X", "Y", "w", "wn"))
-X, Y = load_matrix(x), load_matrix(y)
+x, y, w, wn, xd, yd, g, gn = (os.path.join(sys.argv[1], name + ".dmm")
+                              for name in ("X", "Y", "w", "wn", "Xd", "Yd", "G", "Gn"))
+X, Y, Xd, Yd = (load_matrix(path) for path in (x, y, xd, yd))
 M = InnerProduct.diagonal(load_matrix(w)[:, 0])
 N = InnerProduct.diagonal(load_matrix(wn)[:, 0])
-out = {"threads": [t and t[1]() for t in (_one_numpy_thread.threads(), _one_scipy_thread.threads())]}
+Md, Nd = InnerProduct.from_matrix(load_matrix(g)), InnerProduct.from_matrix(load_matrix(gn))
+Md_inverse = InnerProduct.from_matrix(load_matrix(g), "M-inverse")
+digest = lambda a: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+out = {"threads": [t and t[0][1]() for t in (_blas_threads((module,)) for module in _MODULES)],
+       "from_matrix": digest(Md.factor)}
 for name, dec in (("ddmd_rrr", ddmd_rrr(X, Y)), ("weighted_dmd", weighted_dmd(X, Y, M)),
                   ("two_sided_weighted_dmd", two_sided_weighted_dmd(X, Y, M, N)),
                   ("fb_dmd_mrf", fb_dmd_mrf(X, Y)[0]),
-                  ("ddmd_rrr_compressed-pair", ddmd_rrr_compressed(SnapshotPair(X, Y)))):
-    out[name] = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-                 for a in (dec.lambdas, dec.vectors, dec.residuals)]
-for variant in ("rrr", "rrr-compressed", "fb", "weighted", "weighted2"):
-    weights = {"weighted": ["--weight", w], "weighted2": ["--weight", w, "--weight-n", wn]}
-    report = "report-%s.json" % variant
-    argv = ["decompose", "--x", x, "--y", y, "--variant", variant, "--out", report]
-    assert main(argv + weights.get(variant, [])) == 0
+                  ("ddmd_rrr_compressed-pair", ddmd_rrr_compressed(SnapshotPair(X, Y))),
+                  ("weighted_dmd-dense", weighted_dmd(Xd, Yd, Md)),
+                  ("weighted_dmd-dense-inverse", weighted_dmd(Xd, Yd, Md_inverse)),
+                  ("two_sided_weighted_dmd-dense", two_sided_weighted_dmd(Xd, Yd, Md, Nd))):
+    out[name] = [digest(a) for a in (dec.lambdas, dec.vectors, dec.residuals)]
+for name, pair, variant, weights in (
+        ("rrr", (x, y), "rrr", []), ("rrr-compressed", (x, y), "rrr-compressed", []), ("fb", (x, y), "fb", []),
+        ("weighted", (x, y), "weighted", ["--weight", w]),
+        ("weighted2", (x, y), "weighted2", ["--weight", w, "--weight-n", wn]),
+        ("weighted-dense", (xd, yd), "weighted", ["--weight", g]),
+        ("weighted2-dense", (xd, yd), "weighted2", ["--weight", g, "--weight-n", gn])):
+    report = "report-%s.json" % name
+    argv = ["decompose", "--x", pair[0], "--y", pair[1], "--variant", variant, "--out", report]
+    assert main(argv + weights) == 0
     with open(report, "rb") as fh:
-        out["decompose-" + variant] = hashlib.sha256(fh.read()).hexdigest()
+        out["decompose-" + name] = hashlib.sha256(fh.read()).hexdigest()
 json.dump(out, sys.stdout)
 """
+
+
+def _spd(n, seed):
+    """A dense symmetric positive definite Gram matrix of order n."""
+    A = _rng(seed).standard_normal((n, n))
+    return A @ A.T / n + np.eye(n)
 
 
 def test_scoped_pipelines_and_reports_do_not_depend_on_blas_threads(tmp_path):
@@ -385,6 +420,12 @@ def test_scoped_pipelines_and_reports_do_not_depend_on_blas_threads(tmp_path):
     store_matrix(Y, tmp_path / "Y.dmm")
     store_matrix(np.geomspace(0.5, 2.0, len(X))[:, None], tmp_path / "w.dmm")
     store_matrix(np.linspace(1.0, 0.5, X.shape[1])[:, None], tmp_path / "wn.dmm")
+    # dense weights: a Cholesky, products and solves large enough for OpenBLAS to split them over threads
+    Xd, Yd = _pair(600, 40, seed=24)
+    store_matrix(Xd, tmp_path / "Xd.dmm")
+    store_matrix(Yd, tmp_path / "Yd.dmm")
+    store_matrix(_spd(600, 25), tmp_path / "G.dmm")
+    store_matrix(_spd(40, 26), tmp_path / "Gn.dmm")
     src = os.path.dirname(os.path.dirname(os.path.abspath(dmdkit.__file__)))
     runs = {}
     for threads in ("1", "2", "4"):
@@ -401,9 +442,9 @@ def test_scoped_pipelines_and_reports_do_not_depend_on_blas_threads(tmp_path):
         hashes[threads] = json.loads(out)
         counts[threads] = hashes[threads].pop("threads")
     # the setting took effect (OpenBLAS caps it at the number of cores)
-    if None not in (_one_numpy_thread.threads(), _one_scipy_thread.threads()):
+    if all(_blas_threads((module,)) for module in _MODULES):
         assert counts["1"] == [1, 1]
         if len(os.sched_getaffinity(0)) > 1:
             assert counts["2"] == [2, 2]
-    assert len(hashes["1"]) == 10
+    assert len(hashes["1"]) == 16
     assert hashes["1"] == hashes["2"] == hashes["4"]

@@ -364,6 +364,30 @@ def test_csv_input_is_accepted(tmp_path, capsys):
     assert (meta["n"], meta["m"]) == (12, 6)
 
 
+def test_csv_and_dmm_files_give_identical_reports(tmp_path, capsys):
+    # A CSV file loads row-major and a DMM1 file column-major; the reports
+    # depend on the values only.
+    rng = np.random.Generator(np.random.Philox(7))
+    X = rng.standard_normal((300, 20)) * np.geomspace(1.0, 1e-3, 20)
+    Y = X @ (0.3 * rng.standard_normal((20, 20))) + 1e-4 * rng.standard_normal((300, 20))
+    for ext in ("csv", "dmm"):
+        store_matrix(X, str(tmp_path / ("X." + ext)))
+        store_matrix(Y, str(tmp_path / ("Y." + ext)))
+    assert np.array_equal(load_matrix(str(tmp_path / "X.csv")), X)
+    w, wn = str(tmp_path / "w.dmm"), str(tmp_path / "wn.dmm")
+    store_matrix(np.linspace(0.5, 2.0, 300)[:, None], w)
+    store_matrix(np.linspace(1.0, 0.5, 20)[:, None], wn)
+    weights = {"weighted": ["--weight", w], "weighted2": ["--weight", w, "--weight-n", wn]}
+    for variant in ("dmd", "exact", "fb", "rrr", "rrr-compressed", "weighted", "weighted2"):
+        reports = []
+        for ext in ("csv", "dmm"):
+            rc, out = _decompose(capsys, "--x", str(tmp_path / ("X." + ext)), "--y", str(tmp_path / ("Y." + ext)),
+                                 "--variant", variant, *weights.get(variant, []))
+            assert rc == 0
+            reports.append(out)
+        assert reports[0] == reports[1], variant
+
+
 def test_out_file_identical_across_runs_and_threads(traj_file, tmp_path, capsys):
     paths = [tmp_path / ("r%d.json" % i) for i in range(3)]
     argv = ["decompose", "--seq", traj_file]

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import dmdkit
 from dmdkit.errors import ConditioningError, DataError, ShapeError
-from dmdkit.pod import RankPolicy, _one_numpy_thread, _one_scipy_thread, truncated_svd
+from dmdkit._blas import _MODULES, _blas_threads, _one_blas_thread
+from dmdkit.pod import RankPolicy, truncated_svd
 from dmdkit.ritz import (
     _lift,
     QrStack,
@@ -427,9 +428,8 @@ def test_refine_ritz_memo_hands_out_copies():
     assert np.linalg.norm(again) == pytest.approx(1.0) and sigma_again == sigma
 
 
-# Refines every shift of a k = 120 stack built by numpy alone (no scipy
-# factorization, whose bits follow scipy's own thread count) and saves
-# (w, sigma) to the path given as argument.
+# Refines every shift of a k = 120 stack of random triangular blocks,
+# built by numpy alone, and saves (w, sigma) to the paths given as arguments.
 _REFINE_ALL_SHIFTS = """
 import sys
 import numpy as np
@@ -467,37 +467,41 @@ def test_refinement_bits_do_not_depend_on_blas_threads(tmp_path):
 
 
 def test_refinement_scope_sets_and_restores_the_count():
-    threads = _one_numpy_thread.threads()
-    if threads is None:
-        pytest.skip("numpy's BLAS exposes no thread setter")
-    set_threads, get_threads = threads
-    before = get_threads()
+    libraries = _blas_threads()
+    if not libraries:
+        pytest.skip("no OpenBLAS of the process exposes a thread setter")
+
+    def counts():
+        return {get_threads() for _, get_threads in libraries}
+
+    before = [get_threads() for _, get_threads in libraries]
     interval = sys.getswitchinterval()
-    set_threads(2)
+    for set_threads, _ in libraries:
+        set_threads(2)
     try:
-        with _one_numpy_thread:
-            assert get_threads() == 1
-        assert get_threads() == 2
+        with _one_blas_thread:
+            assert counts() == {1}
+        assert counts() == {2}
 
         with pytest.raises(RuntimeError):
-            with _one_numpy_thread:
+            with _one_blas_thread:
                 raise RuntimeError("leave by an exception")
-        assert get_threads() == 2
+        assert counts() == {2}
 
-        with _one_numpy_thread:
-            with _one_numpy_thread:
-                assert get_threads() == 1
-            assert get_threads() == 1
-        assert get_threads() == 2
+        with _one_blas_thread:
+            with _one_blas_thread:
+                assert counts() == {1}
+            assert counts() == {1}
+        assert counts() == {2}
 
         sys.setswitchinterval(1e-6)
         inside = threading.Barrier(8, timeout=30)
         seen = []
 
         def enter_and_leave():
-            with _one_numpy_thread:
+            with _one_blas_thread:
                 inside.wait()
-                seen.append(get_threads())
+                seen.append(counts())
                 inside.wait()
 
         workers = [threading.Thread(target=enter_and_leave) for _ in range(8)]
@@ -506,24 +510,25 @@ def test_refinement_scope_sets_and_restores_the_count():
         for t in workers:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in workers)
-        assert seen == [1] * 8
-        assert get_threads() == 2
+        assert seen == [{1}] * 8
+        assert counts() == {2}
     finally:
         sys.setswitchinterval(interval)
-        set_threads(before)
+        for (set_threads, _), count in zip(libraries, before):
+            set_threads(count)
 
 
 def test_numpy_openblas_thread_setter_is_found():
     import scipy
 
     checked = 0
-    for package, scope in ((np, _one_numpy_thread), (scipy, _one_scipy_thread)):
+    for package, module in zip((np, scipy), _MODULES):
         try:
             blas = package.show_config(mode="dicts")["Build Dependencies"]["blas"]
         except TypeError:
             continue  # numpy < 1.26 and scipy < 1.11 report no build configuration
         if blas["name"] == "scipy-openblas":
-            assert scope.threads() is not None, package.__name__
+            assert _blas_threads((module,)), package.__name__
             checked += 1
     if not checked:
         pytest.skip("neither numpy nor scipy links scipy-openblas")

@@ -586,6 +586,25 @@ def test_vectors_of_complex_data_are_column_major(pipeline, order):
     assert dec.vectors.dtype == complex and dec.vectors.flags.f_contiguous
 
 
+def _layouts(G):
+    """Copies of G in row-major and column-major order, and one with negative strides on both axes."""
+    return [np.ascontiguousarray(G), np.asfortranarray(G), np.ascontiguousarray(G[::-1, ::-1])[::-1, ::-1]]
+
+
+@pytest.mark.parametrize("name, weights", [(name, "diagonal") for name in _PIPELINES] + [
+    (name, "gram") for name in ("weighted_dmd", "two_sided_weighted_dmd")])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pipelines_do_not_depend_on_memory_layout(name, weights, dtype):
+    # The column scaling works on column-major copies, so the certificates
+    # depend on the values of the snapshots only.
+    G = _snapshots(dtype, "F")
+    M, N = _weights(weights, *np.shape(G[:, 1:]))
+    decs = [_PIPELINES[name](F[:, :-1], F[:, 1:], F, M, N) for F in _layouts(G)]
+    for dec in decs[1:]:
+        for field in ("lambdas", "vectors", "residuals"):
+            assert getattr(dec, field).tobytes() == getattr(decs[0], field).tobytes(), field
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_package_orders_the_vectors_in_place(seed):
     rng = _rng(seed)
