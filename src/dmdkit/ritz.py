@@ -14,12 +14,16 @@ achievable in the POD subspace and the certificate for the refined vector.
 The stack is written once, into one column-major buffer, and a level-3
 Householder QR (LAPACK ?geqrt) overwrites it; Q is never formed.
 
-Refinement costs one QR of the shifted stack plus one k x k SVD of its
-triangular factor per distinct shift.  When the blocks are real, the
-stack of a conjugate shift is the conjugate stack, so each conjugate
-pair of Ritz values is solved once; the solves are memoized on the
-:class:`QrStack` and every caller holding the same stack shares them.
-Each solve, like every LAPACK kernel of :mod:`dmdkit.pod`, runs on one
+Refinement costs one k x k Hermitian eigensolve per distinct shift: the
+eigenvector of the smallest eigenvalue of the cross-product matrix
+R_lambda* R_lambda, formed from products of the blocks that are computed
+once per stack.  A shift whose eigenvector the accept rule of
+:func:`refine_ritz` cannot vouch for falls back to one QR of the shifted
+stack plus one k x k SVD of its triangular factor.  When the blocks are
+real, the stack of a conjugate shift is the conjugate stack, so each
+conjugate pair of Ritz values is solved once; the solves are memoized on
+the :class:`QrStack` and every caller holding the same stack shares
+them.  Each solve, like every LAPACK kernel of :mod:`dmdkit.pod`, runs on one
 thread of every OpenBLAS in the process (the one BLAS scope,
 :data:`dmdkit._blas._one_blas_thread`), so it rounds the same bits under
 any BLAS thread setting.  The refined pipelines and fb hold that scope
@@ -31,6 +35,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
@@ -78,6 +83,20 @@ class QrStack:
     def _refined(self):
         """Memo of :func:`refine_ritz` solves, keyed by the canonical shift."""
         return {}
+
+    @functools.cached_property
+    def _cross(self):
+        """Cross products of the scaled blocks, formed once for :func:`refine_ritz`.
+
+        A = 2^a [R12; R22] and B = 2^b R11, each scaled exactly by
+        :func:`_pow2_scaled`, give (a, a - b, A*A, A*[B; 0], B*B, ||A||_F,
+        ||B||_F).  With the shift scaled to 2^(a-b) lambda they form
+        2^(2a) R_lambda* R_lambda, whatever the scales of the two blocks.
+        """
+        A, a = _pow2_scaled(np.vstack([self.r12, self.r22]))
+        B, b = _pow2_scaled(self.r11)
+        Ah = A.conj().T
+        return a, a - b, Ah @ A, Ah[:, :self.k] @ B, B.conj().T @ B, np.linalg.norm(A), np.linalg.norm(B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,16 +297,92 @@ def residuals_from_stack(stack, lambdas, W):
     return res
 
 
+def _pow2_scaled(X):
+    """(2^e X, e) for the power of two that brings X's largest real or
+    imaginary part into [1/2, 1); e = 0 for a zero or non-finite X.  The
+    scaling is exact wherever it leaves entries in the normal range.
+    """
+    X = np.ascontiguousarray(X, dtype=np.result_type(X, np.float64))
+    F = X.view(np.float64)
+    big = np.abs(F).max(initial=0.0)
+    e = -int(np.frexp(big)[1]) if np.isfinite(big) else 0
+    return np.ldexp(F, e).view(X.dtype), e
+
+
+def _solve_by_cross_product(stack, lam, R_lam):
+    """(w, ||R_lambda w||) from the smallest eigenpair of the cross-product
+    matrix, or None where the accept rule of :func:`refine_ritz` fails."""
+    if stack.k < 2:
+        return None
+    a, d, AhA, AhB, BhB, norm_a, norm_b = stack._cross
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.ldexp(lam.real, d) + 1j * np.ldexp(lam.imag, d) if np.iscomplexobj(lam) else np.ldexp(lam, d)
+        C = mu * AhB
+        H = AhA - C - C.conj().T + abs(mu) ** 2 * BhB
+        if not np.isfinite(H).all():
+            return None
+        eta = np.finfo(np.float64).eps * (norm_a + abs(mu) * norm_b) ** 2
+        h1 = np.abs(H).sum(axis=0).max()
+    try:
+        (mu1, mu2), W = scipy.linalg.eigh(H, subset_by_index=[0, 1], check_finite=False, overwrite_a=True)
+    except np.linalg.LinAlgError:
+        return None
+    gap = mu2 - mu1 - 2.0 * eta
+    if not gap > 0.0:
+        return None
+    w = W[:, 0] / np.linalg.norm(W[:, 0])
+    sigma = _residual_norm(R_lam, w)
+    with np.errstate(over="ignore"):
+        delta = min((stack.k - 1) * eta**2 / gap, h1 * (eta / gap) ** 2)
+        return (w, sigma) if delta <= 2e-14 * np.ldexp(sigma, a) ** 2 else None
+
+
+def _solve_by_svd(R_lam):
+    """(w, ||R_lambda w||) from the SVD of the triangular factor of R_lambda."""
+    try:
+        _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))
+    except np.linalg.LinAlgError as exc:
+        raise BackendError("refinement SVD failed to converge: %s" % exc) from exc
+    w = Vh[-1, :].conj()
+    w = w / np.linalg.norm(w)
+    return w, _residual_norm(R_lam, w)
+
+
+def _residual_norm(R_lam, w):
+    """||R_lambda w||, measured again with scaling where the plain norm is inexact."""
+    r = R_lam @ w
+    with np.errstate(over="ignore"):
+        sigma = np.linalg.norm(r)
+    if _inexact_norms(sigma):
+        sigma = _column_norms(r[:, None])[0]
+    return float(sigma)
+
+
 def refine_ritz(stack, lam):
     """Optimal unit vector of the POD subspace for the Ritz value ``lam``.
 
     Minimizes the data-driven residual over all unit vectors in the span:
-    the minimizer is the right singular vector belonging to the smallest
-    singular value of the stacked shifted blocks R_lambda.  It is read off
-    the SVD of the k x k triangular factor of R_lambda, which has the same
-    right singular vectors.  The reported residual is re-evaluated as
-    || R_lambda w ||, which never exceeds the backend's smallest singular
-    value estimate in quality and is trusted instead of it.
+    the minimizer is the right singular vector of the smallest singular
+    value of the stacked shifted blocks R_lambda, that is, the eigenvector
+    of the smallest eigenvalue of H = R_lambda* R_lambda.  H is formed from
+    products of A = 2^a [R12; R22] and B = 2^b R11 made once per stack,
+    with the shift 2^(a-b) lambda, so it neither overflows nor underflows,
+    and one Hermitian eigensolve gives its two smallest eigenpairs
+    mu_1 <= mu_2.  The eigenvector w is accepted when k >= 2, H is finite,
+    the eigensolver converged, gap = mu_2 - mu_1 - 2 eta > 0 and the
+    Davis-Kahan bound on the excess of w* H w over sigma_min^2,
+    delta = min((k - 1) eta^2 / gap, ||H||_1 (eta / gap)^2), is at most
+    2e-14 ||2^a R_lambda w||^2: the residual is then within about 1e-14
+    relative of the minimum.  eta = eps (||A||_F + 2^(a-b) |lambda| ||B||_F)^2
+    is the LAPACK Users' Guide error-bound recipe without its polynomial
+    factor, an estimate of the backward error of H and not a bound;
+    ``test_refine_ritz_matches_svd_route_over_oracle_family`` in
+    ``tests/test_ritz.py`` checks it against the SVD.  Every other shift,
+    such as one whose residual is at roundoff level (an invariant
+    subspace), falls back to the SVD of the k x k triangular factor of
+    R_lambda, which has the same right singular vectors.  Either way the
+    reported residual is || R_lambda w ||, trusted instead of the
+    solver's estimate.
 
     For real blocks R_conj(lambda) = conj(R_lambda), so a shift with
     negative imaginary part returns the conjugate of the solve for its
@@ -308,18 +403,7 @@ def refine_ritz(stack, lam):
     if hit is None:
         with _one_blas_thread:
             R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
-            try:
-                _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))
-            except np.linalg.LinAlgError as exc:
-                raise BackendError("refinement SVD failed to converge: %s" % exc) from exc
-            w = Vh[-1, :].conj()
-            w = w / np.linalg.norm(w)
-            r = R_lam @ w
-            with np.errstate(over="ignore"):
-                sigma = np.linalg.norm(r)
-            if _inexact_norms(sigma):
-                sigma = _column_norms(r[:, None])[0]
-        hit = (w, float(sigma))
+            hit = _solve_by_cross_product(stack, lam, R_lam) or _solve_by_svd(R_lam)
         stack._refined[key] = hit
     w, sigma = hit
     return (w.conj() if flip else w.copy()), sigma

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmdkit
+from dmdkit import ritz, variants
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit._blas import _MODULES, _blas_threads, _one_blas_thread
 from dmdkit.pod import RankPolicy, truncated_svd
@@ -30,6 +32,8 @@ from dmdkit.ritz import (
     residuals_from_stack,
     ritz_pairs,
 )
+from dmdkit.variants import VariantConfig, ddmd_rrr
+from dmdkit.verify import invariant_subspace_pair, make_oracle, trajectory
 
 
 def _rng(seed):
@@ -426,6 +430,153 @@ def test_refine_ritz_memo_hands_out_copies():
     w[:] = 0.0
     again, sigma_again = refine_ritz(stack, lam)
     assert np.linalg.norm(again) == pytest.approx(1.0) and sigma_again == sigma
+
+
+# ---------------------------------------------------------------------------
+# the two routes of a solve: the cross-product eigensolve and its QR + SVD
+# fallback
+
+
+def _qr_svd_reference(stack, lam):
+    """The QR + SVD kernel: the SVD of the triangular factor of the shifted stack."""
+    with _one_blas_thread:
+        R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
+        _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))
+        w = Vh[-1, :].conj()
+        w = w / np.linalg.norm(w)
+        return w, float(np.linalg.norm(R_lam @ w))
+
+
+class _Routes:
+    """Counts the solves of each route and records every refinement a pipeline makes."""
+
+    def __init__(self):
+        self.cross = self.svd = 0
+        self.calls = []  # (stack, lam, w, sigma) per refine_ritz call
+
+    def __enter__(self):
+        self._saved = ritz._solve_by_cross_product, ritz._solve_by_svd, variants.refine_ritz
+        cross, svd, refine = self._saved
+
+        def count_cross(*args):
+            self.cross += 1
+            return cross(*args)
+
+        def count_svd(*args):
+            self.svd += 1
+            return svd(*args)
+
+        def record(stack, lam):
+            w, sigma = refine(stack, lam)
+            self.calls.append((stack, lam, w, sigma))
+            return w, sigma
+
+        ritz._solve_by_cross_product, ritz._solve_by_svd, variants.refine_ritz = count_cross, count_svd, record
+        return self
+
+    def __exit__(self, *exc):
+        ritz._solve_by_cross_product, ritz._solve_by_svd, variants.refine_ritz = self._saved
+
+
+@st.composite
+def _oracle_data(draw):
+    """A snapshot pair of a make_oracle operator: an exact invariant subspace or a Krylov trajectory."""
+    n = draw(st.integers(12, 40))
+    oracle = make_oracle(n, spectrum=draw(st.sampled_from(["decaying", "unit-disc"])),
+                         conditioning=draw(st.sampled_from([1.0, 1e2, 1e4])),
+                         seed=draw(st.integers(0, 2**16)), complex_valued=draw(st.booleans()))
+    m = draw(st.integers(2, n // 2))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        pair = invariant_subspace_pair(oracle, m, seed)
+        return pair.X, pair.Y
+    F = trajectory(oracle, _rng(seed).standard_normal(n), m).F
+    return F[:, :-1], F[:, 1:]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_oracle_data(), st.sampled_from([1e-10, 1e-4, 1e-1]))
+def test_refine_ritz_matches_svd_route_over_oracle_family(data, cap):
+    X, Y = data
+    for refine in ("all", cap):
+        with _Routes() as routes:
+            ddmd_rrr(X, Y, VariantConfig(refine=refine))
+        for stack, lam, w, sigma in routes.calls:
+            normB = np.linalg.norm(np.vstack([stack.r12, stack.r22]), 2)
+            # refined <= plain: no Ritz vector of the quotient does better at this shift
+            _, W = np.linalg.eig(rayleigh_from_qr(stack))
+            plain = residuals_from_stack(stack, np.full(stack.k, lam), W / np.linalg.norm(W, axis=0))
+            assert sigma <= plain.min() + 1e-12 * normB
+            _, want = _qr_svd_reference(stack, lam)
+            assert abs(sigma - want) <= 1e-12 * want + 1e-14 * normB
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+@pytest.mark.parametrize("conditioning", [1.0, 1e2, 1e4])
+def test_invariant_pairs_take_the_fallback_with_its_bits(conditioning, complex_valued):
+    # residuals at roundoff: the eigenvector of the cross-product matrix
+    # cannot be vouched for, so every solve is the QR + SVD one
+    oracle = make_oracle(80, conditioning=conditioning, seed=17, complex_valued=complex_valued)
+    pair = invariant_subspace_pair(oracle, 16, seed=18)
+    with _Routes() as routes:
+        ddmd_rrr(pair.X, pair.Y)
+    stack = routes.calls[0][0]
+    assert routes.svd == routes.cross == len(stack._refined) > 0
+    for _, lam, w, sigma in routes.calls:
+        w_ref, sigma_ref = _qr_svd_reference(stack, lam)
+        assert np.array_equal(w, w_ref) and sigma == sigma_ref
+
+
+def test_one_dimensional_stacks_take_the_fallback_with_its_bits():
+    rng = _rng(53)
+    for complex_data in (False, True):
+        for _ in range(5):
+            r12 = rng.standard_normal((1, 1)) + (1j * rng.standard_normal((1, 1)) if complex_data else 0)
+            stack = QrStack(r11=np.abs(rng.standard_normal((1, 1))), r12=r12,
+                            r22=rng.standard_normal((1, 1)), phi=np.ones(1))
+            for lam in (r12[0, 0], rng.standard_normal() + 1j * rng.standard_normal()):
+                with _Routes() as routes:
+                    w, sigma = refine_ritz(_fresh(stack), lam)
+                assert routes.svd == 1
+                w_ref, sigma_ref = _qr_svd_reference(stack, lam)
+                assert np.array_equal(w, w_ref) and sigma == sigma_ref
+
+
+def test_every_shift_of_a_large_full_rank_pair_takes_the_cross_product_route():
+    # the shape of a 10000 x 120 full-rank pair: every solve must stay off
+    # the QR + SVD fallback, or the refinement loses its speed
+    rng = _rng(59)
+    Q, _ = np.linalg.qr(rng.standard_normal((10000, 128)))
+    A = make_oracle(128, conditioning=40.0, seed=60).A
+    G = rng.standard_normal((128, 120))
+    with _Routes() as routes:
+        dec = ddmd_rrr(Q @ G, Q @ (A @ G))
+    assert dec.rank == 120
+    assert routes.cross == len(routes.calls[0][0]._refined) > 60
+    assert routes.svd == 0
+
+
+@pytest.mark.parametrize("blocks", ["all", "operator"])
+@pytest.mark.parametrize("e", [-600, 600])
+def test_refinement_of_scaled_stacks_keeps_the_cross_product_route(blocks, e):
+    # 2^e times every block, or times R12 and R22 only (an operator scaled
+    # by 2^e, with its Ritz values): no warning, no fallback, and the
+    # residuals scale with the data
+    _, _, _, stack = _random_instance(61)
+    scaled = QrStack(r11=stack.r11 if blocks == "operator" else np.ldexp(stack.r11, e),
+                     r12=np.ldexp(stack.r12, e), r22=np.ldexp(stack.r22, e), phi=stack.phi)
+    lambdas = np.linalg.eigvals(rayleigh_from_qr(stack))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with _Routes() as routes:
+            for lam in lambdas:
+                w, sigma = refine_ritz(stack, lam)
+                w_s, sigma_s = refine_ritz(scaled, np.ldexp(lam.real, e) + 1j * np.ldexp(lam.imag, e)
+                                           if blocks == "operator" else lam)
+                assert sigma_s == pytest.approx(np.ldexp(sigma, e), rel=1e-13)
+                assert abs(np.vdot(w, w_s)) == pytest.approx(1.0, abs=1e-12)
+    assert routes.svd == 0 and routes.cross > 0
 
 
 # Refines every shift of a k = 120 stack of random triangular blocks,
