@@ -26,7 +26,7 @@ from .ritz import (
     refined_rayleigh_value,
     residuals_from_stack,
 )
-from .snapshots import companion_decomposition
+from .snapshots import _EPS, companion_decomposition
 from .variants import VariantConfig, dmd, ddmd_rrr, ddmd_rrr_compressed, exact_dmd, fb_dmd_mrf, select_pairs
 from .variants import _project
 from .weighted import two_sided_weighted_dmd, weighted_bauer_fike, weighted_dmd
@@ -34,6 +34,7 @@ from .verify import (
     _conjugate_closed,
     _matching,
     _rng,
+    _unit_start,
     corrupted_sigma_etas,
     explicit_residuals,
     invariant_subspace_pair,
@@ -44,19 +45,12 @@ from .verify import (
 
 __all__ = ["CheckResult", "run_all"]
 
-_EPS = float(np.finfo(np.float64).eps)
-
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
     detail: str
-
-
-def _unit_start(n, seed):
-    f1 = _rng(seed).standard_normal(n)
-    return f1 / np.linalg.norm(f1)
 
 
 def _band_spectrum(n, lo, hi, seed):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BackendError, ConditioningError, DataError
 from .inner import InnerProduct
-from .matrixio import _store_row_blocks, load_matrix, store_matrix
+from .matrixio import _store_row_blocks, load_matrix
 from .pod import RankPolicy
 from .ritz import _lift_blocks, koopman_log_map
 from .snapshots import SequentialTrajectory, SnapshotPair
@@ -198,12 +198,10 @@ def cmd_decompose(args):
         present = dec.vector_present
         if not np.any(present):
             raise DataError("no vectors present to store in --modes-out")
-        if Q is None:
-            store_matrix(dec.vectors if present.all() else dec.vectors[:, present], args.modes_out)
-        else:
-            # A NaN coefficient column lifts to a NaN column of Q @ W, and
-            # only there, so the coefficients tell which vectors are present.
-            _store_row_blocks(_lift_blocks(Q, dec.vectors), n, np.flatnonzero(present), args.modes_out)
+        # A NaN coefficient column lifts to a NaN column of Q @ W, and only
+        # there, so the coefficients tell which vectors are present.
+        blocks = [(0, dec.vectors)] if Q is None else _lift_blocks(Q, dec.vectors)
+        _store_row_blocks(blocks, n, np.flatnonzero(present), args.modes_out, int(np.iscomplexobj(dec.vectors)))
         print("modes: %s (%d columns)" % (args.modes_out, int(present.sum())), file=sys.stderr)
     return 0
 

@@ -175,3 +175,9 @@ class InnerProduct:
             return self._apply(self.factor.conj().T, adjoint=False)
         eye = np.eye(self.n, dtype=self.factor.dtype)
         return self._solve(self._solve(eye, adjoint=False), adjoint=True)
+
+
+def _require_weight(weight, name):
+    if not isinstance(weight, InnerProduct):
+        raise DataError("%s must be an InnerProduct" % name)
+    return weight

@@ -14,15 +14,15 @@ import os
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .snapshots import _as_double
+from .snapshots import _as_double, _check_matrix
 
 __all__ = ["load_matrix", "store_matrix"]
 
 MAGIC = b"DMMATRX1"
-_KIND_REAL64 = 0
-_KIND_COMPLEX128 = 1
+# Scalar kind byte -> payload dtype, for the reader and the writer.
+_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<c16")}
 _HEADER_LEN = len(MAGIC) + 8 + 8 + 1
-# Bytes per column block when a matrix that is not column-major is stored.
+# Bytes per chunk of whole columns when a matrix that is not column-major is stored.
 _STORE_BLOCK_BYTES = 1 << 22
 
 
@@ -39,18 +39,28 @@ def _header(n, m, kind):
     return MAGIC + np.uint64(n).tobytes() + np.uint64(m).tobytes() + bytes([kind])
 
 
-def _store_row_blocks(blocks, n, columns, path):
-    """Write the chosen ``columns`` of an n-row complex matrix, given by row blocks, as DMM1.
+def _store_row_blocks(blocks, n, columns, path, kind):
+    """Write the chosen ``columns`` of an n-row matrix, given by row blocks, as DMM1 of scalar ``kind``.
 
     ``blocks`` yields (start, rows) pairs that cover rows 0..n-1; each
     column piece of a block is written at its offset in the column-major
-    payload, so only one block is held at a time, and the file's bytes
-    are those :func:`store_matrix` writes for the assembled matrix.
+    payload, so only one block is held at a time.  A block of all n rows
+    goes out in chunks of whole columns of at most ``_STORE_BLOCK_BYTES``,
+    uncopied where the block is column-major.  ``columns`` are ascending.
+    This is the only DMM1 writer.
     """
-    dtype = np.dtype("<c16")
+    dtype = _DTYPES[kind]
+    step = max(1, _STORE_BLOCK_BYTES // max(1, n * dtype.itemsize))
     with open(path, "wb") as fh:
-        fh.write(_header(n, len(columns), _KIND_COMPLEX128))
+        fh.write(_header(n, len(columns), kind))
         for start, rows in blocks:
+            if len(rows) == n:
+                # Whole columns follow one another in the payload.
+                every = len(columns) == rows.shape[1]
+                for c in range(0, len(columns), step):
+                    chunk = rows[:, c : c + step] if every else rows[:, columns[c : c + step]]
+                    fh.write(np.asfortranarray(chunk, dtype=dtype).T)
+                continue
             for c, j in enumerate(columns):
                 fh.seek(_HEADER_LEN + (c * n + start) * dtype.itemsize)
                 fh.write(np.ascontiguousarray(rows[:, j], dtype=dtype))
@@ -70,27 +80,13 @@ def store_matrix(a, path):
     if _format_for(path) == "csv":
         if np.iscomplexobj(a):
             raise DataError("complex data requires the DMM1 binary format, not CSV")
-        lines = [",".join(repr(float(v)) for v in row) for row in a]
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            # Rows joined by newlines, then one more: a 0-row matrix is one empty line.
+            for i, row in enumerate(a):
+                fh.write(("\n" if i else "") + ",".join(repr(float(v)) for v in row))
+            fh.write("\n")
         return
-    if np.iscomplexobj(a):
-        kind, dtype = _KIND_COMPLEX128, np.dtype("<c16")
-    else:
-        kind, dtype = _KIND_REAL64, np.dtype("<f8")
-    a = a.astype(dtype, copy=False)
-    n, m = a.shape
-    with open(path, "wb") as fh:
-        fh.write(_header(n, m, kind))
-        if a.flags.f_contiguous:
-            # The transpose of a column-major array is a C-contiguous view
-            # whose bytes are the payload: written without a copy.
-            fh.write(a.T)
-            return
-        # Any other layout goes out in column blocks of bounded size.
-        step = max(1, _STORE_BLOCK_BYTES // max(1, n * dtype.itemsize))
-        for j in range(0, m, step):
-            fh.write(np.asfortranarray(a[:, j : j + step]).T)
+    _store_row_blocks([(0, a)], a.shape[0], range(a.shape[1]), path, int(np.iscomplexobj(a)))
 
 
 def _load_csv(path):
@@ -128,12 +124,9 @@ def _load_dmm(path):
         n = int(np.frombuffer(header, dtype="<u8", count=1, offset=len(MAGIC))[0])
         m = int(np.frombuffer(header, dtype="<u8", count=1, offset=len(MAGIC) + 8)[0])
         kind = header[len(MAGIC) + 16]
-        if kind == _KIND_REAL64:
-            dtype = np.dtype("<f8")
-        elif kind == _KIND_COMPLEX128:
-            dtype = np.dtype("<c16")
-        else:
+        if kind not in _DTYPES:
             raise DataError("%s: unknown scalar kind %d" % (path, kind))
+        dtype = _DTYPES[kind]
         expected = n * m * dtype.itemsize
         size = os.fstat(fh.fileno()).st_size - _HEADER_LEN
         if size < expected:
@@ -153,10 +146,8 @@ def _load_dmm(path):
 def load_matrix(path):
     """Read a matrix written by :func:`store_matrix`, in the format its extension names.
 
-    Non-finite entries are rejected so downstream factorizations never see
-    NaN or infinity.
+    The one input gate, :func:`dmdkit.snapshots._check_matrix`, rejects
+    non-finite entries, so downstream factorizations never see NaN or infinity.
     """
     a = _load_csv(path) if _format_for(path) == "csv" else _load_dmm(path)
-    if not np.all(np.isfinite(a)):
-        raise DataError("%s: non-finite entries in matrix" % (path,))
-    return a
+    return _check_matrix(a, str(path))

@@ -30,8 +30,8 @@ import scipy.linalg
 
 from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
-from .inner import InnerProduct
-from .snapshots import _as_double, _check_matrix, _column_norms
+from .inner import _require_weight
+from .snapshots import _EPS, _as_double, _check_matrix, _column_norms
 
 __all__ = [
     "RankPolicy",
@@ -41,8 +41,6 @@ __all__ = [
     "truncated_svd",
     "weighted_pod",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 # Column-norm spread above which a pivoted QR preprocessing step is applied
 # before the SVD, so heavily graded columns do not poison the backend.
@@ -231,7 +229,6 @@ def weighted_pod(X, weight, policy=None):
     inverse orientation); the returned basis is lifted back to ambient
     coordinates, where it is orthonormal in the weighted inner product.
     """
-    if not isinstance(weight, InnerProduct):
-        raise DataError("weighted_pod needs an InnerProduct weight")
+    weight = _require_weight(weight, "weight")
     basis = truncated_svd(weight.transform(X), policy)
     return dataclasses.replace(basis, U=weight.lift(basis.U))

@@ -41,7 +41,7 @@ from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
 from .pod import _householder_qr
-from .snapshots import _column_norms, _inexact_norms
+from .snapshots import _EPS, _column_norms, _inexact_norms
 
 __all__ = [
     "QrStack",
@@ -321,7 +321,7 @@ def _solve_by_cross_product(stack, lam, R_lam):
         H = AhA - C - C.conj().T + abs(mu) ** 2 * BhB
         if not np.isfinite(H).all():
             return None
-        eta = np.finfo(np.float64).eps * (norm_a + abs(mu) * norm_b) ** 2
+        eta = _EPS * (norm_a + abs(mu) * norm_b) ** 2
         h1 = np.abs(H).sum(axis=0).max()
     try:
         (mu1, mu2), W = scipy.linalg.eigh(H, subset_by_index=[0, 1], check_finite=False, overwrite_a=True)

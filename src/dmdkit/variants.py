@@ -30,7 +30,7 @@ from .ritz import (
     refined_rayleigh_value,
     residuals_from_stack,
 )
-from .snapshots import SnapshotPair, _as_trajectory, _column_norms, _scale_arrays, companion_decomposition
+from .snapshots import _EPS, SnapshotPair, _as_trajectory, _column_norms, _scale_arrays, companion_decomposition
 
 __all__ = [
     "VariantConfig",
@@ -45,8 +45,6 @@ __all__ = [
     "fb_dmd_mrf",
     "select_pairs",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BackendError, DataError, ShapeError
-from .inner import InnerProduct
+from .inner import _require_weight
 from .matrixio import store_matrix
 from .pod import truncated_svd
 from .ritz import _lift, action_on_basis, data_driven_residuals
-from .snapshots import SequentialTrajectory, SnapshotPair, _as_trajectory, _scale_arrays
+from .snapshots import _EPS, SequentialTrajectory, SnapshotPair, _as_trajectory, _scale_arrays
 from .variants import _quotient
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "write_fixture_set",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
 _EIGEN_REFERENCE_LIMIT = 2000
 
 
@@ -60,6 +59,12 @@ class OracleOperator:
 def _rng(seed):
     # Counter-based 64-bit stream: splittable and reproducible across platforms.
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _unit_start(n, seed):
+    """A unit-norm Gaussian start vector of length n from the seeded stream."""
+    f1 = _rng(seed).standard_normal(n)
+    return f1 / np.linalg.norm(f1)
 
 
 def _random_orthogonal(rng, n, complex_valued=False):
@@ -183,8 +188,7 @@ def make_m_unitary_oracle(n, weight, seed=0):
     Built as the weighted lift of a random unitary; its spectrum lies
     exactly on the unit circle.
     """
-    if not isinstance(weight, InnerProduct):
-        raise DataError("make_m_unitary_oracle needs an InnerProduct weight")
+    weight = _require_weight(weight, "weight")
     rng = _rng(seed)
     Q = _random_orthogonal(rng, n, complex_valued=False)
     # A = lift(Q in transformed coordinates): transform(A x) = Q transform(x).
@@ -357,10 +361,7 @@ def write_fixture_set(directory):
         oracle = make_oracle(
             spec["n"], spectrum=spec["spectrum"], conditioning=spec["conditioning"], seed=spec["seed"]
         )
-        rng = _rng(spec["seed"] + 1)
-        f1 = rng.standard_normal(spec["n"])
-        f1 = f1 / np.linalg.norm(f1)
-        traj = trajectory(oracle, f1, spec["m"])
+        traj = trajectory(oracle, _unit_start(spec["n"], spec["seed"] + 1), spec["m"])
         op_file = "%s_operator.dmm" % spec["name"]
         traj_file = "%s_trajectory.dmm" % spec["name"]
         store_matrix(oracle.A, os.path.join(directory, op_file))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .inner import InnerProduct
+from .inner import _require_weight
 from .snapshots import SnapshotPair
 from .variants import VariantConfig, _rrr_pipeline
 
@@ -45,12 +45,6 @@ class BoundReport:
     bound: float
     relative_residual_M: float | None = None
     relative_bound: float | None = None
-
-
-def _require_weight(weight, name):
-    if not isinstance(weight, InnerProduct):
-        raise DataError("%s must be an InnerProduct" % name)
-    return weight
 
 
 def weighted_dmd(X, Y, M, config=VariantConfig()):

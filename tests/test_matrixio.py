@@ -134,6 +134,19 @@ def test_store_rejects_3d():
         store_matrix(np.zeros((2, 2, 2)), "unused.dmm")
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)], ids=["0x3", "3x0", "0x0"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_store_of_an_empty_matrix_writes_the_header_alone(tmp_path, shape, dtype, order):
+    # the readers reject the file as empty; the writer still writes it
+    path = tmp_path / "e.dmm"
+    store_matrix(np.zeros(shape, dtype=dtype, order=order), path)
+    kind = 1 if dtype is np.complex128 else 0
+    assert path.read_bytes() == MAGIC + np.uint64(shape[0]).tobytes() + np.uint64(shape[1]).tobytes() + bytes([kind])
+    with pytest.raises(DataError, match="empty"):
+        load_matrix(path)
+
+
 def _dmm_bytes(a):
     """The DMM1 file of ``a``, built independently of store_matrix."""
     kind = 1 if np.iscomplexobj(a) else 0
@@ -175,6 +188,28 @@ def test_store_in_column_blocks_matches_one_transpose(tmp_path, monkeypatch):
     a = rng.standard_normal((50, 11)) + 1j * rng.standard_normal((50, 11))
     store_matrix(a, tmp_path / "a.dmm")
     assert (tmp_path / "a.dmm").read_bytes() == _dmm_bytes(a)
+
+
+_WIDE = np.random.Generator(np.random.Philox(12)).standard_normal((4, 300))
+
+
+@pytest.mark.parametrize("name, a", _LAYOUTS + [("wide-C", _WIDE), ("wide-F", np.asfortranarray(_WIDE))],
+                         ids=[name for name, _ in _LAYOUTS] + ["wide-C", "wide-F"])
+def test_dmm_bytes_one_column_per_chunk_for_every_layout(tmp_path, monkeypatch, name, a):
+    monkeypatch.setattr(matrixio, "_STORE_BLOCK_BYTES", 1)
+    store_matrix(a, tmp_path / "a.dmm")
+    assert (tmp_path / "a.dmm").read_bytes() == _dmm_bytes(a)
+
+
+@pytest.mark.parametrize("height", [1, 5, 36, 37])
+def test_row_blocks_of_chosen_columns_give_the_bytes_of_those_columns(tmp_path, height):
+    # the writer behind decompose --modes-out: row blocks, some columns
+    rng = np.random.Generator(np.random.Philox(13))
+    a = rng.standard_normal((37, 12)) + 1j * rng.standard_normal((37, 12))
+    columns = np.array([0, 3, 4, 11])
+    blocks = ((i, a[i : i + height]) for i in range(0, 37, height))
+    matrixio._store_row_blocks(blocks, 37, columns, tmp_path / "a.dmm", 1)
+    assert (tmp_path / "a.dmm").read_bytes() == _dmm_bytes(a[:, columns])
 
 
 def test_oversized_header_is_rejected_before_allocating(tmp_path):

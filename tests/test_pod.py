@@ -154,6 +154,21 @@ def test_graded_columns_take_the_pivoted_qr_path():
     assert np.allclose(basis.sigma[:3], np.sqrt(w[:3]), rtol=1e-10)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_graded_columns_keep_every_singular_value_to_working_accuracy(seed):
+    # Column norms from 1 to 1e-12 in random order.  The pivoted QR taken
+    # above the spread rule gives each singular value to full relative
+    # accuracy, like the one-sided Jacobi SVD (dgejsv); the unpivoted SVD
+    # misses the smallest ones by 1e-9 to 2e-5 relative on these matrices.
+    rng = _rng(seed)
+    G = rng.standard_normal((200, 20)) * rng.permutation(np.geomspace(1.0, 1e-12, 20))[None, :]
+    sva, _, _, work, _, info = scipy.linalg.lapack.dgejsv(G, jobu=3, jobv=3)
+    assert info == 0
+    reference = sva * (work[0] / work[1])
+    sigma = truncated_svd(G, RankPolicy.fixed(20)).sigma
+    assert np.max(np.abs(sigma - reference) / reference) <= 1e-13
+
+
 def test_weighted_pod_with_identity_is_bitwise_plain():
     X = _rng(17).standard_normal((20, 6))
     plain = truncated_svd(X)

@@ -81,6 +81,11 @@ def test_action_on_basis_guards_zero_sigma():
         action_on_basis(np.eye(3), np.eye(3), np.array([1.0, 0.0, 1.0]))
 
 
+def test_action_on_basis_rejects_a_v_that_does_not_match_y():
+    with pytest.raises(ShapeError, match="Y has 3 columns but V_k has 4 rows"):
+        action_on_basis(np.eye(3), np.eye(4), np.ones(4))
+
+
 def test_qr_stack_duplicated_isometry():
     Q, _ = np.linalg.qr(_rng(7).standard_normal((10, 4)))
     stack = qr_stack(Q, Q)

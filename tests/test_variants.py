@@ -375,6 +375,17 @@ def test_fb_singular_backward_guard():
     assert err.value.sigma_min is not None
 
 
+def test_fb_backward_rank_guard():
+    # Y = A X with rank(A) = 6: the forward POD keeps all 12 columns of a
+    # Gaussian X, and the backward POD of Y has only 6 to give.
+    rng = _rng(31)
+    X = rng.standard_normal((60, 12))
+    A = rng.standard_normal((60, 6)) @ rng.standard_normal((6, 60)) / 60
+    with pytest.raises(ConditioningError, match="backward POD cannot support the forward rank 12") as err:
+        fb_dmd_mrf(X, A @ X)
+    assert err.value.sigma_min < 1e-14 * err.value.sigma_max
+
+
 def test_select_pairs_cap_semantics():
     _, F = _orbit(87, 30, 10, spectrum="unit-disc", conditioning=10.0)
     dec = ddmd_rrr(F.F[:, :-1], F.F[:, 1:])

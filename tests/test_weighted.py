@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dmdkit.errors import DataError, ShapeError
+from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
+from dmdkit.pod import weighted_pod
 from dmdkit.variants import VariantConfig, ddmd_rrr, select_pairs
 from dmdkit.verify import (
     explicit_residuals,
@@ -253,6 +254,59 @@ def test_inverse_orientation_gram_matrix():
     assert np.allclose(M.gram_matrix(), np.diag(1.0 / d))
     nrm = M.norm(np.array([1.0, 0.0, 0.0]))
     assert nrm == pytest.approx(0.5)
+
+
+def test_dense_inverse_orientation_gram_matrix_is_the_inverse():
+    M_mat, M = _spd_weight(9, 131)
+    Minv = InnerProduct(M.factor, orientation="M-inverse")
+    assert np.allclose(Minv.gram_matrix(), np.linalg.inv(M_mat), rtol=0, atol=1e-12)
+    assert np.allclose(M.gram_matrix(), M_mat, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make, error, match", [
+    pytest.param(lambda: InnerProduct(np.ones(3), orientation="Minv"), DataError, "orientation",
+                 id="orientation"),
+    pytest.param(lambda: InnerProduct(np.array([1.0, 0.0, 2.0])), DataError, "strictly positive",
+                 id="zero-diagonal-factor"),
+    pytest.param(lambda: InnerProduct(np.array([1.0, -1.0])), DataError, "strictly positive",
+                 id="negative-diagonal-factor"),
+    pytest.param(lambda: InnerProduct(np.array([1.0 + 1j, 2.0])), DataError, "real",
+                 id="complex-diagonal-factor"),
+    pytest.param(lambda: InnerProduct.from_matrix(np.ones((3, 2))), ShapeError, "square",
+                 id="non-square-gram"),
+    pytest.param(lambda: InnerProduct.from_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])), DataError, "Hermitian",
+                 id="non-hermitian-gram"),
+    pytest.param(lambda: InnerProduct.from_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])), DataError,
+                 "positive definite", id="indefinite-gram"),
+    pytest.param(lambda: InnerProduct.identity(3).transform(np.ones((4, 2))), ShapeError, "does not conform",
+                 id="rows-do-not-conform"),
+    pytest.param(lambda: InnerProduct.from_matrix(np.eye(3)).lift(np.ones((2, 2))), ShapeError,
+                 "does not conform", id="dense-rows-do-not-conform"),
+])
+def test_invalid_weights_and_operands_are_rejected(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
+
+
+@pytest.mark.parametrize("orientation, f", [("M", "lift"), ("M-inverse", "transform")])
+def test_a_singular_factor_is_a_conditioning_error_where_it_is_solved(orientation, f):
+    # A 2-D factor is taken as given; a zero on its diagonal shows up in
+    # the first substitution with it.
+    L = np.tril(np.ones((3, 3)))
+    L[1, 1] = 0.0
+    M = InnerProduct(L, orientation=orientation)
+    with pytest.raises(ConditioningError, match="weight factor is singular"):
+        getattr(M, f)(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda w: weighted_dmd(np.eye(3), np.eye(3), w), id="weighted_dmd"),
+    pytest.param(lambda w: weighted_pod(np.eye(3), w), id="weighted_pod"),
+    pytest.param(lambda w: make_m_unitary_oracle(3, w), id="make_m_unitary_oracle"),
+])
+def test_a_weight_that_is_not_an_inner_product_is_a_data_error(call):
+    with pytest.raises(DataError, match="must be an InnerProduct"):
+        call(np.eye(3))
 
 
 @pytest.mark.parametrize("value", [1e-170, 1e170])
