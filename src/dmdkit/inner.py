@@ -178,6 +178,15 @@ class InnerProduct:
 
 
 def _require_weight(weight, name):
+    """``weight`` if it is an :class:`InnerProduct` whose factor is not singular.
+
+    A zero on the diagonal of a 2-D factor is caught here, before any snapshot is transformed,
+    also for a caller that only multiplies by the factor: its Gram matrix is singular.
+    """
     if not isinstance(weight, InnerProduct):
         raise DataError("%s must be an InnerProduct" % name)
+    if weight.factor.ndim == 2:
+        zeros = np.flatnonzero(np.diagonal(weight.factor) == 0)
+        if zeros.size:
+            raise ConditioningError("weight factor is singular: zero on its diagonal at index %d" % zeros[0])
     return weight

@@ -55,9 +55,16 @@ def _check_matrix(a, name, ndims=(2,)):
         raise ShapeError("%s must be a %s array, got ndim=%d" % (name, accepted, a.ndim))
     if a.size == 0:
         raise ShapeError("%s must be non-empty, got shape %r" % (name, a.shape))
-    if not np.all(np.isfinite(a)):
+    if not _all_finite(a):
         raise DataError("%s contains non-finite entries" % (name,))
     return a
+
+
+def _all_finite(a):
+    """Whether every entry of a double array is finite, by NaN-propagating max and min: no temporary of its size."""
+    if a.dtype.kind == "c":
+        return _all_finite(a.real) and _all_finite(a.imag)
+    return bool(np.isfinite(a.max()) and np.isfinite(a.min()))
 
 
 @dataclass(frozen=True, eq=False)

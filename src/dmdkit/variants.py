@@ -297,29 +297,32 @@ def ddmd_rrr(X, Y, config=VariantConfig()):
     return _rrr_pipeline(pair.X, pair.Y, config, "rrr")
 
 
-def _compressed_pair(pair, config):
+def _compressed_pair(pair, config, engine):
     """The compressed route of a general pair: one Householder QR, Q never formed.
 
-    [X Y] is factored in place in one column-major buffer; the engine runs
-    on the blocks R_x and R_y of its triangular factor, and the vectors are
-    lifted once by applying the reflectors to their zero-padded
-    coefficients.  Real reflectors act on [Re W | Im W] in real
+    [X Y] is factored in place in one column-major buffer, and ``engine``,
+    a direct pipeline (X, Y, config) -> (decomposition, *more), runs on the
+    blocks R_x and R_y of its triangular factor at the threshold of the
+    ambient (n, m), so compressed and direct runs truncate identically.
+    The vectors are lifted once by applying the reflectors to their
+    zero-padded coefficients; real reflectors act on [Re W | Im W] in real
     arithmetic, and the buffer is released before the complex result is
     assembled.
     """
     n, m = pair.n, pair.m
+    config = dataclasses.replace(config, policy=_resolve_policy(config, (n, m)))
     XY, T, R = _householder_qr(pair.X, pair.Y)
-    inner = _rrr_pipeline(R[:, :m], R[:, m:], config, "rrr-compressed")
+    inner, *rest = engine(R[:, :m], R[:, m:], config)
     W = inner.vectors
     if np.iscomplexobj(XY):
-        return dataclasses.replace(inner, vectors=_apply_reflectors(XY, T, W))
+        return (dataclasses.replace(inner, vectors=_apply_reflectors(XY, T, W)), *rest)
     k = W.shape[1]
     C = _apply_reflectors(XY, T, np.hstack([W.real, W.imag]))
     del XY, T
     Z = np.empty((n, k), dtype=complex, order="F")
     Z.real = C[:, :k]
     Z.imag = C[:, k:]
-    return dataclasses.replace(inner, vectors=Z)
+    return (dataclasses.replace(inner, vectors=Z), *rest)
 
 
 def _compressed_trajectory(F, config):
@@ -355,8 +358,7 @@ def ddmd_rrr_compressed(data, config=VariantConfig()):
     Also exported as ``ddmd_rrr_auto``.
     """
     if isinstance(data, SnapshotPair):
-        config = dataclasses.replace(config, policy=_resolve_policy(config, (data.n, data.m)))
-        return _compressed_pair(data, config)
+        return _compressed_pair(data, config, lambda X, Y, c: (_rrr_pipeline(X, Y, c, "rrr-compressed"),))[0]
     Q, inner = _compressed_trajectory(np.array(_as_trajectory(data).F, order="F"), config)
     return dataclasses.replace(inner, vectors=np.asfortranarray(_lift(Q, inner.vectors)))
 
@@ -425,7 +427,6 @@ def exact_dmd_sequential_diagnostic(F, decomposition):
     return tuple(SequentialDiagnostic(eta_m=e, r_norm=comp.r_norm) for e in eta_m)
 
 
-@_one_blas_thread
 def fb_dmd_mrf(X, Y, config=VariantConfig()):
     """Forward-backward DMD without any matrix square root.
 
@@ -441,15 +442,23 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
     exact power of two, so the squares stay in the double range; the
     reported values are scaled back, and an omega overflows or underflows
     only where lambda^2 itself does.
+
+    It runs on the route of ``ddmd_rrr_compressed``: one Householder QR
+    of [X Y], all of the above on the blocks R_x and R_y of its triangular
+    factor (a unitary change of coordinates) at the threshold of the
+    ambient (n, m), and one lift of the vectors through the reflectors.
     """
-    pair = SnapshotPair(X, Y)
-    X, Y = pair.X, pair.Y
+    return _compressed_pair(SnapshotPair(X, Y), config, _fb_engine)
+
+
+@_one_blas_thread
+def _fb_engine(X, Y, config):
+    """The forward-backward pipeline of :func:`fb_dmd_mrf` on checked (X, Y); returns (decomposition, FbSpectrum)."""
     policy = _resolve_policy(config, X.shape)
 
     fwd, Bf = _project(X, Y, config, policy)[::2]
     Uf, k = fwd.U, fwd.rank
     stack_f = qr_stack(Uf, Bf)
-    del fwd, Bf
     S_fwd = rayleigh_from_qr(stack_f)
 
     try:
@@ -472,7 +481,6 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
     # The backward quotient in the forward basis: a sign change or rotation
     # of the backward basis cancels between the two factors.
     S_back = (Uf.conj().T @ Bb) @ (back.U.conj().T @ Uf)
-    del back, Bb
 
     sv = scipy.linalg.svdvals(S_back)
     if sv[0] <= 0.0 or sv[-1] <= k * _EPS * sv[0]:
@@ -507,9 +515,7 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
         with np.errstate(over="ignore"):
             lambdas, omegas, evidence = lambdas / c, omegas / c / c, evidence / c
 
-    Z = _lift(Uf, W)
-    del Uf
-    dec = _package(lambdas, Z, residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
+    dec = _package(lambdas, _lift(Uf, W), residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
     perm = dec.ordering
     fb = FbSpectrum(
         omegas=omegas[perm],

@@ -242,6 +242,22 @@ def test_complex_weight_vector_is_a_data_error(tmp_path, capsys):
     assert "strictly positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(1.0, np.nan)], ids=["nan", "-inf", "complex-nan"])
+@pytest.mark.parametrize("role", ["snapshots", "weight"])
+def test_a_file_with_a_non_finite_entry_is_a_data_error(tmp_path, capsys, role, bad):
+    traj = _make_traj(tmp_path / "traj.dmm", n=30, m=10)
+    if role == "snapshots":
+        target, a, argv = traj, load_matrix(traj), ["decompose", "--seq", traj]
+    else:
+        target, a = str(tmp_path / "w.dmm"), np.linspace(1.0, 2.0, 30)[:, None]
+        argv = ["decompose", "--seq", traj, "--variant", "weighted", "--weight", target]
+    a = a.astype(type(bad) if isinstance(bad, complex) else float)
+    a[7, -1] = bad
+    store_matrix(a, target)
+    assert main(argv) == 2
+    assert "%s contains non-finite entries" % target in capsys.readouterr().err
+
+
 def test_modes_out_writes_present_vectors(traj_file, tmp_path, capsys):
     modes = tmp_path / "modes.dmm"
     rc, out = _decompose(capsys, "--seq", traj_file, "--modes-out", str(modes))

@@ -1,9 +1,13 @@
 """Snapshot containers, column scaling and the companion factorization."""
 
+import re
+
 import numpy as np
 import pytest
 
 from dmdkit.errors import ConditioningError, DataError, ShapeError
+from dmdkit.matrixio import load_matrix, store_matrix
+from dmdkit.pod import truncated_svd
 from dmdkit.snapshots import (
     _column_norms,
     SequentialTrajectory,
@@ -28,6 +32,37 @@ def test_pair_rejects_shape_mismatch_and_non_finite():
         SnapshotPair(np.ones((3, 2)), np.ones((3, 3)))
     with pytest.raises(DataError):
         SnapshotPair(np.array([[np.inf]]), np.array([[1.0]]))
+
+
+def _layouts(a):
+    """``a`` row-major, column-major, and as a view with strides on both axes."""
+    wide = np.zeros((a.shape[0], 2 * a.shape[1]), dtype=a.dtype, order="F")
+    wide[:, ::2] = a
+    return [np.ascontiguousarray(a), np.asfortranarray(a), wide[::-1, ::2][::-1]]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan), complex(np.nan, 0.0),
+                                 complex(0.0, -np.inf)], ids=["nan", "inf", "-inf", "complex-nan-imag",
+                                                              "complex-nan-real", "complex-inf-imag"])
+def test_non_finite_entries_are_a_data_error_at_every_gate(tmp_path, bad):
+    # The gate scans with max and min, so one bad entry anywhere, in either
+    # part of a complex entry and in any layout, must still be caught.
+    a = _rng(5).standard_normal((7, 4)).astype(type(bad) if isinstance(bad, complex) else float)
+    a[3, 2] = bad
+    path = tmp_path / "a.dmm"
+    store_matrix(a, path)
+    with pytest.raises(DataError, match="^%s contains non-finite entries$" % re.escape(str(path))):
+        load_matrix(path)
+    for view in _layouts(a):
+        assert view[3, 2].tobytes() == a[3, 2].tobytes()
+        with pytest.raises(DataError, match="^X contains non-finite entries$"):
+            SnapshotPair(view, np.ones(a.shape))
+        with pytest.raises(DataError, match="^Y contains non-finite entries$"):
+            SnapshotPair(np.ones(a.shape), view)
+        with pytest.raises(DataError, match="^POD input contains non-finite entries$"):
+            truncated_svd(view)
+    for view in _layouts(np.where(np.isfinite(a), a, 0.0)):
+        SnapshotPair(view, view)
 
 
 def test_matrices_are_promoted_to_double_precision():

@@ -738,10 +738,40 @@ def test_dmd_peak_memory_stays_near_the_input():
 
 
 def test_fb_dmd_mrf_peak_memory_stays_near_the_input():
-    # Each basis image is dropped after its last use, the backward basis
-    # once S_back is formed, and the forward basis after the lift.
+    # fb runs on the compressed pair: [X Y] once, then the reflector
+    # buffer and the real lift, then that lift and the complex vectors.
     X, Y = _gaussian_pair(127)
-    assert _peak_bytes(lambda: fb_dmd_mrf(X, Y)) <= 2.7 * (X.nbytes + Y.nbytes)
+    assert _peak_bytes(lambda: fb_dmd_mrf(X, Y)) <= 2.1 * (X.nbytes + Y.nbytes)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_fb_factors_one_n_row_matrix(monkeypatch, dtype):
+    # One ?geqrt of [X Y]; both PODs and the residual stack factor
+    # matrices of at most 2m rows, and no other QR runs.
+    Q, A, G = _lifted_system(129, 300, 12, dtype)
+    X, Y = Q @ G, Q @ (A @ G)
+    shapes = []
+    get_funcs = scipy.linalg.get_lapack_funcs
+
+    def spy_funcs(names, *args, **kwargs):
+        funcs = get_funcs(names, *args, **kwargs)
+        if names != ("geqrt",):
+            return funcs
+
+        def geqrt(nb, a, *rest, **kw):
+            shapes.append(a.shape)
+            return funcs[0](nb, a, *rest, **kw)
+
+        return [geqrt]
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("scipy.linalg.qr was called")
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spy_funcs)
+    monkeypatch.setattr(scipy.linalg, "qr", no_qr)
+    fb_dmd_mrf(X, Y)
+    assert shapes[0] == (300, 24)
+    assert len(shapes) > 1 and all(rows <= 24 for rows, _ in shapes[1:])
 
 
 @pytest.mark.parametrize("scale", [True, False])

@@ -299,6 +299,43 @@ def test_a_singular_factor_is_a_conditioning_error_where_it_is_solved(orientatio
         getattr(M, f)(np.ones((3, 2)))
 
 
+def _singular(n, orientation):
+    """A lower-triangular factor of size n, Gaussian below a shifted diagonal, with a zero at (4, 4)."""
+    L = np.tril(_rng(n).standard_normal((n, n))) + 5.0 * np.eye(n)
+    L[4, 4] = 0.0
+    return InnerProduct(L, orientation=orientation)
+
+
+@pytest.mark.parametrize("orientation", ["M", "M-inverse"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda X, Y, o: weighted_dmd(X, Y, _singular(30, o)), id="weighted_dmd"),
+    pytest.param(lambda X, Y, o: two_sided_weighted_dmd(X, Y, _singular(30, o), InnerProduct.identity(8)),
+                 id="two_sided_weighted_dmd-M"),
+    pytest.param(lambda X, Y, o: two_sided_weighted_dmd(X, Y, InnerProduct.identity(30), _singular(8, o)),
+                 id="two_sided_weighted_dmd-N"),
+    pytest.param(lambda X, Y, o: weighted_pod(X, _singular(30, o)), id="weighted_pod"),
+    pytest.param(lambda X, Y, o: make_m_unitary_oracle(30, _singular(30, o)), id="make_m_unitary_oracle"),
+    pytest.param(lambda X, Y, o: weighted_bauer_fike(0.1, _singular(30, o)), id="weighted_bauer_fike"),
+])
+def test_a_singular_factor_is_rejected_before_any_snapshot_is_transformed(monkeypatch, call, orientation):
+    # Every caller checks the weight first, also where it would only
+    # multiply by the factor (an 'M-inverse' N, an 'M' weight of the
+    # Bauer-Fike bound); the factor alone is still accepted, and a
+    # substitution with it still fails where it is solved.
+    rng = _rng(61)
+    X, Y = rng.standard_normal((30, 8)), rng.standard_normal((30, 8))
+    calls = []
+    for name in ("transform", "transform_right"):
+        def spy(self, *args, _f=getattr(InnerProduct, name), _name=name):
+            calls.append(_name)
+            return _f(self, *args)
+
+        monkeypatch.setattr(InnerProduct, name, spy)
+    with pytest.raises(ConditioningError, match="weight factor is singular"):
+        call(X, Y, orientation)
+    assert calls == []
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda w: weighted_dmd(np.eye(3), np.eye(3), w), id="weighted_dmd"),
     pytest.param(lambda w: weighted_pod(np.eye(3), w), id="weighted_pod"),
