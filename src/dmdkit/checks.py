@@ -18,14 +18,7 @@ import numpy as np
 from .errors import DmdkitError
 from .inner import InnerProduct
 from .pod import RankPolicy, weighted_pod
-from .ritz import (
-    _eig,
-    qr_stack,
-    rayleigh_from_qr,
-    refine_ritz,
-    refined_rayleigh_value,
-    residuals_from_stack,
-)
+from .ritz import _eig, _residuals_from_stack, qr_stack, rayleigh_from_qr, refine_ritz, refined_rayleigh_value
 from .snapshots import _EPS, companion_decomposition
 from .variants import VariantConfig, dmd, ddmd_rrr, ddmd_rrr_compressed, exact_dmd, fb_dmd_mrf, select_pairs
 from .variants import _project
@@ -112,7 +105,7 @@ def _instance_family(count=100, base_seed=300):
         stack = qr_stack(basis.U, B)
         S = rayleigh_from_qr(stack)
         lambdas, W = _eig(S)
-        plain = residuals_from_stack(stack, lambdas, W)
+        plain = _residuals_from_stack(stack, lambdas, W)
         out.append({"U": basis.U, "B": B, "stack": stack, "S": S,
                     "lambdas": lambdas, "plain": plain,
                     "normB": float(np.linalg.norm(B, 2))})
@@ -142,7 +135,7 @@ def check_rayleigh_optimality(family):
         for lam in inst["lambdas"]:
             w, sigma = refine_ritz(inst["stack"], lam)
             rho = refined_rayleigh_value(inst["S"], w)
-            with_rho = residuals_from_stack(inst["stack"], np.array([rho]), w.reshape(-1, 1))[0]
+            with_rho = _residuals_from_stack(inst["stack"], np.array([rho]), w.reshape(-1, 1))[0]
             worst = max(worst, float(with_rho - sigma - slack))
     return CheckResult(
         "rayleigh-optimality",
@@ -253,7 +246,7 @@ def check_fb_consistency(seed=2026):
     forward = dmd(pair.X, pair.Y, config)
     dec, spectrum = fb_dmd_mrf(pair.X, pair.Y, config)
     d_lam = match_eigenvalues(dec.lambdas, forward.lambdas)
-    d_sq = float(np.abs(spectrum.lambdas**2 - spectrum.omegas).max())
+    d_sq = float(np.abs(dec.lambdas**2 - spectrum.omegas).max())
 
     guard_fired = False
     guard_named = False

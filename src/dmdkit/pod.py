@@ -29,15 +29,14 @@ import numpy as np
 import scipy.linalg
 
 from ._blas import _one_blas_thread
-from .errors import BackendError, ConditioningError, DataError, ShapeError
+from .errors import BackendError, ConditioningError, DataError
 from .inner import _require_weight
-from .snapshots import _EPS, _as_double, _check_matrix, _column_norms
+from .snapshots import _EPS, _check_matrix, _column_norms
 
 __all__ = [
     "RankPolicy",
     "PodBasis",
     "default_epsilon",
-    "numerical_rank",
     "truncated_svd",
     "weighted_pod",
 ]
@@ -85,24 +84,26 @@ class RankPolicy:
         return "RankPolicy.spectral(%g)" % self.epsilon
 
 
-def numerical_rank(sigma, policy):
-    """Apply a rank policy to a descending singular value profile."""
-    if not isinstance(policy, RankPolicy):
+def _check_policy(policy):
+    """``policy`` if it is a :class:`RankPolicy` or None, the default; anything else is a :class:`DataError`."""
+    if policy is not None and not isinstance(policy, RankPolicy):
         raise DataError("rank policy must be a RankPolicy, got %r" % (policy,))
-    sigma = _as_double(sigma, "singular value profile")
-    if sigma.dtype.kind == "c":
-        raise DataError("singular value profile must be real, got dtype %s" % sigma.dtype)
-    if sigma.ndim != 1:
-        raise ShapeError("singular value profile must be a 1-D array, got ndim=%d" % sigma.ndim)
-    if not np.all(np.isfinite(sigma)):
+    return policy
+
+
+def _numerical_rank(sigma, policy):
+    """Apply a rank policy to the descending singular value profile of a nonzero matrix.
+
+    The profile of finite data can still overflow; a non-finite entry is a
+    :class:`DataError`, so no rank is read off it.
+    """
+    if not np.isfinite(sigma).all():
         raise DataError("singular value profile contains non-finite entries")
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        raise ConditioningError("numerical_rank: zero matrix has no positive rank", sigma_min=0.0)
     if policy.kind == "spectral":
         return int(np.count_nonzero(sigma > policy.epsilon * sigma[0]))
     if policy.k > sigma.size or sigma[policy.k - 1] <= 0.0:
         raise ConditioningError(
-            "numerical_rank: data cannot support fixed rank %d (only %d positive singular values)"
+            "truncated_svd: data cannot support fixed rank %d (only %d positive singular values)"
             % (policy.k, int(np.count_nonzero(sigma > 0.0))),
             sigma_min=float(sigma[min(policy.k, sigma.size) - 1]),
             sigma_max=float(sigma[0]),
@@ -213,12 +214,12 @@ def truncated_svd(X, policy=None):
     strictly positive and whose basis satisfies U*U = I to roundoff.
     """
     X = _check_matrix(X, "POD input")
-    if policy is None:
+    if _check_policy(policy) is None:
         policy = RankPolicy.spectral(default_epsilon(*X.shape))
     U, s, V = _svd_for_pod(X)
     if s[0] <= 0.0:
         raise ConditioningError("truncated_svd: input matrix is numerically zero", sigma_min=0.0)
-    k = numerical_rank(s, policy)
+    k = _numerical_rank(s, policy)
     return PodBasis(U=U[:, :k], sigma=s[:k].copy(), V=V[:, :k], rank=k, sigma_all=s)
 
 
@@ -230,5 +231,6 @@ def weighted_pod(X, weight, policy=None):
     coordinates, where it is orthonormal in the weighted inner product.
     """
     weight = _require_weight(weight, "weight")
+    _check_policy(policy)
     basis = truncated_svd(weight.transform(X), policy)
     return dataclasses.replace(basis, U=weight.lift(basis.U))

@@ -32,6 +32,7 @@ from start to finish; dmd and exact_dmd do not (see
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,6 @@ __all__ = [
     "rayleigh_from_qr",
     "ritz_pairs",
     "data_driven_residuals",
-    "residuals_from_stack",
     "refine_ritz",
     "refined_rayleigh_value",
     "koopman_log_map",
@@ -64,16 +64,14 @@ __all__ = [
 class QrStack:
     """Triangular blocks of the thin QR of (U_k  B_k); Q is never formed.
 
-    The first block row is scaled so the diagonal of ``r11`` is nonnegative
-    real; ``phi`` records the unimodular diagonal factors that were taken
-    out.  ``r22`` has min(n - k, k) rows and is empty when the basis spans
-    the whole space.
+    The rows of R are scaled by unimodular factors so that the diagonal
+    of ``r11`` is nonnegative real.  ``r22`` has min(n - k, k) rows and is
+    empty when the basis spans the whole space.
     """
 
     r11: np.ndarray
     r12: np.ndarray
     r22: np.ndarray
-    phi: np.ndarray
 
     @property
     def k(self):
@@ -172,8 +170,7 @@ def qr_stack(U_k, B_k):
     U_k and B_k are written into one column-major n x 2k buffer, which
     the Householder QR overwrites; R is the upper triangle of its top
     min(n, 2k) rows.  Returns the blocks R11 (k x k, nonnegative real
-    diagonal after normalization), R12 (k x k) and R22 (min(n-k, k) x k)
-    together with the extracted unimodular diagonal ``phi``.
+    diagonal after normalization), R12 (k x k) and R22 (min(n-k, k) x k).
     """
     U_k = np.asarray(U_k)
     B_k = np.asarray(B_k)
@@ -186,12 +183,7 @@ def qr_stack(U_k, B_k):
     nz = np.abs(diag) > 0.0
     phases[nz] = diag[nz] / np.abs(diag[nz])
     R = R * phases.conj()[:, None]
-    return QrStack(
-        r11=R[:k, :k],
-        r12=R[:k, k:],
-        r22=R[k:, k:],
-        phi=phases[:k],
-    )
+    return QrStack(r11=R[:k, :k], r12=R[:k, k:], r22=R[k:, k:])
 
 
 def rayleigh_from_qr(stack):
@@ -277,7 +269,7 @@ def data_driven_residuals(B_k, U_k, W, lambdas):
     return _column_norms(R)
 
 
-def residuals_from_stack(stack, lambdas, W):
+def _residuals_from_stack(stack, lambdas, W):
     """Same residuals as :func:`data_driven_residuals`, in 2k dimensions.
 
     Uses || R_lambda w || with R_lambda stacked from the QR blocks, which
@@ -423,11 +415,15 @@ def refined_rayleigh_value(S_k, w):
 def koopman_log_map(lambdas, dt):
     """Continuous-time exponents (log|l| + i arg l) / (2 pi dt).
 
-    Principal branch of the argument; a zero Ritz value has no finite
-    logarithm and is a domain error.
+    ``dt`` is a positive finite real number; a boolean, a string, an
+    array, a complex number, NaN, an infinity, zero or a negative value is
+    a :class:`DataError`.  Principal branch of the argument; a zero Ritz
+    value has no finite logarithm and is a domain error.
     """
-    if not (dt > 0.0) or not np.isfinite(dt):
-        raise DataError("koopman_log_map: dt must be positive and finite")
+    # bool is an Integral, numpy's bool_ neither Real nor Integral
+    if isinstance(dt, bool) or not isinstance(dt, numbers.Real) or not 0.0 < dt < np.inf:
+        raise DataError("koopman_log_map: dt must be a positive finite real number, got %r" % (dt,))
+    dt = float(dt)
     lambdas = np.asarray(lambdas, dtype=complex)
     if np.any(lambdas == 0):
         raise DataError("koopman_log_map: zero Ritz value has no logarithm")

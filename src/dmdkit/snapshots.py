@@ -16,9 +16,7 @@ from .errors import ConditioningError, DataError, ShapeError
 __all__ = [
     "SequentialTrajectory",
     "SnapshotPair",
-    "ColumnScaling",
     "KrylovCompanion",
-    "odd_even_split",
     "scale_columns",
     "companion_decomposition",
 ]
@@ -90,23 +88,6 @@ class SequentialTrajectory:
 
 
 @dataclass(frozen=True, eq=False)
-class ColumnScaling:
-    """Column 2-norms of X recorded by :func:`scale_columns`.
-
-    A zero entry marks a column that was left in place (pseudoinverse
-    semantics: no finite factor restores a zero column).
-    """
-
-    d: np.ndarray
-
-    def __post_init__(self):
-        d = _check_matrix(self.d, "scaling factors", ndims=(1,))
-        if d.dtype.kind == "c" or np.any(d < 0):
-            raise DataError("scaling factors must be real and nonnegative")
-        object.__setattr__(self, "d", d)
-
-
-@dataclass(frozen=True, eq=False)
 class SnapshotPair:
     """Matched input/output snapshot columns driven by one operator."""
 
@@ -134,12 +115,12 @@ class SnapshotPair:
 class KrylovCompanion:
     """Least-squares companion form of a trajectory.
 
-    ``C`` is m-by-m with unit subdiagonal and last column ``c``; ``r`` is
-    the least-squares residual of fitting the final state in the span of
-    the earlier ones, orthogonal to that span.
+    ``C`` is m-by-m with unit subdiagonal, and its last column ``C[:, -1]``
+    holds the coefficients of the final state in the earlier ones; ``r``
+    is the least-squares residual of that fit, orthogonal to the span of
+    the earlier states.
     """
 
-    c: np.ndarray
     C: np.ndarray
     r: np.ndarray
     r_norm: float
@@ -147,19 +128,6 @@ class KrylovCompanion:
 
 def _as_trajectory(F):
     return F if isinstance(F, SequentialTrajectory) else SequentialTrajectory(F)
-
-
-def odd_even_split(F):
-    """Pair interleaved samples: X takes odd-indexed, Y even-indexed columns.
-
-    Requires an even column count; Y(:, i) is the successor of X(:, i) but
-    consecutive pairs need not be adjacent states of one orbit, so the
-    result is a general pair.
-    """
-    F = _check_matrix(F.F if isinstance(F, SequentialTrajectory) else F, "interleaved samples")
-    if F.shape[1] % 2 != 0:
-        raise ShapeError("odd_even_split needs an even column count, got %d" % F.shape[1])
-    return SnapshotPair(F[:, 0::2], F[:, 1::2])
 
 
 def _inexact_norms(d):
@@ -195,18 +163,18 @@ def _scale_arrays(X, Y):
 
     Zero columns, and columns whose norm is below the normal range, get
     factor 0 and are left untouched.  Returns the scaled copies and the
-    recorded norms, which are finite for finite data (see
-    :func:`_column_norms`).  A scaled Y may overflow; the pipelines report
-    that as a :class:`ConditioningError` where B_k is formed.  The norms
-    and both copies are column-major, so the bits do not depend on the
-    memory layout of X and Y.
+    norms, 0 for each column left untouched, which are finite for finite
+    data (see :func:`_column_norms`).  A scaled Y may overflow; the
+    pipelines report that as a :class:`ConditioningError` where B_k is
+    formed.  The norms and both copies are column-major, so the bits do
+    not depend on the memory layout of X and Y.
     """
     Xf = np.asfortranarray(X)
     d = _column_norms(Xf)
     nz = d >= np.finfo(np.float64).tiny
     inv = 1.0 / np.where(nz, d, 1.0)
     with np.errstate(over="ignore"):
-        return _scaled(X, Xf, inv), _scaled(Y, np.asfortranarray(Y), inv), ColumnScaling(np.where(nz, d, 0.0))
+        return _scaled(X, Xf, inv), _scaled(Y, np.asfortranarray(Y), inv), np.where(nz, d, 0.0)
 
 
 def _scaled(A, Af, inv):
@@ -217,14 +185,18 @@ def _scaled(A, Af, inv):
 def scale_columns(pair):
     """Rescale a pair to unit X-columns; near optimal spectral conditioning.
 
-    The scaled X has condition number within sqrt(m) of the best achievable
-    by any positive diagonal column scaling.  A Y that leaves the double
-    range once scaled is a :class:`ConditioningError`.
+    Returns the scaled :class:`SnapshotPair` and the column 2-norms of X
+    it divided by, a float64 vector; a zero entry marks a column left in
+    place, one that is zero or whose norm is below the normal range
+    (pseudoinverse semantics: no finite factor restores it).  The scaled
+    X has condition number within sqrt(m) of the best achievable by any
+    positive diagonal column scaling.  A Y that leaves the double range
+    once scaled is a :class:`ConditioningError`.
     """
-    Xs, Ys, scaling = _scale_arrays(pair.X, pair.Y)
+    Xs, Ys, norms = _scale_arrays(pair.X, pair.Y)
     if not np.isfinite(Ys).all():
         raise ConditioningError("scale_columns: the scaled Y overflows double precision")
-    return SnapshotPair(Xs, Ys), scaling
+    return SnapshotPair(Xs, Ys), norms
 
 
 def companion_decomposition(F):
@@ -259,4 +231,4 @@ def companion_decomposition(F):
     if m > 1:
         C[np.arange(1, m), np.arange(m - 1)] = 1.0
     C[:, -1] = c
-    return KrylovCompanion(c=c, C=C, r=r, r_norm=float(_column_norms(r[:, None])[0]))
+    return KrylovCompanion(C=C, r=r, r_norm=float(_column_norms(r[:, None])[0]))

@@ -15,10 +15,11 @@ import scipy.linalg
 
 from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
-from .pod import RankPolicy, _apply_reflectors, _householder_qr, default_epsilon, truncated_svd
+from .pod import RankPolicy, _apply_reflectors, _check_policy, _householder_qr, default_epsilon, truncated_svd
 from .ritz import (
     _eig,
     _lift,
+    _residuals_from_stack,
     RefinedPair,
     RitzDecomposition,
     action_on_basis,
@@ -28,7 +29,6 @@ from .ritz import (
     rayleigh_from_qr,
     refine_ritz,
     refined_rayleigh_value,
-    residuals_from_stack,
 )
 from .snapshots import _EPS, SnapshotPair, _as_trajectory, _column_norms, _scale_arrays, companion_decomposition
 
@@ -51,11 +51,13 @@ __all__ = [
 class VariantConfig:
     """Shared knobs of all pipelines.
 
-    ``policy=None`` resolves to the spectral threshold max(n, m+1) * eps
-    of the matrix actually decomposed.  ``refine`` is ``'none'``,
-    ``'all'``, or a residual cap: the refined pipelines then refine
-    exactly the pairs whose Ritz residual :func:`select_pairs` keeps at
-    that cap.  A NaN, negative, boolean or non-numeric cap is rejected.
+    ``policy`` is a :class:`RankPolicy`, or None for the spectral
+    threshold max(n, m+1) * eps of the matrix actually decomposed; any
+    other value is a :class:`DataError` here, before any data is
+    touched.  ``refine`` is ``'none'``, ``'all'``, or a residual cap: the
+    refined pipelines then refine exactly the pairs whose Ritz residual
+    :func:`select_pairs` keeps at that cap.  A NaN, negative, boolean or
+    non-numeric cap is rejected.
 
     One thread rule holds: every LAPACK kernel, the refined pipelines and
     :func:`fb_dmd_mrf` from start to finish, and every dense weight run on
@@ -77,6 +79,7 @@ class VariantConfig:
     refine: str | float = "all"
 
     def __post_init__(self):
+        _check_policy(self.policy)
         if not isinstance(self.scale, (bool, np.bool_)):
             raise DataError("scale must be a boolean, got %r" % (self.scale,))
         if isinstance(self.refine, str):
@@ -90,13 +93,14 @@ class VariantConfig:
 class FbSpectrum:
     """Square roots taken in the forward-backward variant.
 
-    ``omegas`` are the eigenvalues of the product quotient, ``lambdas``
-    the signed square roots actually reported, and ``sign_evidence`` the
-    Rayleigh values w* S_k w that arbitrated each sign.
+    Entry i belongs to pair i of the decomposition returned with it:
+    ``omegas[i]`` is the eigenvalue of the product quotient whose signed
+    square root is ``lambdas[i]`` of that decomposition, and
+    ``sign_evidence[i]`` the Rayleigh value w* S_k w that arbitrated the
+    sign.
     """
 
     omegas: np.ndarray
-    lambdas: np.ndarray
     sign_evidence: np.ndarray
 
 
@@ -267,7 +271,7 @@ def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
         chosen = range(k)
     else:
         lambdas, W = _eig(S)
-        residuals = residuals_from_stack(stack, lambdas, W)
+        residuals = _residuals_from_stack(stack, lambdas, W)
         # A cap refines exactly the pairs select_pairs keeps at it.
         chosen = () if config.refine == "none" else np.flatnonzero(_selected(residuals, float(config.refine)))
     refined = [None] * k
@@ -515,14 +519,9 @@ def _fb_engine(X, Y, config):
         with np.errstate(over="ignore"):
             lambdas, omegas, evidence = lambdas / c, omegas / c / c, evidence / c
 
-    dec = _package(lambdas, _lift(Uf, W), residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
+    dec = _package(lambdas, _lift(Uf, W), _residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
     perm = dec.ordering
-    fb = FbSpectrum(
-        omegas=omegas[perm],
-        lambdas=lambdas[perm],
-        sign_evidence=np.asarray(evidence, dtype=complex)[perm],
-    )
-    return dec, fb
+    return dec, FbSpectrum(omegas=omegas[perm], sign_evidence=np.asarray(evidence, dtype=complex)[perm])
 
 
 def select_pairs(decomposition, residual_cap):

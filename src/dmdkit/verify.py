@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BackendError, DataError, ShapeError
+from .errors import DataError, ShapeError
 from .inner import _require_weight
 from .matrixio import store_matrix
 from .pod import truncated_svd
@@ -33,17 +33,16 @@ __all__ = [
     "OracleOperator",
     "make_oracle",
     "make_m_unitary_oracle",
-    "exp_inverse_oracle",
     "trajectory",
     "invariant_subspace_pair",
     "explicit_residuals",
-    "eigen_reference",
     "match_eigenvalues",
     "corrupted_sigma_etas",
     "write_fixture_set",
 ]
 
-_EIGEN_REFERENCE_LIMIT = 2000
+# Relative floor that corrupted_sigma_etas raises small singular values to.
+_CORRUPTED_SIGMA_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,21 +197,6 @@ def make_m_unitary_oracle(n, weight, seed=0):
     return OracleOperator(A=A, eigenvalues=alphas.astype(complex), eigenvector_basis=basis, kind="M-unitary")
 
 
-def exp_inverse_oracle(n, seed=0):
-    """Optional heavy-tailed generator: exponential of a negated inverse.
-
-    Produces the same qualitative snapshot-norm collapse as the default
-    ``'decaying'`` spectrum but through a dense matrix exponential; ground
-    truth comes from the dense eigensolver, so the kind is ``'raw'``.
-    """
-    rng = _rng(seed)
-    B = rng.uniform(0.0, 1.0, (n, n))
-    A = scipy.linalg.expm(-np.linalg.inv(B))
-    A = A / float(np.linalg.norm(A, 2))
-    alphas = eigen_reference(A)
-    return OracleOperator(A=A, eigenvalues=alphas, eigenvector_basis=None, kind="raw")
-
-
 def _operator_of(A):
     return A.A if isinstance(A, OracleOperator) else np.asarray(A)
 
@@ -279,27 +263,6 @@ def explicit_residuals(A, decomposition):
     return true, eta
 
 
-def eigen_reference(A):
-    """Dense reference spectrum with a per-pair residual audit."""
-    A = _operator_of(A)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ShapeError("eigen_reference needs a square matrix")
-    if n > _EIGEN_REFERENCE_LIMIT:
-        raise DataError("eigen_reference guard: n = %d exceeds %d" % (n, _EIGEN_REFERENCE_LIMIT))
-    try:
-        alphas, V = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:
-        raise BackendError("dense eigensolver failed to converge: %s" % exc) from exc
-    nrmA = float(np.linalg.norm(A, 2))
-    resid = np.linalg.norm(A @ V - V * alphas[None, :], axis=0) / np.linalg.norm(V, axis=0)
-    if np.any(resid > 1e-8 * max(nrmA, _EPS)):
-        raise BackendError(
-            "dense eigensolver residual check failed (worst %.3e)" % float(resid.max())
-        )
-    return alphas.astype(complex)
-
-
 def _matching(a, b):
     """Distances |a_i - b_j| and the one-to-one assignment minimizing their sum.
 
@@ -323,12 +286,12 @@ def match_eigenvalues(computed, reference):
     return float(cost[rows, cols].max())
 
 
-def corrupted_sigma_etas(oracle, F, floor=1e-8):
+def corrupted_sigma_etas(oracle, F):
     """Replay a backend failure: small singular values optimistically floored.
 
     Runs the stages of :func:`dmd`, its one POD SVD path included, on the
     scaled trajectory data, but raises every retained singular value below
-    ``floor * sigma_1`` to that floor: exactly the signature of an SVD
+    1e-8 * sigma_1 to that floor: exactly the signature of an SVD
     routine that stops resolving far below the noise level.  The data-driven residuals of the junk directions then
     come out far smaller than the truth, so the returned eta ratios dip
     orders of magnitude below 1.
@@ -336,7 +299,7 @@ def corrupted_sigma_etas(oracle, F, floor=1e-8):
     traj = _as_trajectory(F)
     Xs, Ys, _ = _scale_arrays(traj.F[:, :-1], traj.F[:, 1:])
     basis = truncated_svd(Xs)
-    basis = dataclasses.replace(basis, sigma=np.maximum(basis.sigma, floor * basis.sigma[0]))
+    basis = dataclasses.replace(basis, sigma=np.maximum(basis.sigma, _CORRUPTED_SIGMA_FLOOR * basis.sigma[0]))
     _, lambdas, W = _quotient(basis, Ys)
     dd = data_driven_residuals(action_on_basis(Ys, basis.V, basis.sigma), basis.U, W, lambdas)
     Z = _lift(basis.U, W)

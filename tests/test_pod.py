@@ -6,9 +6,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmdkit.errors import ConditioningError, DataError, ShapeError
+from dmdkit import pod
+from dmdkit.errors import ConditioningError, DataError
 from dmdkit.inner import InnerProduct
-from dmdkit.pod import RankPolicy, default_epsilon, numerical_rank, truncated_svd, weighted_pod
+from dmdkit.pod import RankPolicy, _numerical_rank, default_epsilon, truncated_svd, weighted_pod
+from dmdkit.variants import VariantConfig
 
 
 def _rng(seed):
@@ -31,31 +33,17 @@ def test_orthonormal_columns_keep_full_rank():
 
 def test_spectral_threshold_is_strict():
     # sigma_2 exactly at epsilon*sigma_1 must be dropped, not kept
-    assert numerical_rank(np.array([1.0, 0.5, 0.25]), RankPolicy.spectral(0.5)) == 1
-    assert numerical_rank(np.array([1.0, 0.5, 0.25]), RankPolicy.spectral(0.49)) == 2
+    assert _numerical_rank(np.array([1.0, 0.5, 0.25]), RankPolicy.spectral(0.5)) == 1
+    assert _numerical_rank(np.array([1.0, 0.5, 0.25]), RankPolicy.spectral(0.49)) == 2
 
 
 def test_fixed_policy_validates_support():
     sigma = np.array([1.0, 0.5, 0.0])
-    assert numerical_rank(sigma, RankPolicy.fixed(2)) == 2
+    assert _numerical_rank(sigma, RankPolicy.fixed(2)) == 2
     with pytest.raises(ConditioningError):
-        numerical_rank(sigma, RankPolicy.fixed(3))
+        _numerical_rank(sigma, RankPolicy.fixed(3))
     with pytest.raises(ConditioningError):
-        numerical_rank(sigma, RankPolicy.fixed(4))
-
-
-def test_profile_takes_the_shared_input_rule():
-    # a str profile was converted to float64 and ranked
-    policy = RankPolicy.spectral(0.1)
-    for bad in (np.array(["1", "2"]), np.array([1.0, 0.5], dtype=object),
-                np.array([2, 1], dtype="datetime64[s]"), np.array([1.0 + 0j, 0.5])):
-        with pytest.raises(DataError):
-            numerical_rank(bad, policy)
-    for empty_or_zero in (np.array([]), np.array([0.0, 0.0])):
-        with pytest.raises(ConditioningError):
-            numerical_rank(empty_or_zero, policy)
-    assert numerical_rank(np.array([4, 2, 0]), policy) == 2
-    assert numerical_rank(np.array([1.0, 0.5], dtype=np.float32), policy) == 2
+        _numerical_rank(sigma, RankPolicy.fixed(4))
 
 
 @pytest.mark.parametrize("profile", [[np.nan, 1.0], [np.inf, 1.0], [1.0, np.nan], [1.0, -np.inf]],
@@ -64,15 +52,33 @@ def test_profile_takes_the_shared_input_rule():
 def test_profile_with_a_non_finite_entry_is_a_data_error(profile, policy):
     # a NaN or infinite first entry gave rank 0
     with pytest.raises(DataError):
-        numerical_rank(np.array(profile), policy)
+        _numerical_rank(np.array(profile), policy)
 
 
-@pytest.mark.parametrize("profile", [np.float64(1.0), np.array([[1.0, 0.5]]), np.ones((2, 2))],
-                         ids=["0-D", "1x2", "2x2"])
-def test_profile_that_is_not_a_vector_is_a_shape_error(profile):
-    # raw IndexError (0-D) and ValueError (2-D) before
-    with pytest.raises(ShapeError):
-        numerical_rank(profile, RankPolicy.spectral(0.1))
+def test_overflowing_profile_of_finite_data_is_a_data_error():
+    # a wide matrix goes to gesvd directly, whose sigma_1 overflows; the
+    # spectral rule would read rank 0 off it
+    with np.errstate(over="ignore"):
+        with pytest.raises(DataError, match="singular value profile contains non-finite entries"):
+            truncated_svd(np.full((3, 40), 1e308))
+
+
+_BAD_POLICIES = [5, 0.1, "spectral", True, RankPolicy]
+
+
+@pytest.mark.parametrize("policy", _BAD_POLICIES, ids=["int", "float", "str", "bool", "class"])
+def test_a_bad_rank_policy_is_rejected_before_any_work(policy, monkeypatch):
+    with pytest.raises(DataError, match="rank policy must be a RankPolicy"):
+        VariantConfig(policy=policy)
+    calls = []
+    monkeypatch.setattr(pod, "_svd_for_pod", lambda G: calls.append("svd"))
+    monkeypatch.setattr(InnerProduct, "transform", lambda self, X: calls.append("transform"))
+    X = _rng(7).standard_normal((50, 10))
+    with pytest.raises(DataError, match="rank policy must be a RankPolicy"):
+        truncated_svd(X, policy)
+    with pytest.raises(DataError, match="rank policy must be a RankPolicy"):
+        weighted_pod(X, InnerProduct.identity(50), policy)
+    assert calls == []
 
 
 def test_policy_constructor_rejects_bad_arguments():
@@ -101,8 +107,8 @@ def test_shrinking_epsilon_never_decreases_rank(values, data):
     sigma = np.sort(np.array(values))[::-1]
     eps_hi = data.draw(st.floats(min_value=1e-10, max_value=0.99))
     eps_lo = data.draw(st.floats(min_value=1e-12, max_value=eps_hi))
-    k_hi = numerical_rank(sigma, RankPolicy.spectral(eps_hi))
-    k_lo = numerical_rank(sigma, RankPolicy.spectral(eps_lo))
+    k_hi = _numerical_rank(sigma, RankPolicy.spectral(eps_hi))
+    k_lo = _numerical_rank(sigma, RankPolicy.spectral(eps_lo))
     assert k_lo >= k_hi
 
 

@@ -240,7 +240,6 @@ def test_compressed_fb_matches_its_engine_on_the_raw_pair(shape, data):
         policy=config.policy or RankPolicy.spectral(default_epsilon(*X.shape)), scale=config.scale))
     dec, fb = fb_dmd_mrf(X, Y, config)
     assert dec.rank == ref.rank and dec.variant == ref.variant == "fb"
-    assert np.array_equal(dec.lambdas, fb.lambdas)
     # One matching of the Ritz values carries over to omega and the evidence.
     scale = max(1.0, np.abs(ref.lambdas).max())
     cost = np.abs(dec.lambdas[:, None] - ref.lambdas[None, :])

@@ -19,6 +19,7 @@ from dmdkit._blas import _MODULES, _blas_threads, _one_blas_thread
 from dmdkit.pod import RankPolicy, truncated_svd
 from dmdkit.ritz import (
     _lift,
+    _residuals_from_stack,
     QrStack,
     RitzDecomposition,
     action_on_basis,
@@ -29,7 +30,6 @@ from dmdkit.ritz import (
     rayleigh_from_qr,
     refine_ritz,
     refined_rayleigh_value,
-    residuals_from_stack,
     ritz_pairs,
 )
 from dmdkit.variants import VariantConfig, ddmd_rrr
@@ -106,7 +106,6 @@ def test_qr_stack_gram_identity_and_phase_convention():
     assert np.allclose(stacked.conj().T @ stacked, R.conj().T @ R, atol=1e-12)
     d = np.diagonal(stack.r11)
     assert np.all(d.real >= 0) and np.allclose(d.imag if np.iscomplexobj(d) else 0.0, 0.0)
-    assert np.allclose(np.abs(stack.phi), 1.0)
 
 
 def test_qr_stack_square_basis_has_empty_tail():
@@ -135,7 +134,6 @@ def test_qr_stack_matches_numpy_qr(n, k, complex_valued):
     assert stack.r22.shape == (min(n, 2 * k) - k, k)
     for block, ref in ((stack.r11, R[:k, :k]), (stack.r12, R[:k, k:]), (stack.r22, R[k:, k:])):
         assert np.abs(block - ref).max(initial=0.0) <= tol
-    assert np.abs(stack.phi - phases[:k]).max() <= 1e-13
 
 
 def test_qr_stack_rejects_mismatched_or_one_dimensional_blocks():
@@ -216,7 +214,7 @@ def test_residuals_from_stack_match_ambient_norms():
     S = rayleigh_from_qr(stack)
     lambdas, W, _ = ritz_pairs(S, np.eye(stack.k))
     ambient = data_driven_residuals(B, U, W, lambdas)
-    packed = residuals_from_stack(stack, lambdas, W)
+    packed = _residuals_from_stack(stack, lambdas, W)
     assert np.allclose(packed, ambient, atol=1e-12)
 
 
@@ -241,7 +239,6 @@ def test_refine_scalar_closed_form():
         r11=np.array([[0.8]]),
         r12=np.array([[0.3 + 0.2j]]),
         r22=np.array([[0.45]]),
-        phi=np.array([1.0 + 0j]),
     )
     lam = 0.6 - 0.1j
     _, sigma = refine_ritz(stack, lam)
@@ -253,7 +250,7 @@ def test_refinement_never_worse_than_plain_residual():
     _, _, B, stack = _random_instance(31)
     S = rayleigh_from_qr(stack)
     lambdas, W, _ = ritz_pairs(S, np.eye(stack.k))
-    plain = residuals_from_stack(stack, lambdas, W)
+    plain = _residuals_from_stack(stack, lambdas, W)
     slack = 1e-12 * np.linalg.norm(B, 2)
     for i, lam in enumerate(lambdas):
         _, sigma = refine_ritz(stack, lam)
@@ -295,7 +292,7 @@ def test_swapping_lambda_for_rho_never_hurts():
     for lam in lambdas:
         w, sigma = refine_ritz(stack, lam)
         rho = refined_rayleigh_value(S, w)
-        with_rho = residuals_from_stack(stack, np.array([rho]), w.reshape(-1, 1))[0]
+        with_rho = _residuals_from_stack(stack, np.array([rho]), w.reshape(-1, 1))[0]
         assert with_rho <= sigma + 1e-12
 
 
@@ -314,6 +311,23 @@ def test_koopman_log_map_domain_errors():
         koopman_log_map(np.array([1.0]), 0.0)
     with pytest.raises(DataError):
         koopman_log_map(np.array([1.0]), np.nan)
+
+
+@pytest.mark.parametrize("dt", [True, np.True_, "0.1", np.array([0.1, 0.2]), 0.1 + 0j, np.nan, np.inf, -np.inf,
+                                0, -0.1],
+                         ids=["bool", "numpy-bool", "str", "array", "complex", "nan", "inf", "-inf", "zero",
+                              "negative"])
+def test_koopman_log_map_rejects_a_bad_dt(dt):
+    # True was taken as 1, an array raised numpy's ValueError, a str a TypeError
+    with pytest.raises(DataError, match="dt must be a positive finite real number"):
+        koopman_log_map(np.array([1.0 + 1.0j]), dt)
+
+
+@pytest.mark.parametrize("dt", [0.1, np.float64(0.1), 1], ids=["float", "float64", "int"])
+def test_koopman_log_map_takes_a_real_dt(dt):
+    got = koopman_log_map(np.array([1.0 + 1.0j]), dt)
+    want = (np.log(np.sqrt(2.0)) + 1j * np.pi / 4) / (2.0 * np.pi * float(dt))
+    assert np.array_equal(got, [want])
 
 
 def test_order_pairs_sorts_and_breaks_ties_deterministically():
@@ -340,7 +354,7 @@ def _full_svd_reference(stack, lam):
 
 
 def _fresh(stack):
-    return QrStack(r11=stack.r11, r12=stack.r12, r22=stack.r22, phi=stack.phi)
+    return QrStack(r11=stack.r11, r12=stack.r12, r22=stack.r22)
 
 
 # rows of data beyond k: r22 then has min(extra, k) rows
@@ -394,7 +408,7 @@ def test_refine_ritz_matches_full_svd_reference(stack, seed):
 @given(_stacks(), st.integers(0, 2**32 - 1))
 def test_refine_ritz_never_worse_than_plain(stack, seed):
     lambdas, W, _ = _shifts(stack, _rng(seed))
-    plain = residuals_from_stack(stack, lambdas, W)
+    plain = _residuals_from_stack(stack, lambdas, W)
     normB = np.linalg.norm(np.vstack([stack.r12, stack.r22]), 2)
     for lam, r in zip(lambdas, plain):
         _, sigma = refine_ritz(stack, lam)
@@ -510,7 +524,7 @@ def test_refine_ritz_matches_svd_route_over_oracle_family(data, cap):
             normB = np.linalg.norm(np.vstack([stack.r12, stack.r22]), 2)
             # refined <= plain: no Ritz vector of the quotient does better at this shift
             _, W = np.linalg.eig(rayleigh_from_qr(stack))
-            plain = residuals_from_stack(stack, np.full(stack.k, lam), W / np.linalg.norm(W, axis=0))
+            plain = _residuals_from_stack(stack, np.full(stack.k, lam), W / np.linalg.norm(W, axis=0))
             assert sigma <= plain.min() + 1e-12 * normB
             _, want = _qr_svd_reference(stack, lam)
             assert abs(sigma - want) <= 1e-12 * want + 1e-14 * normB
@@ -539,7 +553,7 @@ def test_one_dimensional_stacks_take_the_fallback_with_its_bits():
         for _ in range(5):
             r12 = rng.standard_normal((1, 1)) + (1j * rng.standard_normal((1, 1)) if complex_data else 0)
             stack = QrStack(r11=np.abs(rng.standard_normal((1, 1))), r12=r12,
-                            r22=rng.standard_normal((1, 1)), phi=np.ones(1))
+                            r22=rng.standard_normal((1, 1)))
             for lam in (r12[0, 0], rng.standard_normal() + 1j * rng.standard_normal()):
                 with _Routes() as routes:
                     w, sigma = refine_ritz(_fresh(stack), lam)
@@ -570,7 +584,7 @@ def test_refinement_of_scaled_stacks_keeps_the_cross_product_route(blocks, e):
     # residuals scale with the data
     _, _, _, stack = _random_instance(61)
     scaled = QrStack(r11=stack.r11 if blocks == "operator" else np.ldexp(stack.r11, e),
-                     r12=np.ldexp(stack.r12, e), r22=np.ldexp(stack.r22, e), phi=stack.phi)
+                     r12=np.ldexp(stack.r12, e), r22=np.ldexp(stack.r22, e))
     lambdas = np.linalg.eigvals(rayleigh_from_qr(stack))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -596,7 +610,7 @@ rng = np.random.Generator(np.random.Philox(11))
 r11 = np.triu(rng.standard_normal((k, k)))
 r11[np.diag_indices(k)] = np.abs(np.diagonal(r11)) + 1.0
 stack = QrStack(r11=r11, r12=rng.standard_normal((k, k)),
-                r22=np.triu(rng.standard_normal((k, k))), phi=np.ones(k))
+                r22=np.triu(rng.standard_normal((k, k))))
 shifts = rng.standard_normal(k) + 1j * rng.standard_normal(k)
 shifts[::4] = shifts[::4].real
 solves = [refine_ritz(stack, lam) for lam in shifts]

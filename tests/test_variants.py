@@ -14,7 +14,7 @@ from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
 from dmdkit.pod import RankPolicy, default_epsilon, truncated_svd, weighted_pod
 from dmdkit.ritz import QrStack, RefinedPair, action_on_basis, qr_stack, rayleigh_from_qr, refine_ritz, ritz_pairs
-from dmdkit.snapshots import ColumnScaling, KrylovCompanion, SequentialTrajectory, SnapshotPair, scale_columns
+from dmdkit.snapshots import KrylovCompanion, SequentialTrajectory, SnapshotPair, scale_columns
 from dmdkit.variants import (
     FbSpectrum,
     VariantConfig,
@@ -298,9 +298,8 @@ def test_sequential_diagnostic_rejects_general_pairs():
 def test_fb_square_roots_are_exact_by_construction():
     _, F = _orbit(85, 30, 10, spectrum="unit-disc", conditioning=5.0)
     dec, spectrum = fb_dmd_mrf(F.F[:, :-1], F.F[:, 1:])
-    assert np.abs(spectrum.lambdas**2 - spectrum.omegas).max() <= 1e-12 * np.abs(spectrum.omegas).max()
-    assert np.array_equal(dec.lambdas, spectrum.lambdas)
-    assert spectrum.sign_evidence.shape == dec.lambdas.shape
+    assert np.abs(dec.lambdas**2 - spectrum.omegas).max() <= 1e-12 * np.abs(spectrum.omegas).max()
+    assert spectrum.sign_evidence.shape == spectrum.omegas.shape == dec.lambdas.shape
 
 
 def test_fb_negative_omega_branch_keeps_conjugate_closure():
@@ -311,20 +310,20 @@ def test_fb_negative_omega_branch_keeps_conjugate_closure():
     oracle = make_oracle(8, spectrum=spec, conditioning=1.0, seed=40)
     f1 = _rng(41).standard_normal(8)
     F = trajectory(oracle, f1 / np.linalg.norm(f1), 8)
-    _, fb = fb_dmd_mrf(F.F[:, :-1], F.F[:, 1:], VariantConfig(scale=False))
+    dec, fb = fb_dmd_mrf(F.F[:, :-1], F.F[:, 1:], VariantConfig(scale=False))
     # The snapshots span the whole space, so fb recovers the spectrum.
-    assert match_eigenvalues(fb.lambdas, oracle.eigenvalues) <= 1e-12
+    assert match_eigenvalues(dec.lambdas, oracle.eigenvalues) <= 1e-12
     neg = np.flatnonzero((fb.omegas.real < 0) & (fb.omegas.imag == 0.0))
     assert neg.size == 4
     # negative real omega lifts to +-i sqrt(|omega|)
-    assert np.all(fb.lambdas[neg].real == 0.0)
-    assert np.allclose(np.abs(fb.lambdas[neg]), np.sqrt(np.abs(fb.omegas[neg])), atol=1e-14)
+    assert np.all(dec.lambdas[neg].real == 0.0)
+    assert np.allclose(np.abs(dec.lambdas[neg]), np.sqrt(np.abs(fb.omegas[neg])), atol=1e-14)
     # each blind pair is closed by the tie-break: one root from each half axis
     for pair in neg[np.argsort(fb.omegas[neg].real)].reshape(2, 2):
-        assert np.prod(np.sign(fb.lambdas[pair].imag)) == -1.0
+        assert np.prod(np.sign(dec.lambdas[pair].imag)) == -1.0
     # complex omegas close exactly through the evidence rule
     rest = np.setdiff1d(np.arange(fb.omegas.size), neg)
-    assert match_eigenvalues(fb.lambdas[rest], fb.lambdas[rest].conj()) <= 1e-12
+    assert match_eigenvalues(dec.lambdas[rest], dec.lambdas[rest].conj()) <= 1e-12
 
 
 def test_fb_does_not_depend_on_the_sign_of_a_backward_pod_vector(monkeypatch):
@@ -332,7 +331,7 @@ def test_fb_does_not_depend_on_the_sign_of_a_backward_pod_vector(monkeypatch):
     # another valid SVD of the backward data; the spectrum must not notice.
     _, F = _orbit(3, 200, 30, spectrum="unit-disc", conditioning=10.0)
     X, Y = F.F[:, :-1], F.F[:, 1:]
-    _, ref = fb_dmd_mrf(X, Y)
+    ref_dec, ref = fb_dmd_mrf(X, Y)
     pod = variants.truncated_svd
     calls = []
 
@@ -347,10 +346,10 @@ def test_fb_does_not_depend_on_the_sign_of_a_backward_pod_vector(monkeypatch):
         return basis
 
     monkeypatch.setattr(variants, "truncated_svd", flip_backward)
-    _, flipped = fb_dmd_mrf(X, Y)
+    flipped_dec, flipped = fb_dmd_mrf(X, Y)
     assert len(calls) == 2 and flipped.omegas.size == 30
     assert match_eigenvalues(flipped.omegas, ref.omegas) <= 1e-14
-    assert match_eigenvalues(flipped.lambdas, ref.lambdas) <= 1e-14
+    assert match_eigenvalues(flipped_dec.lambdas, ref_dec.lambdas) <= 1e-14
 
 
 def test_fb_blind_evidence_tie_break_is_antisymmetric():
@@ -358,12 +357,12 @@ def test_fb_blind_evidence_tie_break_is_antisymmetric():
     # are equally good, and the tie-break must hand out opposite signs.
     X = np.diag([1.0, 0.8])
     Y = np.array([[0.0, -0.8], [1.0, 0.0]])
-    _, fb = fb_dmd_mrf(X, Y, VariantConfig(scale=False))
+    dec, fb = fb_dmd_mrf(X, Y, VariantConfig(scale=False))
     assert np.all(fb.sign_evidence == 0.0)
     assert fb.omegas[0] == fb.omegas[1]
-    assert fb.lambdas[0] == -fb.lambdas[1]
-    assert np.allclose(fb.lambdas**2, fb.omegas, atol=1e-14)
-    assert match_eigenvalues(fb.lambdas, fb.lambdas.conj()) == 0.0
+    assert dec.lambdas[0] == -dec.lambdas[1]
+    assert np.allclose(dec.lambdas**2, fb.omegas, atol=1e-14)
+    assert match_eigenvalues(dec.lambdas, dec.lambdas.conj()) == 0.0
 
 
 def test_fb_singular_backward_guard():
@@ -534,9 +533,9 @@ def test_fb_spectrum_of_scaled_data_is_scaled(s):
     rng = _rng(99)
     X = rng.standard_normal((40, 8))
     Y = rng.standard_normal((40, 8))
-    _, ref = fb_dmd_mrf(X, Y)
-    _, fb = fb_dmd_mrf(X, s * Y)
-    for got, want in ((fb.lambdas, s * ref.lambdas), (fb.sign_evidence, s * ref.sign_evidence),
+    ref_dec, ref = fb_dmd_mrf(X, Y)
+    dec, fb = fb_dmd_mrf(X, s * Y)
+    for got, want in ((dec.lambdas, s * ref_dec.lambdas), (fb.sign_evidence, s * ref.sign_evidence),
                       (fb.omegas, s * s * ref.omegas)):
         np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want), rtol=1e-12)
 
@@ -807,7 +806,7 @@ def _rejected_everywhere(a):
     for pipeline in _PIPELINES.values():
         with pytest.raises(DataError, match="dtype"):
             pipeline(X, Y, a, M, N)
-    for weight in (InnerProduct.diagonal, InnerProduct, lambda w: InnerProduct.from_matrix(np.diag(w)), ColumnScaling):
+    for weight in (InnerProduct.diagonal, InnerProduct, lambda w: InnerProduct.from_matrix(np.diag(w))):
         with pytest.raises(DataError, match="dtype"):
             weight(a[:, 0])
     # so is a matrix handed to the POD or to a weight's methods
@@ -910,14 +909,13 @@ _ONES = np.ones((3, 3))
 # Two calls of each maker build distinct records with equal contents.
 _ARRAY_RECORDS = {
     "SequentialTrajectory": lambda: SequentialTrajectory(_ONES),
-    "ColumnScaling": lambda: ColumnScaling(np.ones(3)),
     "SnapshotPair": lambda: SnapshotPair(_ONES, _ONES),
-    "KrylovCompanion": lambda: KrylovCompanion(c=np.ones(3), C=_ONES, r=np.ones(3), r_norm=1.0),
+    "KrylovCompanion": lambda: KrylovCompanion(C=_ONES, r=np.ones(3), r_norm=1.0),
     "InnerProduct": lambda: InnerProduct.diagonal(np.ones(3)),
-    "QrStack": lambda: QrStack(r11=_ONES, r12=_ONES, r22=_ONES, phi=np.ones(3)),
+    "QrStack": lambda: QrStack(r11=_ONES, r12=_ONES, r22=_ONES),
     "RefinedPair": lambda: RefinedPair(w=np.ones(3), sigma_min=0.0, rho=1.0),
     "RitzDecomposition": lambda: ddmd_rrr(np.eye(4, 3), np.eye(4, 3)),
-    "FbSpectrum": lambda: FbSpectrum(omegas=np.ones(3), lambdas=np.ones(3), sign_evidence=np.ones(3)),
+    "FbSpectrum": lambda: FbSpectrum(omegas=np.ones(3), sign_evidence=np.ones(3)),
     "OracleOperator": lambda: make_oracle(4, seed=1),
 }
 
