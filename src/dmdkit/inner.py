@@ -26,7 +26,7 @@ import scipy.linalg
 
 from ._blas import _one_blas_thread
 from .errors import ConditioningError, DataError, ShapeError
-from .snapshots import _as_double, _check_matrix, _column_norms
+from .snapshots import _all_finite, _as_double, _check_matrix, _column_norms
 
 __all__ = ["InnerProduct"]
 
@@ -127,9 +127,9 @@ class InnerProduct:
     def transform(self, X):
         """Map ambient columns, or one vector, into the Euclidean coordinates of the geometry."""
         X = self._check_rows(X, "state matrix")
-        if self.orientation == "M":
-            return self._apply(X, adjoint=True)
-        return self._solve(X, adjoint=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = self._apply(X, adjoint=True) if self.orientation == "M" else self._solve(X, adjoint=False)
+        return _finite_image(X, image)
 
     def lift(self, U_tilde):
         """Pull transformed basis columns, or one vector, back to ambient coordinates."""
@@ -150,8 +150,10 @@ class InnerProduct:
                 "weight factor of size %d does not conform to snapshot count %d" % (self.n, X.shape[1])
             )
         # (X K^{-*})* = K^{-1} X* and (X K)* = K* X*.
-        return (self._solve(X.conj().T, adjoint=False) if self.orientation == "M"
-                else self._apply(X.conj().T, adjoint=True)).conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = (self._solve(X.conj().T, adjoint=False) if self.orientation == "M"
+                     else self._apply(X.conj().T, adjoint=True)).conj().T
+        return _finite_image(X, image)
 
     # -- norms and materialization -------------------------------------------
 
@@ -175,6 +177,13 @@ class InnerProduct:
             return self._apply(self.factor.conj().T, adjoint=False)
         eye = np.eye(self.n, dtype=self.factor.dtype)
         return self._solve(self._solve(eye, adjoint=False), adjoint=True)
+
+
+def _finite_image(X, image):
+    """``image``, the transform of ``X``; finite ``X`` mapped beyond the double range is a ConditioningError."""
+    if not _all_finite(image) and _all_finite(X):
+        raise ConditioningError("the weighted snapshots overflow double precision")
+    return image
 
 
 def _require_weight(weight, name):

@@ -31,7 +31,7 @@ import scipy.linalg
 from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError
 from .inner import _require_weight
-from .snapshots import _EPS, _check_matrix, _column_norms
+from .snapshots import _EPS, _all_finite, _check_matrix, _column_norms
 
 __all__ = [
     "RankPolicy",
@@ -167,9 +167,12 @@ def _apply_reflectors(a, t, top):
 
 
 def _gesvd(G):
+    """SVD of checked input or of its triangular factor, which is non-finite only where sigma overflows."""
+    if not _all_finite(G):
+        raise DataError("singular value profile contains non-finite entries")
     try:
         with _one_blas_thread:
-            return scipy.linalg.svd(G, full_matrices=False, lapack_driver="gesvd")
+            return scipy.linalg.svd(G, full_matrices=False, lapack_driver="gesvd", check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise BackendError("SVD backend failed to converge: %s" % exc) from exc
 
@@ -195,7 +198,7 @@ def _svd_for_pod(G):
     """Thin SVD, with a pivoted QR first when column norms are badly graded."""
     norms = _column_norms(G)
     positive = norms[norms > 0.0]
-    if positive.size and positive.max() > _QR_PREPROCESS_SPREAD * positive.min():
+    if positive.size and positive.max() / _QR_PREPROCESS_SPREAD > positive.min():
         with _one_blas_thread:
             Q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True)
         Ur, s, Vh_p = _thin_svd(R)

@@ -42,7 +42,7 @@ from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
 from .pod import _householder_qr
-from .snapshots import _EPS, _column_norms, _inexact_norms
+from .snapshots import _EPS, _all_finite, _column_norms, _inexact_norms
 
 __all__ = [
     "QrStack",
@@ -159,7 +159,7 @@ def action_on_basis(Y, V_k, sigma_k):
         )
     with np.errstate(over="ignore", invalid="ignore"):
         B = Y @ (V_k / sigma_k[None, :])
-    if not np.isfinite(B).all():
+    if not _all_finite(B):
         raise ConditioningError("action_on_basis: B_k = Y V_k Sigma_k^-1 overflows double precision")
     return B
 
@@ -263,30 +263,20 @@ def ritz_pairs(S_k, U_k):
 
 
 def data_driven_residuals(B_k, U_k, W, lambdas):
-    """|| B_k w_i - lambda_i U_k w_i || for unit-norm coefficient columns."""
-    W = np.asarray(W)
-    R = _lift(np.asarray(B_k), W) - _lift(np.asarray(U_k), W * np.asarray(lambdas)[None, :])
-    return _column_norms(R)
+    """|| B_k w_i - lambda_i U_k w_i || for unit-norm coefficient columns, read off one QR of (U_k  B_k)."""
+    return _residuals_from_stack(qr_stack(U_k, B_k), lambdas, W)
 
 
 def _residuals_from_stack(stack, lambdas, W):
-    """Same residuals as :func:`data_driven_residuals`, in 2k dimensions.
+    """The residuals of :func:`data_driven_residuals` in 2k dimensions.
 
     Uses || R_lambda w || with R_lambda stacked from the QR blocks, which
     equals the ambient residual norm exactly because Q has orthonormal
-    columns.  A norm that overflows or underflows is measured again with
-    scaling.
+    columns; :func:`_column_norms` keeps it finite and accurate.
     """
     W = np.asarray(W)
-    lambdas = np.asarray(lambdas)
-    top = stack.r12 @ W - (stack.r11 @ W) * lambdas[None, :]
-    bottom = stack.r22 @ W
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = np.sqrt(np.linalg.norm(top, axis=0) ** 2 + np.linalg.norm(bottom, axis=0) ** 2)
-    redo = _inexact_norms(res)
-    if redo.any():
-        res[redo] = _column_norms(np.vstack([top[:, redo], bottom[:, redo]]))
-    return res
+    top = stack.r12 @ W - (stack.r11 @ W) * np.asarray(lambdas)[None, :]
+    return _column_norms(np.vstack([top, stack.r22 @ W]))
 
 
 def _pow2_scaled(X):

@@ -59,10 +59,10 @@ def _check_matrix(a, name, ndims=(2,)):
 
 
 def _all_finite(a):
-    """Whether every entry of a double array is finite, by NaN-propagating max and min: no temporary of its size."""
+    """Whether every entry of a double array, possibly empty, is finite: NaN-propagating max and min, no temporary."""
     if a.dtype.kind == "c":
         return _all_finite(a.real) and _all_finite(a.imag)
-    return bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+    return bool(np.isfinite(a.max(initial=0.0)) and np.isfinite(a.min(initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +194,7 @@ def scale_columns(pair):
     once scaled is a :class:`ConditioningError`.
     """
     Xs, Ys, norms = _scale_arrays(pair.X, pair.Y)
-    if not np.isfinite(Ys).all():
+    if not _all_finite(Ys):
         raise ConditioningError("scale_columns: the scaled Y overflows double precision")
     return SnapshotPair(Xs, Ys), norms
 

@@ -56,11 +56,14 @@ def test_profile_with_a_non_finite_entry_is_a_data_error(profile, policy):
 
 
 def test_overflowing_profile_of_finite_data_is_a_data_error():
-    # a wide matrix goes to gesvd directly, whose sigma_1 overflows; the
-    # spectral rule would read rank 0 off it
-    with np.errstate(over="ignore"):
+    # a wide matrix goes to gesvd directly, whose sigma_1 overflows (the
+    # spectral rule would read rank 0 off it); a tall one overflows in the
+    # triangular factor of its QR, and so does a graded one in its pivoted QR
+    graded = np.full((5, 3), 1e308)
+    graded[:, 2] = 1e-10
+    for X in (np.full((3, 40), 1e308), np.full((4, 3), 1e308), graded):
         with pytest.raises(DataError, match="singular value profile contains non-finite entries"):
-            truncated_svd(np.full((3, 40), 1e308))
+            truncated_svd(X)
 
 
 _BAD_POLICIES = [5, 0.1, "spectral", True, RankPolicy]
