@@ -59,9 +59,10 @@ class InnerProduct:
         M = _check_matrix(M, "weight matrix")
         if M.shape[0] != M.shape[1]:
             raise ShapeError("weight matrix must be square, got shape %r" % (M.shape,))
+        # Frobenius norms from scaled column norms, finite at any scale of M.
+        if _frobenius(M - M.conj().T) > 1e-12 * _frobenius(M):
+            raise DataError("weight matrix must be Hermitian")
         with _one_blas_thread:
-            if np.linalg.norm(M - M.conj().T) > 1e-12 * max(1.0, np.linalg.norm(M)):
-                raise DataError("weight matrix must be Hermitian")
             try:
                 L = scipy.linalg.cholesky(M, lower=True)
             except scipy.linalg.LinAlgError as exc:
@@ -106,16 +107,18 @@ class InnerProduct:
         """The diagonal factor shaped to scale the rows of a vector or a matrix B."""
         return self.factor if B.ndim == 1 else self.factor[:, None]
 
-    def _apply(self, B, adjoint):
+    def _apply(self, B, adjoint, out=None):
+        """L B, or L* B with ``adjoint``; a diagonal factor writes into ``out`` where given."""
         if self.factor.ndim == 1:
-            return B * self._diagonal_for(B)
+            return np.multiply(B, self._diagonal_for(B), out=out)
         L = self.factor.conj().T if adjoint else self.factor
         with _one_blas_thread:
             return L @ B
 
-    def _solve(self, B, adjoint):
+    def _solve(self, B, adjoint, out=None):
+        """L^{-1} B, or L^{-*} B with ``adjoint``; a diagonal factor writes into ``out`` where given."""
         if self.factor.ndim == 1:
-            return B / self._diagonal_for(B)
+            return np.divide(B, self._diagonal_for(B), out=out)
         try:
             with _one_blas_thread:
                 return scipy.linalg.solve_triangular(self.factor, B, lower=True, trans="C" if adjoint else "N")
@@ -126,17 +129,26 @@ class InnerProduct:
 
     def transform(self, X):
         """Map ambient columns, or one vector, into the Euclidean coordinates of the geometry."""
+        return self._transform_into(X, None)
+
+    def _transform_into(self, X, out):
+        """:meth:`transform` of X; a diagonal factor writes the image into ``out`` where given."""
         X = self._check_rows(X, "state matrix")
         with np.errstate(over="ignore", invalid="ignore"):
-            image = self._apply(X, adjoint=True) if self.orientation == "M" else self._solve(X, adjoint=False)
-        return _finite_image(X, image)
+            image = (self._apply(X, adjoint=True, out=out) if self.orientation == "M"
+                     else self._solve(X, adjoint=False, out=out))
+        return _finite_image(image, X)
 
     def lift(self, U_tilde):
         """Pull transformed basis columns, or one vector, back to ambient coordinates."""
-        U_tilde = self._check_rows(U_tilde, "transformed basis")
+        return self._lift(self._check_rows(U_tilde, "transformed basis"), in_place=False)
+
+    def _lift(self, U, in_place):
+        """:meth:`lift` of a checked U; a diagonal factor overwrites U where ``in_place``."""
+        out = U if in_place else None
         if self.orientation == "M":
-            return self._solve(U_tilde, adjoint=True)
-        return self._apply(U_tilde, adjoint=False)
+            return self._solve(U, adjoint=True, out=out)
+        return self._apply(U, adjoint=False, out=out)
 
     # -- snapshot-space (column) weighting -----------------------------------
 
@@ -145,15 +157,32 @@ class InnerProduct:
         X = _as_double(X, "snapshot matrix")
         if X.ndim != 2:
             raise ShapeError("snapshot matrix must be a 2-D array, got ndim=%d" % X.ndim)
+        return self._transform_right_into(X, None)
+
+    def _transform_right_into(self, X, out):
+        """:meth:`transform_right` of a 2-D double X; a diagonal factor writes the image into ``out`` where given.
+
+        ``out`` may be X itself, whose entries must then be finite.
+        """
         if X.shape[1] != self.n:
             raise ShapeError(
                 "weight factor of size %d does not conform to snapshot count %d" % (self.n, X.shape[1])
             )
-        # (X K^{-*})* = K^{-1} X* and (X K)* = K* X*.
+        source = None if out is X else X
         with np.errstate(over="ignore", invalid="ignore"):
-            image = (self._solve(X.conj().T, adjoint=False) if self.orientation == "M"
-                     else self._apply(X.conj().T, adjoint=True)).conj().T
-        return _finite_image(X, image)
+            if self.factor.ndim == 2:
+                # (X K^{-*})* = K^{-1} X* and (X K)* = K* X*.
+                image = (self._solve(X.conj().T, adjoint=False) if self.orientation == "M"
+                         else self._apply(X.conj().T, adjoint=True)).conj().T
+            else:
+                # The same steps entry by entry: conjugate, scale, conjugate back.
+                if np.iscomplexobj(X):
+                    X = out = np.conjugate(X, out=out)
+                scale = self._solve if self.orientation == "M" else self._apply
+                image = scale(X.T, adjoint=self.orientation != "M", out=None if out is None else out.T).T
+                if np.iscomplexobj(image):
+                    np.conjugate(image, out=image)
+        return _finite_image(image, source)
 
     # -- norms and materialization -------------------------------------------
 
@@ -179,11 +208,19 @@ class InnerProduct:
         return self._solve(self._solve(eye, adjoint=False), adjoint=True)
 
 
-def _finite_image(X, image):
-    """``image``, the transform of ``X``; finite ``X`` mapped beyond the double range is a ConditioningError."""
-    if not _all_finite(image) and _all_finite(X):
+def _finite_image(image, X=None):
+    """``image``, the transform of ``X``, or of finite data where X is None.
+
+    Finite data mapped beyond the double range is a ConditioningError.
+    """
+    if not _all_finite(image) and (X is None or _all_finite(X)):
         raise ConditioningError("the weighted snapshots overflow double precision")
     return image
+
+
+def _frobenius(A):
+    """Frobenius norm of A, finite and accurate for finite A: the norm of its :func:`_column_norms`."""
+    return float(_column_norms(_column_norms(A)[:, None])[0])
 
 
 def _require_weight(weight, name):

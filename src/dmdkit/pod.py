@@ -11,9 +11,10 @@ deliberately no values-only shortcut, because mixing two SVD routines in
 one decomposition is exactly the failure mode the residual diagnostics
 of this package are designed to expose.  For tall input that path
 starts with a level-3 Householder QR (LAPACK ?geqrt) of a column-major
-copy, takes the SVD of the small triangular factor, and applies the
-reflectors to its left singular vectors; values and vectors still come
-from the same factorization.  The same QR kernel factors the residual
+copy, or, in the pipelines, of their own working array in place, takes
+the SVD of the small triangular factor, and applies the reflectors to
+its left singular vectors; values and vectors still come from the same
+factorization.  The same QR kernel factors the residual
 stack of :mod:`dmdkit.ritz`.
 
 Each LAPACK kernel here runs on one thread of every OpenBLAS in the
@@ -128,19 +129,26 @@ class PodBasis:
 
 
 def _householder_qr(*blocks):
-    """Householder QR of the blocks side by side (LAPACK ?geqrt).
+    """Householder QR of the blocks side by side: :func:`_geqrt` of one column-major copy.
 
     The blocks, of equal height, are written into one column-major buffer
-    ``a`` of their common dtype (at least float64), which the
-    factorization overwrites.  Returns (a, T, R): the reflectors below the
-    diagonal of ``a``, the block reflector factors T for ?gemqrt, and R,
-    the upper triangle of the top min(rows, columns) rows of ``a``.  The
-    panels are factored recursively, so the work runs in matrix-matrix
-    products.
+    of their common dtype (at least float64), which the factorization
+    overwrites.
     """
     n, cols = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
     a = np.empty((n, cols), dtype=np.result_type(*blocks, np.float64), order="F")
     np.concatenate(blocks, axis=1, out=a)
+    return _geqrt(a)
+
+
+def _geqrt(a):
+    """Householder QR of the column-major double buffer ``a`` in place (LAPACK ?geqrt).
+
+    Returns (a, T, R): the reflectors below the diagonal of ``a``, the
+    block reflector factors T for ?gemqrt, and R, the upper triangle of
+    the top min(rows, columns) rows of ``a``.  The panels are factored
+    recursively, so the work runs in matrix-matrix products.
+    """
     (geqrt,) = scipy.linalg.get_lapack_funcs(("geqrt",), (a,))
     with _one_blas_thread:
         a, t, info = geqrt(min(32, *a.shape), a, overwrite_a=True)
@@ -149,65 +157,95 @@ def _householder_qr(*blocks):
     return a, t, np.triu(a[: min(a.shape)])
 
 
-def _apply_reflectors(a, t, top):
-    """Q [top; 0] for the factors (a, T) of :func:`_householder_qr` (LAPACK ?gemqrt).
+def _apply_reflectors(a, t, top, out=None, count=None):
+    """Q [top; 0] for the factors (a, T) of :func:`_geqrt` (LAPACK ?gemqrt).
 
-    ``top`` has one row per reflector and the dtype of ``a``; it is
-    zero-padded to the height of ``a`` in a column-major buffer, which the
-    reflectors overwrite in place and which is returned.
+    ``top`` has the dtype of ``a``; it is zero-padded to the height of
+    ``a`` in ``out``, a column-major buffer that is zero below the rows of
+    ``top``, or in a fresh one.  The reflectors overwrite that buffer in
+    place, and it is returned.  Only the first ``count`` reflectors are
+    applied, all by default.
     """
-    C = np.zeros((a.shape[0], top.shape[1]), dtype=a.dtype, order="F")
+    count = t.shape[1] if count is None else count
+    C = np.zeros((a.shape[0], top.shape[1]), dtype=a.dtype, order="F") if out is None else out
     C[: top.shape[0]] = top
     (gemqrt,) = scipy.linalg.get_lapack_funcs(("gemqrt",), (a,))
     with _one_blas_thread:
-        C, info = gemqrt(a[:, : t.shape[1]], t, C, overwrite_c=True)
+        C, info = gemqrt(a[:, :count], t[:, :count], C, overwrite_c=True)
     if info != 0:
         raise BackendError("QR backend failed: ?gemqrt returned info = %d" % info)
     return C
 
 
 def _gesvd(G):
-    """SVD of checked input or of its triangular factor, which is non-finite only where sigma overflows."""
+    """SVD of G, which it may overwrite: checked input, or its triangular factor, non-finite only where sigma overflows."""
     if not _all_finite(G):
         raise DataError("singular value profile contains non-finite entries")
     try:
         with _one_blas_thread:
-            return scipy.linalg.svd(G, full_matrices=False, lapack_driver="gesvd", check_finite=False)
+            return scipy.linalg.svd(G, full_matrices=False, lapack_driver="gesvd", overwrite_a=True,
+                                    check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise BackendError("SVD backend failed to converge: %s" % exc) from exc
 
 
-def _thin_svd(G):
-    """Single SVD path: values and vectors from one factorization.
+def _svd_for_pod(G, columns, dtype):
+    """Thin SVD of the column-major double buffer G, which it overwrites.
 
-    Tall G (n > m) is factored G = Q R by :func:`_householder_qr` on an
-    exact column-major copy; ``gesvd`` runs on the m x m R, and
-    U = Q [U_r; 0] is formed in place by applying the reflectors
-    (?gemqrt).  Other shapes go to ``gesvd`` directly.  Either way the
-    result depends on the values of G only, not on its memory layout.
+    Values and vectors come from one factorization.  When the column norms
+    of G are badly graded, a pivoted QR comes first and ``gesvd`` runs on
+    its triangular factor.  Otherwise tall G (n > m) is factored
+    G = Q R by :func:`_geqrt` in place, ``gesvd`` runs on the m x m R,
+    and U = Q [U_r; 0] is formed by applying the reflectors (?gemqrt);
+    other shapes go to ``gesvd`` directly.  The result depends on the
+    values of G only.  Returns (U, s, V), the r = min(n, m) left singular
+    vectors in the leading columns of U, a fresh zeroed buffer of
+    max(r, ``columns``) columns and dtype ``dtype`` (G's where None).  U
+    has the memory order in which the route forms it, row-major from the
+    product Q U_r of the pivoted route and column-major otherwise, so
+    every product with U rounds as with the route's own.
     """
     n, m = G.shape
-    if n <= m:
-        return _gesvd(G)
-    a, t, R = _householder_qr(G)
-    Ur, s, Vh = _gesvd(R)
-    return _apply_reflectors(a, t, Ur), s, Vh
-
-
-def _svd_for_pod(G):
-    """Thin SVD, with a pivoted QR first when column norms are badly graded."""
+    r = min(n, m)
     norms = _column_norms(G)
     positive = norms[norms > 0.0]
-    if positive.size and positive.max() / _QR_PREPROCESS_SPREAD > positive.min():
+    pivoted = positive.size and positive.max() / _QR_PREPROCESS_SPREAD > positive.min()
+    U = np.zeros((n, max(r, columns)), dtype=G.dtype if dtype is None else dtype, order="C" if pivoted else "F")
+    if pivoted:
         with _one_blas_thread:
-            Q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True)
-        Ur, s, Vh_p = _thin_svd(R)
-        U = Q @ Ur
-        V = np.empty((G.shape[1], Vh_p.shape[0]), dtype=Vh_p.dtype)
+            Q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True, overwrite_a=True)
+        Ur, s, Vh_p = _gesvd(R)
+        U[:, :r] = Q @ Ur
+        V = np.empty((m, Vh_p.shape[0]), dtype=Vh_p.dtype)
         V[piv, :] = Vh_p.conj().T
         return U, s, V
-    U, s, Vh = _thin_svd(G)
+    if n > m:
+        a, t, R = _geqrt(G)
+        Ur, s, Vh = _gesvd(R)
+        if U.dtype == a.dtype:
+            _apply_reflectors(a, t, Ur, out=U[:, :m])
+        else:
+            U[:, :m] = _apply_reflectors(a, t, Ur)
+    else:
+        Ur, s, Vh = _gesvd(G)
+        U[:, :r] = Ur
     return U, s, Vh.conj().T
+
+
+def _pod_in_place(G, policy=None, columns=0, dtype=None):
+    """The POD of :func:`truncated_svd` on the column-major double buffer G, which it overwrites.
+
+    Returns (basis, U): ``basis.U`` is a view of the first k columns of
+    the buffer U of :func:`_svd_for_pod`, which has at least ``columns``
+    columns and dtype ``dtype``.
+    """
+    if policy is None:
+        policy = RankPolicy.spectral(default_epsilon(*G.shape))
+    U, s, V = _svd_for_pod(G, columns, dtype)
+    if s[0] <= 0.0:
+        raise ConditioningError("truncated_svd: input matrix is numerically zero", sigma_min=0.0)
+    k = _numerical_rank(s, policy)
+    return PodBasis(U=U[:, :k], sigma=s[:k].copy(), V=V[:, :k], rank=k, sigma_all=s), U
 
 
 def truncated_svd(X, policy=None):
@@ -215,15 +253,11 @@ def truncated_svd(X, policy=None):
 
     Returns a :class:`PodBasis` whose retained singular values are all
     strictly positive and whose basis satisfies U*U = I to roundoff.
+    The SVD factors a column-major copy of X.
     """
     X = _check_matrix(X, "POD input")
-    if _check_policy(policy) is None:
-        policy = RankPolicy.spectral(default_epsilon(*X.shape))
-    U, s, V = _svd_for_pod(X)
-    if s[0] <= 0.0:
-        raise ConditioningError("truncated_svd: input matrix is numerically zero", sigma_min=0.0)
-    k = _numerical_rank(s, policy)
-    return PodBasis(U=U[:, :k], sigma=s[:k].copy(), V=V[:, :k], rank=k, sigma_all=s)
+    _check_policy(policy)
+    return _pod_in_place(np.array(X, order="F"), policy)[0]
 
 
 def weighted_pod(X, weight, policy=None):

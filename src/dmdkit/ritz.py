@@ -41,7 +41,7 @@ import scipy.linalg
 from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
-from .pod import _householder_qr
+from .pod import _geqrt, _householder_qr
 from .snapshots import _EPS, _all_finite, _column_norms, _inexact_norms
 
 __all__ = [
@@ -145,39 +145,67 @@ def action_on_basis(Y, V_k, sigma_k):
     conditioning error: finite data whose scales cannot be combined in
     double precision.
     """
-    sigma_k = np.asarray(sigma_k, dtype=np.float64)
-    if np.any(sigma_k <= 0.0) or not np.all(np.isfinite(sigma_k)):
-        raise ConditioningError(
-            "action_on_basis: retained singular values must be strictly positive",
-            sigma_min=float(sigma_k.min()) if sigma_k.size else 0.0,
-        )
     Y = np.asarray(Y)
     V_k = np.asarray(V_k)
     if Y.shape[1] != V_k.shape[0]:
         raise ShapeError(
             "Y has %d columns but V_k has %d rows" % (Y.shape[1], V_k.shape[0])
         )
+    B = np.empty((Y.shape[0], V_k.shape[1]), dtype=np.result_type(Y, V_k, np.float64))
+    return _image_into(B, Y, V_k, sigma_k)
+
+
+def _image_into(out, Y, V_k, sigma_k):
+    """:func:`action_on_basis` written into ``out``, an n x k buffer or view.
+
+    A column-major Y with k >= 2 is multiplied by row blocks of
+    :func:`_block_rows` on one BLAS thread, which rounds the bits of the
+    plain product Y @ (V_k / sigma_k) on the kernels measured (OpenBLAS
+    0.3.31), so B_k is formed without a temporary of its size; any other
+    Y takes the plain product, copied into ``out``.
+    """
+    sigma_k = np.asarray(sigma_k, dtype=np.float64)
+    if np.any(sigma_k <= 0.0) or not np.all(np.isfinite(sigma_k)):
+        raise ConditioningError(
+            "action_on_basis: retained singular values must be strictly positive",
+            sigma_min=float(sigma_k.min()) if sigma_k.size else 0.0,
+        )
+    S = V_k / sigma_k[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        B = Y @ (V_k / sigma_k[None, :])
-    if not _all_finite(B):
+        if Y.flags.f_contiguous and S.shape[1] >= 2:
+            with _one_blas_thread:
+                for start, stop in _row_ranges(Y.shape[0], _block_rows(Y.shape[0])):
+                    out[start:stop] = Y[start:stop] @ S
+        else:
+            out[...] = Y @ S
+    if not _all_finite(out):
         raise ConditioningError("action_on_basis: B_k = Y V_k Sigma_k^-1 overflows double precision")
-    return B
+    return out
 
 
 def qr_stack(U_k, B_k):
     """Compress (U_k  B_k) into triangular blocks by one thin QR.
 
     U_k and B_k are written into one column-major n x 2k buffer, which
-    the Householder QR overwrites; R is the upper triangle of its top
-    min(n, 2k) rows.  Returns the blocks R11 (k x k, nonnegative real
-    diagonal after normalization), R12 (k x k) and R22 (min(n-k, k) x k).
+    the Householder QR overwrites (see :func:`_stack_in_place`).  Returns
+    the blocks R11 (k x k, nonnegative real diagonal after normalization),
+    R12 (k x k) and R22 (min(n-k, k) x k).
     """
     U_k = np.asarray(U_k)
     B_k = np.asarray(B_k)
     if U_k.ndim != 2 or U_k.shape != B_k.shape:
         raise ShapeError("U_k and B_k must be 2-D with equal shapes, got %r and %r" % (U_k.shape, B_k.shape))
-    k = U_k.shape[1]
-    R = _householder_qr(U_k, B_k)[2]
+    return _normalized_stack(_householder_qr(U_k, B_k)[2])
+
+
+def _stack_in_place(buf):
+    """:func:`qr_stack` of (U_k  B_k) held in the column-major n x 2k ``buf``, which the QR overwrites."""
+    return _normalized_stack(_geqrt(buf)[2])
+
+
+def _normalized_stack(R):
+    """The :class:`QrStack` of R, the triangular factor of (U_k  B_k), its rows scaled to a nonnegative diagonal."""
+    k = R.shape[1] // 2
     diag = np.diagonal(R)
     phases = np.ones(diag.shape[0], dtype=R.dtype if np.iscomplexobj(R) else np.float64)
     nz = np.abs(diag) > 0.0
@@ -209,44 +237,62 @@ def _eig(S):
 _LIFT_BLOCK = 2048
 
 
+def _block_rows(n):
+    """Rows per block of a pipeline's tall products: n/32, at least 2 and at most ``_LIFT_BLOCK``."""
+    return min(_LIFT_BLOCK, max(2, -(-n // 32)))
+
+
+def _row_ranges(n, rows):
+    """(start, stop) of consecutive blocks of ``rows`` rows; the last takes up to ``rows`` + 1.
+
+    A one-row block is never left: numpy runs that as a vector product.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start < rows + 2 else start + rows
+        yield start, stop
+        start = stop
+
+
 def _by_real_view(A, W):
     """Whether :func:`_lift_blocks` runs A @ W as real products by row blocks."""
     return A.dtype == np.float64 and W.dtype == np.complex128 and min(A.shape[0], W.shape[1]) >= 2
 
 
-def _lift_blocks(A, W):
+def _lift_blocks(A, W, rows=_LIFT_BLOCK):
     """A @ W for a tall A and a small W, as (start, rows) blocks in row order.
 
     For a real A and a complex W, W is viewed as a real matrix with
     interleaved real and imaginary columns, so A is never cast to
     complex, whatever its memory layout; each block is one real product
-    on at most ``_LIFT_BLOCK`` + 1 rows of A.  On the kernels measured
+    on at most ``rows`` + 1 rows of A.  On the kernels measured
     (OpenBLAS 0.3.31, Haswell) this rounds like numpy's mixed product
     A @ W bit for bit for a column-major A with at most 96 columns, and
-    can differ by roundoff beyond; for a row-major A it differs already
-    at 16 columns.  Any other dtype, or a single row or column, takes the
-    plain product as one block: split by rows, a complex product of one
-    column rounds differently on two threads.
+    can differ by roundoff beyond, where a block's bits also depend on its
+    number of rows; for a row-major A it differs already at 16 columns.
+    Any other dtype, or a single row or column, takes the plain product as
+    one block: split by rows, a complex product of one column rounds
+    differently on two threads.
     """
     if not _by_real_view(A, W):
         yield 0, A @ W
         return
-    n = A.shape[0]
     Wr = np.ascontiguousarray(W).view(np.float64)
-    start = 0
-    while start < n:
-        # Never leave a one-row block: numpy runs that as a vector product.
-        stop = n if n - start < _LIFT_BLOCK + 2 else start + _LIFT_BLOCK
+    for start, stop in _row_ranges(A.shape[0], rows):
         yield start, (A[start:stop] @ Wr).view(complex)
-        start = stop
 
 
-def _lift(A, W):
-    """A @ W from :func:`_lift_blocks`; the blocks of the real-view route fill a column-major result."""
+def _lift(A, W, rows=_LIFT_BLOCK):
+    """A @ W from :func:`_lift_blocks`; the blocks of the real-view route fill a column-major result.
+
+    Only a column-major A is split into blocks of fewer than
+    ``_LIFT_BLOCK`` rows: the bits of a row-major A's block products
+    depend on the block size.
+    """
     if not _by_real_view(A, W):
         return A @ W
     Z = np.empty((A.shape[0], W.shape[1]), dtype=complex, order="F")
-    for start, block in _lift_blocks(A, W):
+    for start, block in _lift_blocks(A, W, rows if A.flags.f_contiguous else _LIFT_BLOCK):
         Z[start:start + len(block)] = block
         del block  # not held while the next block is formed
     return Z

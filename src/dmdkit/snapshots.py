@@ -146,10 +146,14 @@ def _column_norms(X):
     :func:`_inexact_norms`) is measured again as max|x| * ||x / max|x|||;
     every other column keeps the bits of ``np.linalg.norm(X, axis=0)``.
     A zero column stays zero and a column holding an infinity stays
-    infinite.
+    infinite.  A column-major X is measured 1/32 of its columns at a
+    time, which rounds the same bits, so no full-size temporary is formed.
     """
+    step = max(1, -(-X.shape[1] // 32)) if X.flags.f_contiguous else max(1, X.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        d = np.linalg.norm(X, axis=0)
+        d = np.empty(X.shape[1])
+        for j in range(0, X.shape[1], step):
+            d[j:j + step] = np.linalg.norm(X[:, j:j + step], axis=0)
         redo = _inexact_norms(d)
         if redo.any():
             Xr = X[:, redo]
@@ -158,23 +162,32 @@ def _column_norms(X):
     return d
 
 
+def _scale_factors(Xf):
+    """(1 / norms, norms) of the columns of a column-major X, as :func:`_scale_arrays` applies them.
+
+    Zero columns, and columns whose norm is below the normal range, get
+    factor 1 and norm 0.
+    """
+    d = _column_norms(Xf)
+    nz = d >= np.finfo(np.float64).tiny
+    return 1.0 / np.where(nz, d, 1.0), np.where(nz, d, 0.0)
+
+
 def _scale_arrays(X, Y):
     """Divide matched columns of X and Y by the column norms of X.
 
-    Zero columns, and columns whose norm is below the normal range, get
-    factor 0 and are left untouched.  Returns the scaled copies and the
-    norms, 0 for each column left untouched, which are finite for finite
-    data (see :func:`_column_norms`).  A scaled Y may overflow; the
-    pipelines report that as a :class:`ConditioningError` where B_k is
-    formed.  The norms and both copies are column-major, so the bits do
-    not depend on the memory layout of X and Y.
+    Zero columns, and columns whose norm is below the normal range, are
+    left untouched.  Returns the scaled copies and the norms, 0 for each
+    column left untouched, which are finite for finite data (see
+    :func:`_column_norms`).  A scaled Y may overflow; the pipelines
+    report that as a :class:`ConditioningError` where B_k is formed.  The
+    norms and both copies are column-major, so the bits do not depend on
+    the memory layout of X and Y.
     """
     Xf = np.asfortranarray(X)
-    d = _column_norms(Xf)
-    nz = d >= np.finfo(np.float64).tiny
-    inv = 1.0 / np.where(nz, d, 1.0)
+    inv, norms = _scale_factors(Xf)
     with np.errstate(over="ignore"):
-        return _scaled(X, Xf, inv), _scaled(Y, np.asfortranarray(Y), inv), np.where(nz, d, 0.0)
+        return _scaled(X, Xf, inv), _scaled(Y, np.asfortranarray(Y), inv), norms
 
 
 def _scaled(A, Af, inv):

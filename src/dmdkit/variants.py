@@ -15,22 +15,22 @@ import scipy.linalg
 
 from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
-from .pod import RankPolicy, _apply_reflectors, _check_policy, _householder_qr, default_epsilon, truncated_svd
+from .pod import RankPolicy, _apply_reflectors, _check_policy, _householder_qr, _pod_in_place, default_epsilon
 from .ritz import (
+    _block_rows,
     _eig,
+    _image_into,
     _lift,
     _residuals_from_stack,
+    _stack_in_place,
     RefinedPair,
     RitzDecomposition,
-    action_on_basis,
-    data_driven_residuals,
     order_pairs,
-    qr_stack,
     rayleigh_from_qr,
     refine_ritz,
     refined_rayleigh_value,
 )
-from .snapshots import _EPS, SnapshotPair, _as_trajectory, _column_norms, _scale_arrays, companion_decomposition
+from .snapshots import _EPS, SnapshotPair, _as_trajectory, _column_norms, _scale_factors, companion_decomposition
 
 __all__ = [
     "VariantConfig",
@@ -144,28 +144,81 @@ def _resolve_policy(config, shape):
     return RankPolicy.spectral(default_epsilon(n, m))
 
 
-def _project(X, Y, config, policy=None, weight=None, right=None):
-    """Weight, scale, truncated POD of X, and the image B_k = Y V_k Sigma_k^{-1}.
+def _check_config(config, entry, hint=""):
+    """A :class:`VariantConfig`; anything else is a :class:`DataError`, raised before any data is touched."""
+    if not isinstance(config, VariantConfig):
+        raise DataError("%s: config must be a VariantConfig, got %s%s" % (entry, type(config).__name__, hint))
 
-    The one front end of every pipeline.  ``weight`` maps both snapshot
-    matrices into the Euclidean coordinates of its geometry and ``right``
-    then weights their columns; each transformed pair lives only in this
-    frame, up to the next step.  ``policy`` defaults to the config's, and
-    :func:`truncated_svd` resolves a missing one on the shape of X.
-    Returns (basis, Ys, B), where ``basis`` is the :class:`PodBasis` of
-    the scaled X and ``Ys`` is Y after the column scaling; callers drop
-    ``Ys`` after its last use, so the n x m copy does not outlive it.
+
+def _weighted(A, weight, right, out):
+    """A mapped by the state weight, then by the snapshot-index weight; A itself where neither is given.
+
+    A diagonal factor writes its image into ``out`` where given, or else
+    into a new array, which the next diagonal factor then overwrites; a
+    dense factor's image is always a new array.
     """
     if weight is not None:
-        X = weight.transform(X)
-        Y = weight.transform(Y)
+        A = out = weight._transform_into(A, out)
     if right is not None:
-        X = right.transform_right(X)
-        Y = right.transform_right(Y)
+        A = right._transform_right_into(A, out)
+    return A
+
+
+def _project(X, Y, config, policy=None, weight=None, right=None, quotient=False):
+    """Weight, scale, truncated POD of X, and the image B_k = Y V_k Sigma_k^{-1}.
+
+    The one front end of every pipeline; it holds one n x m working array
+    at a time beside one buffer of 2 min(n, m) columns.  X, weighted
+    (``weight`` maps both snapshot matrices into the Euclidean coordinates
+    of its geometry, and ``right`` then weights their columns), is copied
+    once into the column-major working array and scaled there; the POD
+    factors it in place and writes U into the buffer.  The working array
+    then takes the weighted and scaled Y, as diagonal factors and the
+    scaling write into it (a dense factor's image is a new array; Y itself
+    is used where nothing maps or scales it), and B_k is written into
+    columns k to 2k of the buffer.  With ``quotient``, :func:`_quotient`
+    is taken while the scaled Y is held.  ``policy`` defaults to the
+    config's, and a missing one is resolved on the shape of X.  Returns
+    (basis, buffer, quotient or None), where ``basis`` is the
+    :class:`PodBasis` of the scaled X, whose U_k is a view of the buffer's
+    first k columns.
+    """
+    factors = [w.factor for w in (weight, right) if w is not None]
+    G = _weighted(X, weight, right, None)
+    G = np.array(G, order="F") if G is X else np.asfortranarray(G)
     if config.scale:
-        X, Y, _ = _scale_arrays(X, Y)
-    basis = truncated_svd(X, policy or config.policy)
-    return basis, Y, action_on_basis(Y, basis.V, basis.sigma)
+        inv = _scale_factors(G)[0]
+        np.multiply(G, inv, out=G)
+    basis, buf = _pod_in_place(G, policy or config.policy, columns=2 * min(G.shape),
+                               dtype=np.result_type(G, Y, *factors))
+    k = basis.rank
+    # The working array takes Y's image wherever diagonal factors or the
+    # scaling can write it there.
+    if G.dtype != np.result_type(Y, *factors) or any(f.ndim == 2 for f in factors):
+        G = None
+    Ys = _weighted(Y, weight, right, G)
+    if config.scale:
+        # The scaled Y is column-major, as the scaled X (see _scale_arrays).
+        out = Ys if Ys is not Y and Ys.flags.f_contiguous else G
+        if out is None:
+            out = np.empty(Ys.shape, dtype=Ys.dtype, order="F")
+        with np.errstate(over="ignore"):
+            Ys = np.multiply(Ys, inv, out=out)
+    del G
+    _image_into(buf[:, k:2 * k], Ys, basis.V, basis.sigma)
+    q = _quotient(basis, Ys) if quotient else None
+    return basis, buf, q
+
+
+def _split(basis, buf):
+    """(U_k, stack): U_k copied out of ``buf`` in its memory order, then the QR of (U_k  B_k) in ``buf``.
+
+    The QR overwrites a column-major ``buf`` in place (see
+    :func:`_stack_in_place`); the pivoted POD's row-major one is copied.
+    """
+    k = basis.rank
+    U = basis.U.copy(order="K")
+    return U, _stack_in_place(np.asfortranarray(buf[:, :2 * k]))
 
 
 def _quotient(basis, Ys):
@@ -178,7 +231,7 @@ def _quotient(basis, Ys):
     thread count, and it must keep rounding like the same product written
     inline by a caller, so that a recomposition from the public stages
     stays bit-identical to :func:`dmd`.  Their POD's kernels hold the
-    scope inside :func:`truncated_svd`, which a recomposition calls too.
+    scope, as inside :func:`truncated_svd`, which a recomposition calls.
     Both pipelines share this quotient and its eigensolve, so exact_dmd's
     Ritz values stay bitwise dmd's.
     """
@@ -238,13 +291,13 @@ def dmd(X, Y, config=VariantConfig()):
     Refinement is the business of :func:`ddmd_rrr` and is not applied
     here regardless of the config.
     """
+    _check_config(config, "dmd")
     pair = SnapshotPair(X, Y)
-    basis, Ys, B = _project(pair.X, pair.Y, config)
-    _, lambdas, W = _quotient(basis, Ys)
-    del Ys
-    residuals = data_driven_residuals(B, basis.U, W, lambdas)
-    del B
-    return _package(lambdas, _lift(basis.U, W), residuals, None, "dmd", basis.rank)
+    basis, buf, (_, lambdas, W) = _project(pair.X, pair.Y, config, quotient=True)
+    U, stack = _split(basis, buf)
+    del basis, buf
+    residuals = _residuals_from_stack(stack, lambdas, W)
+    return _package(lambdas, _lift(U, W), residuals, None, "dmd", U.shape[1])
 
 
 @_one_blas_thread
@@ -255,10 +308,10 @@ def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
     :func:`_project` applies; ``weight`` also tags the output and lifts
     the vectors back to ambient coordinates.
     """
-    basis, B = _project(X, Y, config, weight=weight, right=right)[::2]
-    k = basis.rank
-    stack = qr_stack(basis.U, B)
-    del B
+    basis, buf, _ = _project(X, Y, config, weight=weight, right=right)
+    U, stack = _split(basis, buf)
+    del basis, buf
+    k = U.shape[1]
     S = rayleigh_from_qr(stack)
 
     if config.refine == "all":
@@ -282,10 +335,11 @@ def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
         W = np.column_stack([W[:, i] if rec is None else rec.w for i, rec in enumerate(refined)])
         residuals = np.array([residuals[i] if rec is None else rec.sigma_min for i, rec in enumerate(refined)])
 
-    Z = _lift(basis.U, W)
-    del basis
+    # Blocks of n/32 rows, so the lift holds U, Z and 1/32 of Z.
+    Z = _lift(U, W, _block_rows(U.shape[0]))
+    del U
     if weight is not None:
-        Z = weight.lift(Z)
+        Z = weight._lift(Z, in_place=True)
     return _package(lambdas, Z, residuals, refined, variant, k, weight=weight)
 
 
@@ -297,6 +351,7 @@ def ddmd_rrr(X, Y, config=VariantConfig()):
     that replaces each Ritz vector by the residual-optimal unit vector of
     the subspace.  Reported residuals are the refinement certificates.
     """
+    _check_config(config, "ddmd_rrr")
     pair = SnapshotPair(X, Y)
     return _rrr_pipeline(pair.X, pair.Y, config, "rrr")
 
@@ -309,19 +364,24 @@ def _compressed_pair(pair, config, engine):
     blocks R_x and R_y of its triangular factor at the threshold of the
     ambient (n, m), so compressed and direct runs truncate identically.
     The vectors are lifted once by applying the reflectors to their
-    zero-padded coefficients; real reflectors act on [Re W | Im W] in real
-    arithmetic, and the buffer is released before the complex result is
-    assembled.
+    zero-padded coefficients, only those up to the end of the ?geqrt
+    block holding reflector m; real reflectors act on [Re W | Im W] in
+    real arithmetic, and the buffer is released before the complex result
+    is assembled.
     """
     n, m = pair.n, pair.m
     config = dataclasses.replace(config, policy=_resolve_policy(config, (n, m)))
     XY, T, R = _householder_qr(pair.X, pair.Y)
     inner, *rest = engine(R[:, :m], R[:, m:], config)
     W = inner.vectors
+    # Rows m on of R_x, and so of W, are exact zeros, which the reflectors
+    # past the block holding reflector m leave as they are.
+    nb = T.shape[0]
+    count = min(T.shape[1], -(-m // nb) * nb)
     if np.iscomplexobj(XY):
-        return (dataclasses.replace(inner, vectors=_apply_reflectors(XY, T, W)), *rest)
+        return (dataclasses.replace(inner, vectors=_apply_reflectors(XY, T, W, count=count)), *rest)
     k = W.shape[1]
-    C = _apply_reflectors(XY, T, np.hstack([W.real, W.imag]))
+    C = _apply_reflectors(XY, T, np.hstack([W.real, W.imag]), count=count)
     del XY, T
     Z = np.empty((n, k), dtype=complex, order="F")
     Z.real = C[:, :k]
@@ -361,6 +421,7 @@ def ddmd_rrr_compressed(data, config=VariantConfig()):
     containers have checked the data for non-finite entries already.
     Also exported as ``ddmd_rrr_auto``.
     """
+    _check_config(config, "ddmd_rrr_compressed", "; a pair (X, Y) is passed as one SnapshotPair(X, Y)")
     if isinstance(data, SnapshotPair):
         return _compressed_pair(data, config, lambda X, Y, c: (_rrr_pipeline(X, Y, c, "rrr-compressed"),))[0]
     Q, inner = _compressed_trajectory(np.array(_as_trajectory(data).F, order="F"), config)
@@ -381,11 +442,13 @@ def exact_dmd(X, Y, config=VariantConfig()):
     not computable from data alone, only via the sequential diagnostic or
     an explicit-operator audit.
     """
+    _check_config(config, "exact_dmd")
     pair = SnapshotPair(X, Y)
-    basis, Ys, B = _project(pair.X, pair.Y, config)
-    S, lambdas, W = _quotient(basis, Ys)
+    basis, buf, (S, lambdas, W) = _project(pair.X, pair.Y, config, quotient=True)
     k = basis.rank
-    del basis, Ys
+    # Row-major, as action_on_basis forms it: the lift's bits depend on B's layout.
+    B = buf[:, k:2 * k].copy(order="C")
+    del basis, buf
     guard = 1e3 * _EPS * float(np.linalg.norm(S, 2))
     alive = np.abs(lambdas) > guard
     if not np.any(alive):
@@ -452,6 +515,7 @@ def fb_dmd_mrf(X, Y, config=VariantConfig()):
     factor (a unitary change of coordinates) at the threshold of the
     ambient (n, m), and one lift of the vectors through the reflectors.
     """
+    _check_config(config, "fb_dmd_mrf")
     return _compressed_pair(SnapshotPair(X, Y), config, _fb_engine)
 
 
@@ -460,13 +524,12 @@ def _fb_engine(X, Y, config):
     """The forward-backward pipeline of :func:`fb_dmd_mrf` on checked (X, Y); returns (decomposition, FbSpectrum)."""
     policy = _resolve_policy(config, X.shape)
 
-    fwd, Bf = _project(X, Y, config, policy)[::2]
-    Uf, k = fwd.U, fwd.rank
-    stack_f = qr_stack(Uf, Bf)
+    Uf, stack_f = _split(*_project(X, Y, config, policy)[:2])
+    k = Uf.shape[1]
     S_fwd = rayleigh_from_qr(stack_f)
 
     try:
-        back, Bb = _project(Y, X, config, RankPolicy.fixed(k))[::2]
+        back, buf, _ = _project(Y, X, config, RankPolicy.fixed(k))
     except ConditioningError as exc:
         raise ConditioningError(
             "fb_dmd_mrf: backward POD cannot support the forward rank %d (%s)" % (k, exc),
@@ -483,8 +546,9 @@ def _fb_engine(X, Y, config):
             sigma_max=float(sb_all[0]),
         )
     # The backward quotient in the forward basis: a sign change or rotation
-    # of the backward basis cancels between the two factors.
-    S_back = (Uf.conj().T @ Bb) @ (back.U.conj().T @ Uf)
+    # of the backward basis cancels between the two factors.  B_b is taken
+    # row-major, as action_on_basis forms it, so the product keeps its bits.
+    S_back = (Uf.conj().T @ np.ascontiguousarray(buf[:, k:2 * k])) @ (back.U.conj().T @ Uf)
 
     sv = scipy.linalg.svdvals(S_back)
     if sv[0] <= 0.0 or sv[-1] <= k * _EPS * sv[0]:

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DataError
 from .inner import _require_weight
 from .snapshots import SnapshotPair
-from .variants import VariantConfig, _rrr_pipeline
+from .variants import VariantConfig, _check_config, _rrr_pipeline
 
 __all__ = [
     "BoundReport",
@@ -56,6 +56,7 @@ def weighted_dmd(X, Y, M, config=VariantConfig()):
     unit weighted norm.  Column scaling, when enabled, equilibrates the
     transformed matrix, which is the one entering the SVD.
     """
+    _check_config(config, "weighted_dmd")
     pair = SnapshotPair(X, Y)
     M = _require_weight(M, "M")
     return _rrr_pipeline(pair.X, pair.Y, config, "weighted", weight=M)
@@ -69,6 +70,7 @@ def two_sided_weighted_dmd(X, Y, M, N, config=VariantConfig()):
     the doubly transformed pair; with ``N = I`` it reduces exactly to
     :func:`weighted_dmd`.
     """
+    _check_config(config, "two_sided_weighted_dmd")
     pair = SnapshotPair(X, Y)
     M = _require_weight(M, "M")
     N = _require_weight(N, "N")

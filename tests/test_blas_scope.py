@@ -121,7 +121,7 @@ _N_WEIGHT = InnerProduct.diagonal(np.geomspace(1.0, 0.25, 30))
 def test_refined_pipelines_and_fb_run_on_one_blas_thread(monkeypatch, blas_threads, pipeline, shape):
     set_threads, get_threads = blas_threads
     set_threads(2)
-    seen = _spy_threads(monkeypatch, get_threads, ("action_on_basis", "qr_stack"))
+    seen = _spy_threads(monkeypatch, get_threads, ("_image_into", "_stack_in_place"))
     pipeline(*_pair(*shape))
     assert len(seen) >= 2 and set(seen) == {1}
     assert get_threads() == 2
@@ -131,7 +131,7 @@ def test_refined_pipelines_and_fb_run_on_one_blas_thread(monkeypatch, blas_threa
 def test_dmd_quotient_keeps_the_process_blas_threads(monkeypatch, blas_threads, pipeline):
     set_threads, get_threads = blas_threads
     set_threads(2)
-    seen = _spy_threads(monkeypatch, get_threads, ("action_on_basis", "_quotient"))
+    seen = _spy_threads(monkeypatch, get_threads, ("_image_into", "_quotient"))
     pipeline(*_pair(200, 30))
     assert len(seen) == 2 and set(seen) == {2}
 
@@ -157,7 +157,7 @@ def _rank_one_output(rng):
 def test_blas_threads_are_restored_after_a_conditioning_error(monkeypatch, blas_threads, pipeline, data):
     set_threads, get_threads = blas_threads
     set_threads(2)
-    seen = _spy_threads(monkeypatch, get_threads, ("action_on_basis",))
+    seen = _spy_threads(monkeypatch, get_threads, ("_image_into",))
     with pytest.raises(ConditioningError):
         pipeline(*data(_rng(98)))
     # the error left from inside the scope
@@ -165,10 +165,10 @@ def test_blas_threads_are_restored_after_a_conditioning_error(monkeypatch, blas_
     assert get_threads() == 2
 
 
-def _inline_refined(Gx, Gy, weight=None):
+def _inline_refined(Gx, Gy, weight=None, scale=True):
     """The refined engine from public stages, every pair refined; numpy's
     eigvals and U @ W are written inline, as the benchmark's trace does."""
-    scaled, _ = scale_columns(SnapshotPair(Gx, Gy))
+    scaled = scale_columns(SnapshotPair(Gx, Gy))[0] if scale else SnapshotPair(Gx, Gy)
     basis = truncated_svd(scaled.X, RankPolicy.spectral(default_epsilon(*scaled.X.shape)))
     B = action_on_basis(scaled.Y, basis.V, basis.sigma)
     stack = qr_stack(basis.U, B)
@@ -180,8 +180,8 @@ def _inline_refined(Gx, Gy, weight=None):
     return lambdas, Z, np.array([sigma for _, sigma in solves])
 
 
-def _inline_dmd(X, Y):
-    scaled, _ = scale_columns(SnapshotPair(X, Y))
+def _inline_dmd(X, Y, scale=True):
+    scaled = scale_columns(SnapshotPair(X, Y))[0] if scale else SnapshotPair(X, Y)
     Xs, Ys = scaled.X, scaled.Y
     basis = truncated_svd(Xs, RankPolicy.spectral(default_epsilon(*Xs.shape)))
     S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
@@ -212,6 +212,37 @@ def test_library_matches_the_inline_recomposition_bit_for_bit(blas_threads, thre
     lambdas, Z, residuals, (basis, Ys, S) = _inline_dmd(X, Y)
     assert np.array_equal(variants._quotient(basis, Ys)[0], S)
     _assert_same_bits(dmd(X, Y), lambdas, Z, residuals)
+
+
+def _small_pair(kind, dtype):
+    """A small pair for the recomposition grid: Gaussian, graded columns, or n just above m."""
+    rng = _rng(31)
+    n, m = (41, 40) if kind == "square" else (300, 24)
+
+    def draw(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if dtype is complex else g
+
+    X, Y = draw(n, m), draw(n, m)
+    if kind == "graded":
+        d = np.geomspace(1.0, 1e-10, m)[None, :]  # unscaled, the POD takes the pivoted QR
+        X, Y = X * d, 0.5 * np.roll(X * d, 1, axis=0) + 1e-3 * Y * d
+    return X, Y
+
+
+@pytest.mark.parametrize("scale", [True, False], ids=["scaled", "unscaled"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("kind", ["gaussian", "graded", "square"])
+def test_pipelines_are_the_public_stage_recomposition_bit_for_bit(kind, dtype, scale):
+    # The recompositions of bench/tracing.py, on small pairs: the library
+    # runs its stages in place, and must round as the public stages do.
+    X, Y = _small_pair(kind, dtype)
+    config = VariantConfig(scale=scale)
+    M = InnerProduct.diagonal(np.linspace(0.5, 2.0, len(X)))
+    _assert_same_bits(ddmd_rrr(X, Y, config), *_inline_refined(X, Y, scale=scale))
+    _assert_same_bits(weighted_dmd(X, Y, M, config),
+                      *_inline_refined(M.transform(X), M.transform(Y), weight=M, scale=scale))
+    _assert_same_bits(dmd(X, Y, config), *_inline_dmd(X, Y, scale=scale)[:3])
 
 
 def _spy_lapack(monkeypatch, get_threads):

@@ -332,20 +332,21 @@ def test_fb_does_not_depend_on_the_sign_of_a_backward_pod_vector(monkeypatch):
     _, F = _orbit(3, 200, 30, spectrum="unit-disc", conditioning=10.0)
     X, Y = F.F[:, :-1], F.F[:, 1:]
     ref_dec, ref = fb_dmd_mrf(X, Y)
-    pod = variants.truncated_svd
+    pod = variants._pod_in_place
     calls = []
 
-    def flip_backward(G, policy):
-        basis = pod(G, policy)
+    def flip_backward(G, policy, **kwargs):
+        basis, buf = pod(G, policy, **kwargs)
         calls.append(policy)
         if len(calls) == 2:
-            U, V = basis.U.copy(), basis.V.copy()
-            U[:, 0] *= -1.0
+            # U is a view of the buffer, where B_k is formed beside it
+            basis.U[:, 0] *= -1.0
+            V = basis.V.copy()
             V[:, 0] *= -1.0
-            basis = dataclasses.replace(basis, U=U, V=V)
-        return basis
+            basis = dataclasses.replace(basis, V=V)
+        return basis, buf
 
-    monkeypatch.setattr(variants, "truncated_svd", flip_backward)
+    monkeypatch.setattr(variants, "_pod_in_place", flip_backward)
     flipped_dec, flipped = fb_dmd_mrf(X, Y)
     assert len(calls) == 2 and flipped.omegas.size == 30
     assert match_eigenvalues(flipped.omegas, ref.omegas) <= 1e-14
@@ -723,17 +724,19 @@ def _gaussian_pair(seed):
 
 
 def test_exact_dmd_peak_memory_stays_near_the_input():
-    # Only the exact vectors are formed, straight from B in real
-    # arithmetic, and the POD basis is dropped once the quotient is taken.
+    # One working array beside the (U B) buffer; B is copied out and the
+    # buffer dropped before the exact vectors are formed, straight from B
+    # in real arithmetic, and normalized without a copy.
     X, Y = _gaussian_pair(123)
-    assert _peak_bytes(lambda: exact_dmd(X, Y)) <= 2.1 * (X.nbytes + Y.nbytes)
+    assert _peak_bytes(lambda: exact_dmd(X, Y)) <= 1.65 * (X.nbytes + Y.nbytes)
 
 
 def test_dmd_peak_memory_stays_near_the_input():
-    # The residuals are read off the QR stack of (U B), and B dropped
-    # before the vectors are lifted, which are then ordered in place.
+    # One working array beside the (U B) buffer; the residuals are read
+    # off its QR in place, which is dropped before the vectors are lifted,
+    # which are then ordered in place.
     X, Y = _gaussian_pair(125)
-    assert _peak_bytes(lambda: dmd(X, Y)) <= 2.1 * (X.nbytes + Y.nbytes)
+    assert _peak_bytes(lambda: dmd(X, Y)) <= 1.65 * (X.nbytes + Y.nbytes)
 
 
 def test_fb_dmd_mrf_peak_memory_stays_near_the_input():
@@ -897,11 +900,11 @@ def test_trajectory_input_type_flexibility():
 
 
 def test_ddmd_rrr_peak_memory_stays_near_the_input():
-    # The scaled copy of Y is dropped once B_k is formed, B_k once it is
-    # stacked, and the basis once the vectors are lifted, which are then
-    # ordered in place.
+    # The scaled X and then Y live only in one working array beside the
+    # (U B) buffer, which its QR overwrites; the lift holds U, the vectors
+    # and 1/32 of them, which are then ordered in place.
     X, Y = _gaussian_pair(71)
-    assert _peak_bytes(lambda: ddmd_rrr(X, Y)) <= 2.1 * (X.nbytes + Y.nbytes)
+    assert _peak_bytes(lambda: ddmd_rrr(X, Y)) <= 1.65 * (X.nbytes + Y.nbytes)
 
 
 _ONES = np.ones((3, 3))
@@ -925,3 +928,71 @@ def test_array_records_compare_by_identity_and_hash(make):
     a, b = make(), make()
     assert a == a and not (a == b) and a != b
     assert len({a, b, a}) == 2
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n, m", [(3000, 60), (3000, 64), (3000, 33), (90, 60), (50, 40)])
+@pytest.mark.parametrize("pipeline", ["fb_dmd_mrf", "ddmd_rrr_compressed"])
+def test_compressed_pair_lifts_through_the_reflectors_that_reach_the_vectors(monkeypatch, pipeline, n, m, dtype):
+    # Rows m on of R_x, and so of the engine's vectors, are exact zeros;
+    # the lift applies the reflectors up to the end of the ?geqrt block
+    # (32 columns) holding reflector m, and the vectors keep their bits.
+    Q, A, G = _lifted_system(133 + m, n, m, dtype)
+    X, Y = Q @ G, Q @ (A @ G)
+    run = {"fb_dmd_mrf": lambda: fb_dmd_mrf(X, Y)[0],
+           "ddmd_rrr_compressed": lambda: ddmd_rrr_compressed(SnapshotPair(X, Y))}[pipeline]
+    apply = variants._apply_reflectors
+    with monkeypatch.context() as patch:
+        patch.setattr(variants, "_apply_reflectors", lambda a, t, top, count=None: apply(a, t, top))
+        full = run()
+    shapes = []
+    get_funcs = scipy.linalg.get_lapack_funcs
+
+    def spy_funcs(names, *args, **kwargs):
+        funcs = get_funcs(names, *args, **kwargs)
+        if names != ("gemqrt",):
+            return funcs
+
+        def gemqrt(v, t, c, *rest, **kw):
+            shapes.append(v.shape)
+            return funcs[0](v, t, c, *rest, **kw)
+
+        return [gemqrt]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spy_funcs)
+    lifted = run()
+    # the lift is the last ?gemqrt
+    assert shapes[-1] == (n, min(n, 2 * m, -(-m // 32) * 32))
+    for field in ("lambdas", "vectors", "residuals", "ordering"):
+        assert getattr(lifted, field).tobytes() == getattr(full, field).tobytes(), field
+
+
+_BAD_CONFIGS = [5, None, "all", np.ones((4, 3))]
+_ENTRIES = {
+    "dmd": lambda X, Y, c: dmd(X, Y, c),
+    "exact_dmd": lambda X, Y, c: exact_dmd(X, Y, c),
+    "ddmd_rrr": lambda X, Y, c: ddmd_rrr(X, Y, c),
+    "ddmd_rrr_compressed": lambda X, Y, c: ddmd_rrr_compressed(SnapshotPair(X, Y), c),
+    "fb_dmd_mrf": lambda X, Y, c: fb_dmd_mrf(X, Y, c),
+    "weighted_dmd": lambda X, Y, c: weighted_dmd(X, Y, InnerProduct.identity(len(X)), c),
+    "two_sided_weighted_dmd": lambda X, Y, c: two_sided_weighted_dmd(
+        X, Y, InnerProduct.identity(len(X)), InnerProduct.identity(X.shape[1]), c),
+}
+
+
+@pytest.mark.parametrize("config", _BAD_CONFIGS, ids=["int", "none", "str", "array"])
+@pytest.mark.parametrize("entry", list(_ENTRIES))
+def test_a_config_that_is_not_a_variant_config_is_rejected_before_any_work(monkeypatch, entry, config):
+    calls = []
+    monkeypatch.setattr(variants, "_householder_qr", lambda *blocks: calls.append("qr"))
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda *args, **kwargs: calls.append("lapack"))
+    X = _rng(137).standard_normal((30, 8))
+    with pytest.raises(DataError, match="config must be a VariantConfig"):
+        _ENTRIES[entry](X, X, config)
+    assert calls == []
+
+
+def test_a_pair_passed_as_two_arrays_to_the_compressed_route_names_snapshot_pair():
+    X = _rng(139).standard_normal((30, 8))
+    with pytest.raises(DataError, match="SnapshotPair"):
+        ddmd_rrr_compressed(X, X)

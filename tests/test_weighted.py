@@ -109,9 +109,9 @@ def test_right_weight_shape_is_the_column_count():
 
 @pytest.mark.parametrize("pipeline", ["weighted", "weighted2"])
 def test_weighted_peak_memory_holds_no_transformed_pair(pipeline):
-    # The weight transforms the pair inside the pipeline's front end; the
-    # transformed copies are gone before the POD, refinement and lift, and
-    # the unweighted vectors before they are ordered.
+    # The weights transform each snapshot matrix in turn into the front
+    # end's one working array, and the diagonal factors lift the vectors
+    # in place.
     rng = _rng(71)
     X = rng.standard_normal((20000, 60))
     Y = rng.standard_normal((20000, 60))
@@ -128,7 +128,7 @@ def test_weighted_peak_memory_holds_no_transformed_pair(pipeline):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * (X.nbytes + Y.nbytes)
+    assert peak <= 1.65 * (X.nbytes + Y.nbytes)
 
 
 def test_weighted_eta_identity():
@@ -402,3 +402,17 @@ def test_weights_are_cast_to_double_before_use(dtype):
                       (InnerProduct.from_matrix, L @ L.T)):
         got, want = make(arg).factor, make(arg.astype(np.float64)).factor
         assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def test_from_matrix_rejects_a_non_hermitian_gram_matrix_at_any_scale():
+    # The Hermitian test compares Frobenius norms taken from scaled column
+    # norms, so neither overflows nor underflows, and it warns of nothing.
+    A = np.eye(30)
+    A[0, 5] = 0.5
+    G, _ = _spd_weight(30, 141)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1.0, 1e300):
+            with pytest.raises(DataError, match="Hermitian"):
+                InnerProduct.from_matrix(scale * A)
+            InnerProduct.from_matrix(scale * G)
