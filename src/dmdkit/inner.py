@@ -96,9 +96,7 @@ class InnerProduct:
             raise ShapeError("%s must be a vector or a 2-D array, got ndim=%d" % (side_name, B.ndim))
         rows = B.shape[0]
         if rows != self.n:
-            raise ShapeError(
-                "weight factor of size %d does not conform to %s with %d rows" % (self.n, side_name, rows)
-            )
+            raise ShapeError("weight factor of size %d does not conform to %s with %d rows" % (self.n, side_name, rows))
         return B
 
     # -- factor application and solves --------------------------------------
@@ -116,12 +114,13 @@ class InnerProduct:
             return L @ B
 
     def _solve(self, B, adjoint, out=None):
-        """L^{-1} B, or L^{-*} B with ``adjoint``; a diagonal factor writes into ``out`` where given."""
+        """L^{-1} B, or L^{-*} B with ``adjoint``, into ``out`` where given (a 2-D factor only where it is B)."""
         if self.factor.ndim == 1:
             return np.divide(B, self._diagonal_for(B), out=out)
         try:
             with _one_blas_thread:
-                return scipy.linalg.solve_triangular(self.factor, B, lower=True, trans="C" if adjoint else "N")
+                return scipy.linalg.solve_triangular(self.factor, B, lower=True, trans="C" if adjoint else "N",
+                                                     overwrite_b=out is B)
         except (scipy.linalg.LinAlgError, ValueError) as exc:
             raise ConditioningError("weight factor is singular: %s" % exc) from exc
 
@@ -144,7 +143,18 @@ class InnerProduct:
         return self._lift(self._check_rows(U_tilde, "transformed basis"), in_place=False)
 
     def _lift(self, U, in_place):
-        """:meth:`lift` of a checked U; a diagonal factor overwrites U where ``in_place``."""
+        """:meth:`lift` of a checked U, overwritten where ``in_place`` by a diagonal factor or a real 2-D one.
+
+        A real 2-D factor lifts a complex U as the real [Re U | Im U], so it is never cast to complex.
+        """
+        if self.factor.ndim == 2 and U.dtype.kind == "c" and self.factor.dtype.kind != "c":
+            V, Z = U.reshape(len(U), -1), U if in_place else np.empty_like(U)
+            k = V.shape[1]
+            C = np.empty((len(U), 2 * k), order="F")
+            C[:, :k], C[:, k:] = V.real, V.imag
+            C = self._lift(C, in_place=True)
+            Z.reshape(len(U), -1).real[...], Z.reshape(len(U), -1).imag[...] = C[:, :k], C[:, k:]
+            return Z
         out = U if in_place else None
         if self.orientation == "M":
             return self._solve(U, adjoint=True, out=out)
@@ -157,32 +167,17 @@ class InnerProduct:
         X = _as_double(X, "snapshot matrix")
         if X.ndim != 2:
             raise ShapeError("snapshot matrix must be a 2-D array, got ndim=%d" % X.ndim)
-        return self._transform_right_into(X, None)
-
-    def _transform_right_into(self, X, out):
-        """:meth:`transform_right` of a 2-D double X; a diagonal factor writes the image into ``out`` where given.
-
-        ``out`` may be X itself, whose entries must then be finite.
-        """
         if X.shape[1] != self.n:
-            raise ShapeError(
-                "weight factor of size %d does not conform to snapshot count %d" % (self.n, X.shape[1])
-            )
-        source = None if out is X else X
+            raise ShapeError("weight factor of size %d does not conform to snapshot count %d" % (self.n, X.shape[1]))
         with np.errstate(over="ignore", invalid="ignore"):
             if self.factor.ndim == 2:
                 # (X K^{-*})* = K^{-1} X* and (X K)* = K* X*.
                 image = (self._solve(X.conj().T, adjoint=False) if self.orientation == "M"
                          else self._apply(X.conj().T, adjoint=True)).conj().T
             else:
-                # The same steps entry by entry: conjugate, scale, conjugate back.
-                if np.iscomplexobj(X):
-                    X = out = np.conjugate(X, out=out)
-                scale = self._solve if self.orientation == "M" else self._apply
-                image = scale(X.T, adjoint=self.orientation != "M", out=None if out is None else out.T).T
-                if np.iscomplexobj(image):
-                    np.conjugate(image, out=image)
-        return _finite_image(image, source)
+                # A real diagonal K: X K^{-*} = X K^{-1}, and X K, column by column.
+                image = (self._solve if self.orientation == "M" else self._apply)(X.T, adjoint=False).T
+        return _finite_image(image, X)
 
     # -- norms and materialization -------------------------------------------
 

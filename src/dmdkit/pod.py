@@ -32,7 +32,7 @@ import scipy.linalg
 from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError
 from .inner import _require_weight
-from .snapshots import _EPS, _all_finite, _check_matrix, _column_norms
+from .snapshots import _EPS, _all_finite, _check_matrix, _check_norms, _column_norms
 
 __all__ = [
     "RankPolicy",
@@ -128,16 +128,22 @@ class PodBasis:
     sigma_all: np.ndarray
 
 
-def _householder_qr(*blocks):
-    """Householder QR of the blocks side by side: :func:`_geqrt` of one column-major copy.
+def _householder_qr(*blocks, weight=None, name=None):
+    """Householder QR of the blocks side by side: :func:`_geqrt` of one column-major buffer.
 
-    The blocks, of equal height, are written into one column-major buffer
-    of their common dtype (at least float64), which the factorization
-    overwrites.
+    The blocks, of equal height, or their images under the state weight
+    ``weight``, are written into one buffer of their common dtype (at
+    least float64), which the factorization overwrites.  Where ``name``
+    is given, an overflowing column norm of the buffer is first checked
+    (see :func:`_check_norms`).
     """
-    n, cols = blocks[0].shape[0], sum(b.shape[1] for b in blocks)
-    a = np.empty((n, cols), dtype=np.result_type(*blocks, np.float64), order="F")
-    np.concatenate(blocks, axis=1, out=a)
+    dtype = np.result_type(*blocks, *(() if weight is None else (weight.factor,)), np.float64)
+    a = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), dtype=dtype, order="F")
+    for b, out in zip(blocks, np.split(a, np.cumsum([b.shape[1] for b in blocks[:-1]]), axis=1)):
+        # A diagonal factor writes its image into the buffer (a no-op copy follows); a dense one's is copied in.
+        out[...] = b if weight is None else weight._transform_into(b, out)
+    if name is not None:
+        _check_norms(a, name)
     return _geqrt(a)
 
 

@@ -23,11 +23,8 @@ stack plus one k x k SVD of its triangular factor.  When the blocks are
 real, the stack of a conjugate shift is the conjugate stack, so each
 conjugate pair of Ritz values is solved once; the solves are memoized on
 the :class:`QrStack` and every caller holding the same stack shares
-them.  Each solve, like every LAPACK kernel of :mod:`dmdkit.pod`, runs on one
-thread of every OpenBLAS in the process (the one BLAS scope,
-:data:`dmdkit._blas._one_blas_thread`), so it rounds the same bits under
-any BLAS thread setting.  The refined pipelines and fb hold that scope
-from start to finish; dmd and exact_dmd do not (see
+them.  Each solve runs inside the one BLAS scope, so it rounds the same
+bits under any BLAS thread setting (see
 :class:`dmdkit.variants.VariantConfig`).
 """
 
@@ -204,13 +201,13 @@ def _stack_in_place(buf):
 
 
 def _normalized_stack(R):
-    """The :class:`QrStack` of R, the triangular factor of (U_k  B_k), its rows scaled to a nonnegative diagonal."""
+    """The :class:`QrStack` of (U_k  B_k)'s triangular factor R, its rows scaled in place to a nonnegative diagonal."""
     k = R.shape[1] // 2
     diag = np.diagonal(R)
     phases = np.ones(diag.shape[0], dtype=R.dtype if np.iscomplexobj(R) else np.float64)
     nz = np.abs(diag) > 0.0
     phases[nz] = diag[nz] / np.abs(diag[nz])
-    R = R * phases.conj()[:, None]
+    R *= phases.conj()[:, None]
     return QrStack(r11=R[:k, :k], r12=R[:k, k:], r22=R[k:, k:])
 
 

@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+_HUGE = float(np.finfo(np.float64).max)
 
 
 def _as_double(a, name):
@@ -162,13 +163,30 @@ def _column_norms(X):
     return d
 
 
+def _check_norms(A, name, d=None):
+    """A :class:`ConditioningError` naming the first column of the finite A whose 2-norm overflows.
+
+    ``d`` holds the norms where measured already; otherwise they are
+    measured only where A's largest part, read with no temporary, times
+    sqrt(2 rows) leaves the double range.
+    """
+    parts = (A.real, A.imag) if A.dtype.kind == "c" else (A,)
+    if d is None and max(max(p.max(initial=0.0), -p.min(initial=0.0)) for p in parts) < _HUGE / (2 * len(A)) ** 0.5:
+        return
+    over = np.flatnonzero(np.isinf(_column_norms(A) if d is None else d))
+    if over.size:
+        raise ConditioningError("the 2-norm of column %d of %s overflows double precision" % (over[0], name))
+
+
 def _scale_factors(Xf):
     """(1 / norms, norms) of the columns of a column-major X, as :func:`_scale_arrays` applies them.
 
     Zero columns, and columns whose norm is below the normal range, get
-    factor 1 and norm 0.
+    factor 1 and norm 0; a norm beyond the double range is a
+    :class:`ConditioningError` (see :func:`_check_norms`).
     """
     d = _column_norms(Xf)
+    _check_norms(Xf, "X", d)
     nz = d >= np.finfo(np.float64).tiny
     return 1.0 / np.where(nz, d, 1.0), np.where(nz, d, 0.0)
 
@@ -178,8 +196,7 @@ def _scale_arrays(X, Y):
 
     Zero columns, and columns whose norm is below the normal range, are
     left untouched.  Returns the scaled copies and the norms, 0 for each
-    column left untouched, which are finite for finite data (see
-    :func:`_column_norms`).  A scaled Y may overflow; the pipelines
+    column left untouched (see :func:`_scale_factors`).  A scaled Y may overflow; the pipelines
     report that as a :class:`ConditioningError` where B_k is formed.  The
     norms and both copies are column-major, so the bits do not depend on
     the memory layout of X and Y.
@@ -204,7 +221,8 @@ def scale_columns(pair):
     (pseudoinverse semantics: no finite factor restores it).  The scaled
     X has condition number within sqrt(m) of the best achievable by any
     positive diagonal column scaling.  A Y that leaves the double range
-    once scaled is a :class:`ConditioningError`.
+    once scaled is a :class:`ConditioningError`, and so is an X column
+    whose 2-norm does.
     """
     Xs, Ys, norms = _scale_arrays(pair.X, pair.Y)
     if not _all_finite(Ys):

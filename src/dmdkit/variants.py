@@ -30,7 +30,8 @@ from .ritz import (
     refine_ritz,
     refined_rayleigh_value,
 )
-from .snapshots import _EPS, SnapshotPair, _as_trajectory, _column_norms, _scale_factors, companion_decomposition
+from .snapshots import _EPS, SnapshotPair, _as_trajectory, _check_norms, _column_norms, _scale_factors
+from .snapshots import companion_decomposition
 
 __all__ = [
     "VariantConfig",
@@ -59,19 +60,20 @@ class VariantConfig:
     :func:`select_pairs` keeps at that cap.  A NaN, negative, boolean or
     non-numeric cap is rejected.
 
-    One thread rule holds: every LAPACK kernel, the refined pipelines and
-    :func:`fb_dmd_mrf` from start to finish, and every dense weight run on
-    one thread of every OpenBLAS in the process (the one BLAS scope,
-    :data:`dmdkit._blas._one_blas_thread`), whatever its thread setting;
-    refinement solves run one after another.  Only the quotient U* Y of
-    :func:`dmd` and :func:`exact_dmd`, which must round like the same
-    product written inline, and the QR that compresses a trajectory in
-    :func:`ddmd_rrr_compressed` keep the process's threads, so their bits
-    depend on the thread count.  The counts are process-wide: while the
-    scope is held, a pipeline running concurrently in another Python
-    thread computes with one BLAS thread too, and may round differently
-    from run to run.  Reports are byte-identical across runs only where
-    the process runs one pipeline at a time.
+    One thread rule holds: every LAPACK kernel, every dense weight, the
+    refined pipelines from start to finish, and the compressed pair route
+    of :func:`fb_dmd_mrf`, :func:`ddmd_rrr_compressed` and
+    :func:`dmdkit.weighted.two_sided_weighted_dmd` from the QR of [X Y] to
+    the end of the lift run on one thread of every OpenBLAS in the process
+    (the one BLAS scope, :data:`dmdkit._blas._one_blas_thread`), whatever
+    its thread setting.  Only the quotient U* Y of :func:`dmd` and
+    :func:`exact_dmd`, which must round like the same product written
+    inline, and the QR that compresses a trajectory keep the process's
+    threads, so their bits depend on the thread count.  The counts are
+    process-wide: a pipeline running concurrently in another Python thread
+    computes with one BLAS thread too while the scope is held, so reports
+    are byte-identical across runs only where the process runs one
+    pipeline at a time.
     """
 
     policy: RankPolicy | None = None
@@ -150,53 +152,37 @@ def _check_config(config, entry, hint=""):
         raise DataError("%s: config must be a VariantConfig, got %s%s" % (entry, type(config).__name__, hint))
 
 
-def _weighted(A, weight, right, out):
-    """A mapped by the state weight, then by the snapshot-index weight; A itself where neither is given.
-
-    A diagonal factor writes its image into ``out`` where given, or else
-    into a new array, which the next diagonal factor then overwrites; a
-    dense factor's image is always a new array.
-    """
-    if weight is not None:
-        A = out = weight._transform_into(A, out)
-    if right is not None:
-        A = right._transform_right_into(A, out)
-    return A
-
-
-def _project(X, Y, config, policy=None, weight=None, right=None, quotient=False):
+def _project(X, Y, config, policy=None, weight=None, quotient=False):
     """Weight, scale, truncated POD of X, and the image B_k = Y V_k Sigma_k^{-1}.
 
-    The one front end of every pipeline; it holds one n x m working array
-    at a time beside one buffer of 2 min(n, m) columns.  X, weighted
+    The one front end of every engine; it holds one n x m working array at
+    a time beside one buffer of 2 min(n, m) columns.  X, weighted
     (``weight`` maps both snapshot matrices into the Euclidean coordinates
-    of its geometry, and ``right`` then weights their columns), is copied
-    once into the column-major working array and scaled there; the POD
-    factors it in place and writes U into the buffer.  The working array
-    then takes the weighted and scaled Y, as diagonal factors and the
-    scaling write into it (a dense factor's image is a new array; Y itself
-    is used where nothing maps or scales it), and B_k is written into
-    columns k to 2k of the buffer.  With ``quotient``, :func:`_quotient`
-    is taken while the scaled Y is held.  ``policy`` defaults to the
-    config's, and a missing one is resolved on the shape of X.  Returns
-    (basis, buffer, quotient or None), where ``basis`` is the
-    :class:`PodBasis` of the scaled X, whose U_k is a view of the buffer's
-    first k columns.
+    of its geometry), is copied once into the column-major working array
+    and scaled there (see :func:`_check_norms`); the POD factors it in
+    place and writes U into the buffer.  The working array then takes the
+    weighted and scaled Y where a diagonal factor and the scaling can
+    write it (a dense factor's image is a new array), and B_k is written
+    into columns k to 2k of the buffer.  With ``quotient``,
+    :func:`_quotient` is taken while the scaled Y is held.  ``policy``
+    defaults to the config's, resolved on the shape of X where missing.
+    Returns (basis, buffer, quotient or None); ``basis.U`` is a view of
+    the buffer's first k columns.
     """
-    factors = [w.factor for w in (weight, right) if w is not None]
-    G = _weighted(X, weight, right, None)
+    factors = () if weight is None else (weight.factor,)
+    G = X if weight is None else weight._transform_into(X, None)
     G = np.array(G, order="F") if G is X else np.asfortranarray(G)
+    inv = _scale_factors(G)[0]
     if config.scale:
-        inv = _scale_factors(G)[0]
         np.multiply(G, inv, out=G)
     basis, buf = _pod_in_place(G, policy or config.policy, columns=2 * min(G.shape),
                                dtype=np.result_type(G, Y, *factors))
     k = basis.rank
-    # The working array takes Y's image wherever diagonal factors or the
+    # The working array takes Y's image wherever a diagonal factor or the
     # scaling can write it there.
     if G.dtype != np.result_type(Y, *factors) or any(f.ndim == 2 for f in factors):
         G = None
-    Ys = _weighted(Y, weight, right, G)
+    Ys = Y if weight is None else weight._transform_into(Y, G)
     if config.scale:
         # The scaled Y is column-major, as the scaled X (see _scale_arrays).
         out = Ys if Ys is not Y and Ys.flags.f_contiguous else G
@@ -224,13 +210,11 @@ def _split(basis, buf):
 def _quotient(basis, Ys):
     """The historical quotient S = ((U* Y) V) Sigma^{-1} and its eigenpairs.
 
-    Returns (S, lambdas, W) with unit-norm coefficient columns W.
-
-    Unlike the refined pipelines, :func:`dmd` and :func:`exact_dmd` do not
-    hold the one BLAS scope: the long-K product U* Y rounds differently by
-    thread count, and it must keep rounding like the same product written
-    inline by a caller, so that a recomposition from the public stages
-    stays bit-identical to :func:`dmd`.  Their POD's kernels hold the
+    Returns (S, lambdas, W) with unit-norm coefficient columns W.  Unlike
+    the refined pipelines, :func:`dmd` and :func:`exact_dmd` do not hold
+    the one BLAS scope: the long-K product U* Y rounds differently by
+    thread count, and it must round like the same product written inline,
+    so that a recomposition from the public stages stays bit-identical.  Their POD's kernels hold the
     scope, as inside :func:`truncated_svd`, which a recomposition calls.
     Both pipelines share this quotient and its eigensolve, so exact_dmd's
     Ritz values stay bitwise dmd's.
@@ -249,8 +233,7 @@ def _permute_columns(Z, perm):
     for start in range(len(perm)):
         if done[start] or perm[start] == start:
             continue
-        held = Z[:, start].copy()
-        i = start
+        held, i = Z[:, start].copy(), start
         while perm[i] != start:
             Z[:, i] = Z[:, perm[i]]
             done[i] = True
@@ -297,18 +280,18 @@ def dmd(X, Y, config=VariantConfig()):
     U, stack = _split(basis, buf)
     del basis, buf
     residuals = _residuals_from_stack(stack, lambdas, W)
+    del stack
     return _package(lambdas, _lift(U, W), residuals, None, "dmd", U.shape[1])
 
 
 @_one_blas_thread
-def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
+def _rrr_pipeline(X, Y, config, variant, weight=None):
     """Shared refined Rayleigh-Ritz engine.
 
-    ``weight`` and ``right`` are the state and snapshot-index weights that
-    :func:`_project` applies; ``weight`` also tags the output and lifts
-    the vectors back to ambient coordinates.
+    ``weight`` is the state weight that :func:`_project` applies; it also
+    tags the output and lifts the vectors back to ambient coordinates.
     """
-    basis, buf, _ = _project(X, Y, config, weight=weight, right=right)
+    basis, buf, _ = _project(X, Y, config, weight=weight)
     U, stack = _split(basis, buf)
     del basis, buf
     k = U.shape[1]
@@ -335,7 +318,9 @@ def _rrr_pipeline(X, Y, config, variant, weight=None, right=None):
         W = np.column_stack([W[:, i] if rec is None else rec.w for i, rec in enumerate(refined)])
         residuals = np.array([residuals[i] if rec is None else rec.sigma_min for i, rec in enumerate(refined)])
 
-    # Blocks of n/32 rows, so the lift holds U, Z and 1/32 of Z.
+    # The stack, its memo and S go first, and blocks of n/32 rows follow,
+    # so the lift holds U, Z and 1/32 of Z.
+    del stack, S
     Z = _lift(U, W, _block_rows(U.shape[0]))
     del U
     if weight is not None:
@@ -356,37 +341,37 @@ def ddmd_rrr(X, Y, config=VariantConfig()):
     return _rrr_pipeline(pair.X, pair.Y, config, "rrr")
 
 
-def _compressed_pair(pair, config, engine):
-    """The compressed route of a general pair: one Householder QR, Q never formed.
+@_one_blas_thread
+def _compressed_pair(pair, config, engine, weight=None):
+    """The compressed route of a pair: one Householder QR, and a lift from Q's leading columns.
 
-    [X Y] is factored in place in one column-major buffer, and ``engine``,
-    a direct pipeline (X, Y, config) -> (decomposition, *more), runs on the
+    [X Y], mapped by the state weight ``weight`` where given, is factored
+    in one column-major buffer (:func:`_householder_qr`), and ``engine``, a
+    direct pipeline (X, Y, config) -> (decomposition, *more), runs on the
     blocks R_x and R_y of its triangular factor at the threshold of the
-    ambient (n, m), so compressed and direct runs truncate identically.
-    The vectors are lifted once by applying the reflectors to their
-    zero-padded coefficients, only those up to the end of the ?geqrt
-    block holding reflector m; real reflectors act on [Re W | Im W] in
-    real arithmetic, and the buffer is released before the complex result
-    is assembled.
+    ambient (n, m).  Rows r = min(n, m) on of R_x, and so of the engine's
+    vectors W, are exact zeros, so the vectors are Q_r W[:r]: Q's leading
+    r columns are formed from [I_r; 0] by the reflectors up to the end of
+    the ?geqrt block holding reflector r (the later ones leave it as it
+    is), the buffer is released, and the lift runs by row blocks, holding
+    only Q_r, W and the vectors, which ``weight`` then lifts in place.
+    The one BLAS scope is held from the QR to the end of the lift.
     """
     n, m = pair.n, pair.m
+    r = min(n, m)
     config = dataclasses.replace(config, policy=_resolve_policy(config, (n, m)))
-    XY, T, R = _householder_qr(pair.X, pair.Y)
+    XY, T, R = _householder_qr(pair.X, pair.Y, weight=weight, name="[X Y]")
     inner, *rest = engine(R[:, :m], R[:, m:], config)
-    W = inner.vectors
-    # Rows m on of R_x, and so of W, are exact zeros, which the reflectors
-    # past the block holding reflector m leave as they are.
     nb = T.shape[0]
-    count = min(T.shape[1], -(-m // nb) * nb)
-    if np.iscomplexobj(XY):
-        return (dataclasses.replace(inner, vectors=_apply_reflectors(XY, T, W, count=count)), *rest)
-    k = W.shape[1]
-    C = _apply_reflectors(XY, T, np.hstack([W.real, W.imag]), count=count)
+    Q = _apply_reflectors(XY, T, np.eye(r, dtype=XY.dtype), count=min(T.shape[1], -(-r // nb) * nb))
     del XY, T
-    Z = np.empty((n, k), dtype=complex, order="F")
-    Z.real = C[:, :k]
-    Z.imag = C[:, k:]
-    return (dataclasses.replace(inner, vectors=Z), *rest)
+    W = inner.vectors[:r]
+    # A complex product is written transposed, so the vectors come out column-major.
+    Z = _lift(Q, W, _block_rows(n)) if Q.dtype == np.float64 else (W.T @ Q.T).T
+    del Q
+    if weight is not None:
+        Z = weight._lift(Z, in_place=True)
+    return (dataclasses.replace(inner, vectors=Z, weight=weight), *rest)
 
 
 def _compressed_trajectory(F, config):
@@ -394,13 +379,13 @@ def _compressed_trajectory(F, config):
 
     Returns (Q, inner): the thin QR factor Q, in F's buffer where F is a
     column-major double array, and the engine's decomposition on R, whose
-    vectors are coefficients in Q.  The route keeps scipy's QR and the
-    explicit Q because bench/tracing.py recomposes it as scipy.linalg.qr
-    and Q @ vectors and must match it bit for bit (ROADMAP item 2).  For
-    the same reason this QR runs outside the one BLAS scope, on the
-    process's BLAS threads, so its bits depend on the thread count.
+    vectors are coefficients in Q.  The route keeps scipy's QR, outside
+    the one BLAS scope, and the explicit Q, because bench/tracing.py
+    recomposes it bit for bit (ROADMAP item 2); its bits depend on the
+    thread count.
     """
     config = dataclasses.replace(config, policy=_resolve_policy(config, (F.shape[0], F.shape[1] - 1)))
+    _check_norms(F, "F")
     Q, R = scipy.linalg.qr(F, mode="economic", overwrite_a=True, check_finite=False)
     return Q, _rrr_pipeline(R[:, :-1], R[:, 1:], config, "rrr-compressed")
 
@@ -408,18 +393,13 @@ def _compressed_trajectory(F, config):
 def ddmd_rrr_compressed(data, config=VariantConfig()):
     """Refined decomposition after QR compression of the raw data.
 
-    Works on the triangular factor of a thin QR (of the trajectory, or of
-    the stacked pair for general data), then lifts the vectors back to
-    the ambient space.  A pair keeps its Householder reflectors and
-    applies them to the coefficients; a trajectory factors a
-    column-major copy of F in place, so the caller's array is never
-    modified, and multiplies the orthonormal factor Q, held in that
-    copy, by the coefficients (by row blocks for real data).  Residuals
-    and Ritz values are unchanged by the unitary change of basis.  The
-    default threshold is read off the ambient shape, not the compressed
-    one, so compressed and direct runs truncate identically.  The
-    containers have checked the data for non-finite entries already.
-    Also exported as ``ddmd_rrr_auto``.
+    Works on the triangular factor of one thin QR, of the stacked pair
+    (see :func:`_compressed_pair`) or of a column-major copy of the
+    trajectory, which holds Q, and lifts the vectors through the leading
+    columns of Q (by row blocks for real data).  Residuals and Ritz
+    values are unchanged by the unitary change of basis, and the default
+    threshold is read off the ambient shape, so compressed and direct
+    runs truncate identically.  Also exported as ``ddmd_rrr_auto``.
     """
     _check_config(config, "ddmd_rrr_compressed", "; a pair (X, Y) is passed as one SnapshotPair(X, Y)")
     if isinstance(data, SnapshotPair):

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import DataError
 from .inner import _require_weight
 from .snapshots import SnapshotPair
-from .variants import VariantConfig, _check_config, _rrr_pipeline
+from .variants import VariantConfig, _check_config, _compressed_pair, _rrr_pipeline
 
 __all__ = [
     "BoundReport",
@@ -67,14 +67,18 @@ def two_sided_weighted_dmd(X, Y, M, N, config=VariantConfig()):
 
     ``M`` acts on state space (rows), ``N`` on the snapshot index space
     (columns, e.g. forgetting factors).  The pipeline is ordinary DMD of
-    the doubly transformed pair; with ``N = I`` it reduces exactly to
-    :func:`weighted_dmd`.
+    the doubly transformed pair, run on the compressed route: M's images
+    of X and Y are factored by one Householder QR, N acts on the blocks
+    R_x and R_y of its triangular factor (M X K = Q (R_x K)), and the
+    vectors are lifted through Q and then through M.  With ``N = I`` it
+    reduces to :func:`weighted_dmd` up to roundoff.
     """
     _check_config(config, "two_sided_weighted_dmd")
     pair = SnapshotPair(X, Y)
     M = _require_weight(M, "M")
     N = _require_weight(N, "N")
-    return _rrr_pipeline(pair.X, pair.Y, config, "weighted2", weight=M, right=N)
+    return _compressed_pair(pair, config, lambda Rx, Ry, c: (
+        _rrr_pipeline(N.transform_right(Rx), N.transform_right(Ry), c, "weighted2"),), weight=M)[0]
 
 
 def weighted_bauer_fike(residual_M, M, kappa_assumption=None, relative_residual_M=None):

@@ -141,6 +141,14 @@ def test_overflowing_data_is_a_conditioning_error(tmp_path, capsys):
     assert "overflow" in capsys.readouterr().err
 
 
+def test_a_column_norm_beyond_the_double_range_is_a_conditioning_error(tmp_path, capsys):
+    rng = np.random.Generator(np.random.Philox(43))
+    store_matrix(5e307 * rng.uniform(size=(200, 12)), str(tmp_path / "x.dmm"))
+    store_matrix(5e307 * rng.uniform(size=(200, 12)), str(tmp_path / "y.dmm"))
+    assert main(["decompose", "--x", str(tmp_path / "x.dmm"), "--y", str(tmp_path / "y.dmm")]) == 3
+    assert "the 2-norm of column 0 of X overflows" in capsys.readouterr().err
+
+
 def test_dt_adds_log_mapped_frequencies(traj_file, capsys):
     rc, out = _decompose(capsys, "--seq", traj_file, "--dt", "0.5")
     assert rc == 0
