@@ -102,7 +102,7 @@ def _instance_family(count=100, base_seed=300):
         oracle = make_oracle(n, spectrum=spectrum, conditioning=conditioning, seed=base_seed + i)
         F = trajectory(oracle, _unit_start(n, base_seed + 1000 + i), m)
         basis, buf, _ = _project(F.F[:, :-1], F.F[:, 1:], VariantConfig())
-        B = np.ascontiguousarray(buf[:, basis.rank:2 * basis.rank])
+        B = buf[:, basis.rank:2 * basis.rank]
         stack = qr_stack(basis.U, B)
         S = rayleigh_from_qr(stack)
         lambdas, W = _eig(S)

@@ -90,13 +90,16 @@ class InnerProduct:
     def n(self):
         return self.factor.shape[0]
 
-    def _check_rows(self, B, side_name):
+    def _check_rows(self, B, side_name, finite=False):
+        """B in double precision, a vector or a matrix with the factor's rows; with ``finite``, also finite."""
         B = _as_double(B, side_name)
         if B.ndim not in (1, 2):
             raise ShapeError("%s must be a vector or a 2-D array, got ndim=%d" % (side_name, B.ndim))
         rows = B.shape[0]
         if rows != self.n:
             raise ShapeError("weight factor of size %d does not conform to %s with %d rows" % (self.n, side_name, rows))
+        if finite and not _all_finite(B):
+            raise DataError("%s contains non-finite entries" % (side_name,))
         return B
 
     # -- factor application and solves --------------------------------------
@@ -114,33 +117,37 @@ class InnerProduct:
             return L @ B
 
     def _solve(self, B, adjoint, out=None):
-        """L^{-1} B, or L^{-*} B with ``adjoint``, into ``out`` where given (a 2-D factor only where it is B)."""
+        """L^{-1} B, or L^{-*} B with ``adjoint``, into ``out`` where given (a 2-D factor only where it is B).
+
+        The factor is finite (checked when the weight is made), and so is B
+        (checked where it enters), so neither is checked again here.
+        """
         if self.factor.ndim == 1:
             return np.divide(B, self._diagonal_for(B), out=out)
         try:
             with _one_blas_thread:
                 return scipy.linalg.solve_triangular(self.factor, B, lower=True, trans="C" if adjoint else "N",
-                                                     overwrite_b=out is B)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
+                                                     overwrite_b=out is B, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
             raise ConditioningError("weight factor is singular: %s" % exc) from exc
 
     # -- state-space (row) weighting ----------------------------------------
 
     def transform(self, X):
-        """Map ambient columns, or one vector, into the Euclidean coordinates of the geometry."""
-        return self._transform_into(X, None)
+        """Map finite ambient columns, or one vector, into the Euclidean coordinates of the geometry."""
+        return self._transform_into(self._check_rows(X, "state matrix", finite=True), None)
 
     def _transform_into(self, X, out):
-        """:meth:`transform` of X; a diagonal factor writes the image into ``out`` where given."""
+        """:meth:`transform` of a finite X; a diagonal factor writes the image into ``out`` where given."""
         X = self._check_rows(X, "state matrix")
         with np.errstate(over="ignore", invalid="ignore"):
             image = (self._apply(X, adjoint=True, out=out) if self.orientation == "M"
                      else self._solve(X, adjoint=False, out=out))
-        return _finite_image(image, X)
+        return _finite_image(image)
 
     def lift(self, U_tilde):
-        """Pull transformed basis columns, or one vector, back to ambient coordinates."""
-        return self._lift(self._check_rows(U_tilde, "transformed basis"), in_place=False)
+        """Pull finite transformed basis columns, or one vector, back to ambient coordinates."""
+        return self._lift(self._check_rows(U_tilde, "transformed basis", finite=True), in_place=False)
 
     def _lift(self, U, in_place):
         """:meth:`lift` of a checked U, overwritten where ``in_place`` by a diagonal factor or a real 2-D one.
@@ -163,12 +170,14 @@ class InnerProduct:
     # -- snapshot-space (column) weighting -----------------------------------
 
     def transform_right(self, X):
-        """Apply the geometry to the columns index, i.e. from the right."""
+        """Apply the geometry to the columns index of a finite X, i.e. from the right."""
         X = _as_double(X, "snapshot matrix")
         if X.ndim != 2:
             raise ShapeError("snapshot matrix must be a 2-D array, got ndim=%d" % X.ndim)
         if X.shape[1] != self.n:
             raise ShapeError("weight factor of size %d does not conform to snapshot count %d" % (self.n, X.shape[1]))
+        if not _all_finite(X):
+            raise DataError("snapshot matrix contains non-finite entries")
         with np.errstate(over="ignore", invalid="ignore"):
             if self.factor.ndim == 2:
                 # (X K^{-*})* = K^{-1} X* and (X K)* = K* X*.
@@ -177,7 +186,7 @@ class InnerProduct:
             else:
                 # A real diagonal K: X K^{-*} = X K^{-1}, and X K, column by column.
                 image = (self._solve if self.orientation == "M" else self._apply)(X.T, adjoint=False).T
-        return _finite_image(image, X)
+        return _finite_image(image)
 
     # -- norms and materialization -------------------------------------------
 
@@ -203,12 +212,9 @@ class InnerProduct:
         return self._solve(self._solve(eye, adjoint=False), adjoint=True)
 
 
-def _finite_image(image, X=None):
-    """``image``, the transform of ``X``, or of finite data where X is None.
-
-    Finite data mapped beyond the double range is a ConditioningError.
-    """
-    if not _all_finite(image) and (X is None or _all_finite(X)):
+def _finite_image(image):
+    """``image``, the transform of finite data; one mapped beyond the double range is a ConditioningError."""
+    if not _all_finite(image):
         raise ConditioningError("the weighted snapshots overflow double precision")
     return image
 

@@ -205,18 +205,16 @@ def _svd_for_pod(G, columns, dtype):
     and U = Q [U_r; 0] is formed by applying the reflectors (?gemqrt);
     other shapes go to ``gesvd`` directly.  The result depends on the
     values of G only.  Returns (U, s, V), the r = min(n, m) left singular
-    vectors in the leading columns of U, a fresh zeroed buffer of
-    max(r, ``columns``) columns and dtype ``dtype`` (G's where None).  U
-    has the memory order in which the route forms it, row-major from the
-    product Q U_r of the pivoted route and column-major otherwise, so
-    every product with U rounds as with the route's own.
+    vectors in the leading columns of U, a fresh zeroed column-major
+    buffer of max(r, ``columns``) columns and dtype ``dtype`` (G's where
+    None).
     """
     n, m = G.shape
     r = min(n, m)
     norms = _column_norms(G)
     positive = norms[norms > 0.0]
     pivoted = positive.size and positive.max() / _QR_PREPROCESS_SPREAD > positive.min()
-    U = np.zeros((n, max(r, columns)), dtype=G.dtype if dtype is None else dtype, order="C" if pivoted else "F")
+    U = np.zeros((n, max(r, columns)), dtype=G.dtype if dtype is None else dtype, order="F")
     if pivoted:
         with _one_blas_thread:
             Q, R, piv = scipy.linalg.qr(G, mode="economic", pivoting=True, overwrite_a=True)

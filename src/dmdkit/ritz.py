@@ -12,7 +12,11 @@ residual computation into 2k-dimensional triangular blocks; the smallest
 singular value of the shifted block matrix is at once the optimal residual
 achievable in the POD subspace and the certificate for the refined vector.
 The stack is written once, into one column-major buffer, and a level-3
-Householder QR (LAPACK ?geqrt) overwrites it; Q is never formed.
+Householder QR (LAPACK ?geqrt) overwrites it; Q is never formed.  Every
+residual, a refined vector's certificate included, is read off the blocks
+by one formula (:func:`_residuals_from_stack`), and every tall product,
+the image B_k and the lift U_k W, runs by row blocks on one BLAS thread
+(:func:`_products_into`).
 
 Refinement costs one k x k Hermitian eigensolve per distinct shift: the
 eigenvector of the smallest eigenvalue of the cross-product matrix
@@ -39,7 +43,7 @@ from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .inner import InnerProduct
 from .pod import _geqrt, _householder_qr
-from .snapshots import _EPS, _all_finite, _column_norms, _inexact_norms
+from .snapshots import _EPS, _all_finite, _column_norms
 
 __all__ = [
     "QrStack",
@@ -153,28 +157,15 @@ def action_on_basis(Y, V_k, sigma_k):
 
 
 def _image_into(out, Y, V_k, sigma_k):
-    """:func:`action_on_basis` written into ``out``, an n x k buffer or view.
-
-    A column-major Y with k >= 2 is multiplied by row blocks of
-    :func:`_block_rows` on one BLAS thread, which rounds the bits of the
-    plain product Y @ (V_k / sigma_k) on the kernels measured (OpenBLAS
-    0.3.31), so B_k is formed without a temporary of its size; any other
-    Y takes the plain product, copied into ``out``.
-    """
+    """:func:`action_on_basis` written into ``out``, an n x k buffer or view, by :func:`_products_into`."""
     sigma_k = np.asarray(sigma_k, dtype=np.float64)
     if np.any(sigma_k <= 0.0) or not np.all(np.isfinite(sigma_k)):
         raise ConditioningError(
             "action_on_basis: retained singular values must be strictly positive",
             sigma_min=float(sigma_k.min()) if sigma_k.size else 0.0,
         )
-    S = V_k / sigma_k[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        if Y.flags.f_contiguous and S.shape[1] >= 2:
-            with _one_blas_thread:
-                for start, stop in _row_ranges(Y.shape[0], _block_rows(Y.shape[0])):
-                    out[start:stop] = Y[start:stop] @ S
-        else:
-            out[...] = Y @ S
+        _products_into(out, Y, V_k / sigma_k[None, :])
     if not _all_finite(out):
         raise ConditioningError("action_on_basis: B_k = Y V_k Sigma_k^-1 overflows double precision")
     return out
@@ -230,12 +221,12 @@ def _eig(S):
     return lambdas.astype(complex), W
 
 
-# Rows of the real operand per block product in :func:`_lift_blocks`.
+# Rows per block of the trajectory route's lift, :func:`_lift_blocks`.
 _LIFT_BLOCK = 2048
 
 
 def _block_rows(n):
-    """Rows per block of a pipeline's tall products: n/32, at least 2 and at most ``_LIFT_BLOCK``."""
+    """Rows per block of a tall product of :func:`_products_into`: n/32, at least 2 and at most ``_LIFT_BLOCK``."""
     return min(_LIFT_BLOCK, max(2, -(-n // 32)))
 
 
@@ -251,48 +242,50 @@ def _row_ranges(n, rows):
         start = stop
 
 
-def _by_real_view(A, W):
-    """Whether :func:`_lift_blocks` runs A @ W as real products by row blocks."""
-    return A.dtype == np.float64 and W.dtype == np.complex128 and min(A.shape[0], W.shape[1]) >= 2
+def _products_into(out, A, W):
+    """A @ W for a tall A and a small W, written into ``out`` by row blocks: the one rule of every tall product.
 
-
-def _lift_blocks(A, W, rows=_LIFT_BLOCK):
-    """A @ W for a tall A and a small W, as (start, rows) blocks in row order.
-
-    For a real A and a complex W, W is viewed as a real matrix with
-    interleaved real and imaginary columns, so A is never cast to
-    complex, whatever its memory layout; each block is one real product
-    on at most ``rows`` + 1 rows of A.  On the kernels measured
-    (OpenBLAS 0.3.31, Haswell) this rounds like numpy's mixed product
-    A @ W bit for bit for a column-major A with at most 96 columns, and
-    can differ by roundoff beyond, where a block's bits also depend on its
-    number of rows; for a row-major A it differs already at 16 columns.
-    Any other dtype, or a single row or column, takes the plain product as
-    one block: split by rows, a complex product of one column rounds
-    differently on two threads.
+    Each block of :func:`_block_rows` rows is one product on one BLAS
+    thread (the one BLAS scope), so no temporary of the result's size is
+    formed and the bits do not depend on the thread setting.  A real A
+    times a complex W runs as real products on W viewed as a real matrix
+    with interleaved real and imaginary columns, so A is never cast to
+    complex.
     """
-    if not _by_real_view(A, W):
+    real_view = A.dtype == np.float64 and W.dtype == np.complex128
+    Wr = np.ascontiguousarray(W).view(np.float64) if real_view else W
+    with _one_blas_thread:
+        for start, stop in _row_ranges(A.shape[0], _block_rows(A.shape[0])):
+            out[start:stop] = (A[start:stop] @ Wr).view(complex) if real_view else A[start:stop] @ Wr
+    return out
+
+
+def _lift(A, W):
+    """A @ W by :func:`_products_into`, into a fresh column-major array."""
+    return _products_into(np.empty((A.shape[0], W.shape[1]), dtype=np.result_type(A, W), order="F"), A, W)
+
+
+def _lift_blocks(A, W):
+    """The trajectory route's A @ W, as (start, block) pairs in row order.
+
+    The trajectory route keeps the process's BLAS threads (see
+    :func:`_compressed_trajectory`).  For a real A and a complex W, W is
+    viewed as a real matrix with interleaved real and imaginary columns,
+    so A is never cast to complex; each block is one real product on at
+    most ``_LIFT_BLOCK`` + 1 rows of A.  On the kernels measured (OpenBLAS
+    0.3.31, Haswell) this rounds like numpy's mixed product A @ W bit for
+    bit for a column-major A with at most 96 columns.  Any other dtype, or
+    a single row or column, takes the plain product as one block: split by
+    rows, a complex product of one column rounds differently on two
+    threads.  Each block is yielded as it is formed, so a consumer holds
+    one block at a time.
+    """
+    if A.dtype != np.float64 or W.dtype != np.complex128 or min(A.shape[0], W.shape[1]) < 2:
         yield 0, A @ W
         return
     Wr = np.ascontiguousarray(W).view(np.float64)
-    for start, stop in _row_ranges(A.shape[0], rows):
+    for start, stop in _row_ranges(A.shape[0], _LIFT_BLOCK):
         yield start, (A[start:stop] @ Wr).view(complex)
-
-
-def _lift(A, W, rows=_LIFT_BLOCK):
-    """A @ W from :func:`_lift_blocks`; the blocks of the real-view route fill a column-major result.
-
-    Only a column-major A is split into blocks of fewer than
-    ``_LIFT_BLOCK`` rows: the bits of a row-major A's block products
-    depend on the block size.
-    """
-    if not _by_real_view(A, W):
-        return A @ W
-    Z = np.empty((A.shape[0], W.shape[1]), dtype=complex, order="F")
-    for start, block in _lift_blocks(A, W, rows if A.flags.f_contiguous else _LIFT_BLOCK):
-        Z[start:start + len(block)] = block
-        del block  # not held while the next block is formed
-    return Z
 
 
 def ritz_pairs(S_k, U_k):
@@ -334,7 +327,7 @@ def _pow2_scaled(X):
     return np.ldexp(F, e).view(X.dtype), e
 
 
-def _solve_by_cross_product(stack, lam, R_lam):
+def _solve_by_cross_product(stack, lam):
     """(w, ||R_lambda w||) from the smallest eigenpair of the cross-product
     matrix, or None where the accept rule of :func:`refine_ritz` fails."""
     if stack.k < 2:
@@ -356,31 +349,22 @@ def _solve_by_cross_product(stack, lam, R_lam):
     if not gap > 0.0:
         return None
     w = W[:, 0] / np.linalg.norm(W[:, 0])
-    sigma = _residual_norm(R_lam, w)
+    sigma = float(_residuals_from_stack(stack, [lam], w[:, None])[0])
     with np.errstate(over="ignore"):
         delta = min((stack.k - 1) * eta**2 / gap, h1 * (eta / gap) ** 2)
         return (w, sigma) if delta <= 2e-14 * np.ldexp(sigma, a) ** 2 else None
 
 
-def _solve_by_svd(R_lam):
-    """(w, ||R_lambda w||) from the SVD of the triangular factor of R_lambda."""
+def _solve_by_svd(stack, lam):
+    """(w, ||R_lambda w||) from the SVD of the triangular factor of the shifted stack R_lambda."""
+    R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
     try:
         _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))
     except np.linalg.LinAlgError as exc:
         raise BackendError("refinement SVD failed to converge: %s" % exc) from exc
     w = Vh[-1, :].conj()
     w = w / np.linalg.norm(w)
-    return w, _residual_norm(R_lam, w)
-
-
-def _residual_norm(R_lam, w):
-    """||R_lambda w||, measured again with scaling where the plain norm is inexact."""
-    r = R_lam @ w
-    with np.errstate(over="ignore"):
-        sigma = np.linalg.norm(r)
-    if _inexact_norms(sigma):
-        sigma = _column_norms(r[:, None])[0]
-    return float(sigma)
+    return w, float(_residuals_from_stack(stack, [lam], w[:, None])[0])
 
 
 def refine_ritz(stack, lam):
@@ -406,8 +390,8 @@ def refine_ritz(stack, lam):
     such as one whose residual is at roundoff level (an invariant
     subspace), falls back to the SVD of the k x k triangular factor of
     R_lambda, which has the same right singular vectors.  Either way the
-    reported residual is || R_lambda w ||, trusted instead of the
-    solver's estimate.
+    reported residual is || R_lambda w || by :func:`_residuals_from_stack`,
+    trusted instead of the solver's estimate.
 
     For real blocks R_conj(lambda) = conj(R_lambda), so a shift with
     negative imaginary part returns the conjugate of the solve for its
@@ -427,8 +411,7 @@ def refine_ritz(stack, lam):
     hit = stack._refined.get(key)
     if hit is None:
         with _one_blas_thread:
-            R_lam = np.vstack([stack.r12 - lam * stack.r11, stack.r22])
-            hit = _solve_by_cross_product(stack, lam, R_lam) or _solve_by_svd(R_lam)
+            hit = _solve_by_cross_product(stack, lam) or _solve_by_svd(stack, lam)
         stack._refined[key] = hit
     w, sigma = hit
     return (w.conj() if flip else w.copy()), sigma

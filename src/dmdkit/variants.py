@@ -17,10 +17,10 @@ from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .pod import RankPolicy, _apply_reflectors, _check_policy, _householder_qr, _pod_in_place, default_epsilon
 from .ritz import (
-    _block_rows,
     _eig,
     _image_into,
     _lift,
+    _lift_blocks,
     _residuals_from_stack,
     _stack_in_place,
     RefinedPair,
@@ -60,7 +60,8 @@ class VariantConfig:
     :func:`select_pairs` keeps at that cap.  A NaN, negative, boolean or
     non-numeric cap is rejected.
 
-    One thread rule holds: every LAPACK kernel, every dense weight, the
+    One thread rule holds: every LAPACK kernel, every dense weight, every
+    tall product (the image B_k and every lift, each by row blocks), the
     refined pipelines from start to finish, and the compressed pair route
     of :func:`fb_dmd_mrf`, :func:`ddmd_rrr_compressed` and
     :func:`dmdkit.weighted.two_sided_weighted_dmd` from the QR of [X Y] to
@@ -68,7 +69,7 @@ class VariantConfig:
     (the one BLAS scope, :data:`dmdkit._blas._one_blas_thread`), whatever
     its thread setting.  Only the quotient U* Y of :func:`dmd` and
     :func:`exact_dmd`, which must round like the same product written
-    inline, and the QR that compresses a trajectory keep the process's
+    inline, and the trajectory route's QR and lift keep the process's
     threads, so their bits depend on the thread count.  The counts are
     process-wide: a pipeline running concurrently in another Python thread
     computes with one BLAS thread too while the scope is held, so reports
@@ -197,14 +198,10 @@ def _project(X, Y, config, policy=None, weight=None, quotient=False):
 
 
 def _split(basis, buf):
-    """(U_k, stack): U_k copied out of ``buf`` in its memory order, then the QR of (U_k  B_k) in ``buf``.
-
-    The QR overwrites a column-major ``buf`` in place (see
-    :func:`_stack_in_place`); the pivoted POD's row-major one is copied.
-    """
+    """(U_k, stack): U_k copied out of the column-major ``buf``, then the QR of (U_k  B_k) in ``buf`` in place."""
     k = basis.rank
-    U = basis.U.copy(order="K")
-    return U, _stack_in_place(np.asfortranarray(buf[:, :2 * k]))
+    U = basis.U.copy(order="F")
+    return U, _stack_in_place(buf[:, :2 * k])
 
 
 def _quotient(basis, Ys):
@@ -303,25 +300,27 @@ def _rrr_pipeline(X, Y, config, variant, weight=None):
             lambdas = np.linalg.eigvals(S)
         except np.linalg.LinAlgError as exc:
             raise BackendError("eigensolver failed on the Rayleigh quotient: %s" % exc) from exc
-        W = residuals = None
+        W, residuals = np.empty((k, k), dtype=complex), np.empty(k)
         chosen = range(k)
     else:
         lambdas, W = _eig(S)
         residuals = _residuals_from_stack(stack, lambdas, W)
         # A cap refines exactly the pairs select_pairs keeps at it.
         chosen = () if config.refine == "none" else np.flatnonzero(_selected(residuals, float(config.refine)))
+        if len(chosen):
+            # _eig's W is real where every eigenvalue is; refined vectors are complex.
+            W = W.astype(complex)
     refined = [None] * k
     for i in chosen:
+        # Each refined vector is written into its column of W, which its record views.
         w, sigma_min = refine_ritz(stack, lambdas[i])
-        refined[i] = RefinedPair(w=w, sigma_min=sigma_min, rho=refined_rayleigh_value(S, w))
-    if any(rec is not None for rec in refined):
-        W = np.column_stack([W[:, i] if rec is None else rec.w for i, rec in enumerate(refined)])
-        residuals = np.array([residuals[i] if rec is None else rec.sigma_min for i, rec in enumerate(refined)])
+        W[:, i], residuals[i] = w, sigma_min
+        refined[i] = RefinedPair(w=W[:, i], sigma_min=sigma_min, rho=refined_rayleigh_value(S, w))
 
     # The stack, its memo and S go first, and blocks of n/32 rows follow,
     # so the lift holds U, Z and 1/32 of Z.
     del stack, S
-    Z = _lift(U, W, _block_rows(U.shape[0]))
+    Z = _lift(U, W)
     del U
     if weight is not None:
         Z = weight._lift(Z, in_place=True)
@@ -365,9 +364,7 @@ def _compressed_pair(pair, config, engine, weight=None):
     nb = T.shape[0]
     Q = _apply_reflectors(XY, T, np.eye(r, dtype=XY.dtype), count=min(T.shape[1], -(-r // nb) * nb))
     del XY, T
-    W = inner.vectors[:r]
-    # A complex product is written transposed, so the vectors come out column-major.
-    Z = _lift(Q, W, _block_rows(n)) if Q.dtype == np.float64 else (W.T @ Q.T).T
+    Z = _lift(Q, inner.vectors[:r])
     del Q
     if weight is not None:
         Z = weight._lift(Z, in_place=True)
@@ -380,9 +377,10 @@ def _compressed_trajectory(F, config):
     Returns (Q, inner): the thin QR factor Q, in F's buffer where F is a
     column-major double array, and the engine's decomposition on R, whose
     vectors are coefficients in Q.  The route keeps scipy's QR, outside
-    the one BLAS scope, and the explicit Q, because bench/tracing.py
-    recomposes it bit for bit (ROADMAP item 2); its bits depend on the
-    thread count.
+    the one BLAS scope, the explicit Q, and the lift through it by
+    :func:`_lift_blocks`, which ``decompose --seq`` streams to its modes
+    file, because bench/tracing.py recomposes it bit for bit (ROADMAP
+    item 2); its bits depend on the thread count.
     """
     config = dataclasses.replace(config, policy=_resolve_policy(config, (F.shape[0], F.shape[1] - 1)))
     _check_norms(F, "F")
@@ -405,7 +403,11 @@ def ddmd_rrr_compressed(data, config=VariantConfig()):
     if isinstance(data, SnapshotPair):
         return _compressed_pair(data, config, lambda X, Y, c: (_rrr_pipeline(X, Y, c, "rrr-compressed"),))[0]
     Q, inner = _compressed_trajectory(np.array(_as_trajectory(data).F, order="F"), config)
-    return dataclasses.replace(inner, vectors=np.asfortranarray(_lift(Q, inner.vectors)))
+    Z = np.empty((Q.shape[0], inner.k), dtype=complex, order="F")
+    for start, block in _lift_blocks(Q, inner.vectors):
+        Z[start:start + len(block)] = block
+        del block  # not held while the next block is formed
+    return dataclasses.replace(inner, vectors=Z)
 
 
 # Kept while bench/harness.py imports it; the name goes with ROADMAP item 6.
@@ -426,8 +428,7 @@ def exact_dmd(X, Y, config=VariantConfig()):
     pair = SnapshotPair(X, Y)
     basis, buf, (S, lambdas, W) = _project(pair.X, pair.Y, config, quotient=True)
     k = basis.rank
-    # Row-major, as action_on_basis forms it: the lift's bits depend on B's layout.
-    B = buf[:, k:2 * k].copy(order="C")
+    B = buf[:, k:2 * k].copy(order="F")  # so the buffer is freed
     del basis, buf
     guard = 1e3 * _EPS * float(np.linalg.norm(S, 2))
     alive = np.abs(lambdas) > guard
@@ -526,9 +527,8 @@ def _fb_engine(X, Y, config):
             sigma_max=float(sb_all[0]),
         )
     # The backward quotient in the forward basis: a sign change or rotation
-    # of the backward basis cancels between the two factors.  B_b is taken
-    # row-major, as action_on_basis forms it, so the product keeps its bits.
-    S_back = (Uf.conj().T @ np.ascontiguousarray(buf[:, k:2 * k])) @ (back.U.conj().T @ Uf)
+    # of the backward basis cancels between the two factors.
+    S_back = (Uf.conj().T @ buf[:, k:2 * k]) @ (back.U.conj().T @ Uf)
 
     sv = scipy.linalg.svdvals(S_back)
     if sv[0] <= 0.0 or sv[-1] <= k * _EPS * sv[0]:

@@ -1,8 +1,9 @@
 """Which computations hold every OpenBLAS at one thread, and what that costs in bits.
 
-The refined pipelines, fb, every LAPACK kernel of :mod:`dmdkit.pod` and
-every dense weight run inside ``_blas._one_blas_thread``; the quotient of
-``dmd`` and ``exact_dmd`` and the QR that compresses a trajectory do not.
+The refined pipelines, fb, every tall product, every LAPACK kernel of
+:mod:`dmdkit.pod` and every dense weight run inside
+``_blas._one_blas_thread``; the quotient of ``dmd`` and ``exact_dmd`` and
+the QR that compresses a trajectory, with its lift, do not.
 The recompositions here compute the same stages from public functions,
 inline and outside the scope, at two and four numpy BLAS threads, and
 must match the library bit for bit: the benchmark's traced mode makes
@@ -400,10 +401,11 @@ def test_scopes_on_one_library_share_the_count(blas_threads):
 _PIPELINE_HASHES = """
 import hashlib, json, os, sys
 import numpy as np
-from dmdkit import (InnerProduct, SnapshotPair, ddmd_rrr, ddmd_rrr_compressed, fb_dmd_mrf, load_matrix,
-                    two_sided_weighted_dmd, weighted_dmd)
+from dmdkit import (InnerProduct, SnapshotPair, action_on_basis, ddmd_rrr, ddmd_rrr_compressed, fb_dmd_mrf,
+                    load_matrix, two_sided_weighted_dmd, weighted_dmd)
 from dmdkit._blas import _MODULES, _blas_threads
 from dmdkit.cli import main
+from dmdkit.ritz import _lift
 
 x, y, w, wn, xd, yd, g, gn = (os.path.join(sys.argv[1], name + ".dmm")
                               for name in ("X", "Y", "w", "wn", "Xd", "Yd", "G", "Gn"))
@@ -423,6 +425,12 @@ for name, dec in (("ddmd_rrr", ddmd_rrr(X, Y)), ("weighted_dmd", weighted_dmd(X,
                   ("weighted_dmd-dense-inverse", weighted_dmd(Xd, Yd, Md_inverse)),
                   ("two_sided_weighted_dmd-dense", two_sided_weighted_dmd(Xd, Yd, Md, Nd))):
     out[name] = [digest(a) for a in (dec.lambdas, dec.vectors, dec.residuals)]
+# the tall products on row-major, column-major and complex operands; the small factors are formed elementwise
+V = np.sin(np.arange(40 * 12.0)).reshape(40, 12)
+W = V + 1j * np.cos(np.arange(40 * 12.0)).reshape(40, 12)
+for layout, A in (("C", np.ascontiguousarray(X)), ("F", np.asfortranarray(X)), ("complex", X + 1j * Y)):
+    out["action_on_basis-" + layout] = digest(action_on_basis(A, V, np.linspace(1.0, 2.0, 12)))
+    out["_lift-" + layout] = digest(_lift(A, W))
 for name, pair, variant, weights in (
         ("rrr", (x, y), "rrr", []), ("rrr-compressed", (x, y), "rrr-compressed", []), ("fb", (x, y), "fb", []),
         ("weighted", (x, y), "weighted", ["--weight", w]),
@@ -477,5 +485,5 @@ def test_scoped_pipelines_and_reports_do_not_depend_on_blas_threads(tmp_path):
         assert counts["1"] == [1, 1]
         if len(os.sched_getaffinity(0)) > 1:
             assert counts["2"] == [2, 2]
-    assert len(hashes["1"]) == 16
+    assert len(hashes["1"]) == 22
     assert hashes["1"] == hashes["2"] == hashes["4"]

@@ -463,7 +463,7 @@ def _qr_svd_reference(stack, lam):
         _, _, Vh = np.linalg.svd(np.linalg.qr(R_lam, mode="r"))
         w = Vh[-1, :].conj()
         w = w / np.linalg.norm(w)
-        return w, float(np.linalg.norm(R_lam @ w))
+        return w, float(_residuals_from_stack(stack, [lam], w[:, None])[0])
 
 
 class _Routes:
@@ -560,6 +560,35 @@ def test_one_dimensional_stacks_take_the_fallback_with_its_bits():
                 assert routes.svd == 1
                 w_ref, sigma_ref = _qr_svd_reference(stack, lam)
                 assert np.array_equal(w, w_ref) and sigma == sigma_ref
+
+
+def _one_formula(stack, lam, w, sigma):
+    """Whether ``sigma`` is the residual of w at the shift, read off the stack as every other residual is."""
+    return sigma == float(_residuals_from_stack(stack, [lam], w[:, None])[0])
+
+
+@pytest.mark.parametrize("complex_valued", [False, True])
+def test_a_refined_certificate_is_the_residual_formula_of_the_stack(complex_valued):
+    # One formula for every reported residual, bit for bit: on the
+    # cross-product route (a Gaussian pair), on the QR + SVD fallback (an
+    # invariant subspace) and for one-dimensional stacks.
+    rng = _rng(61)
+    def draw(*shape):
+        g = rng.standard_normal(shape)
+        return g + 1j * rng.standard_normal(shape) if complex_valued else g
+
+    oracle = make_oracle(80, conditioning=1e2, seed=17, complex_valued=complex_valued)
+    invariant = invariant_subspace_pair(oracle, 16, seed=18)
+    for (X, Y), route in (((draw(200, 24), draw(200, 24)), "cross"), ((invariant.X, invariant.Y), "svd")):
+        with _Routes() as routes:
+            ddmd_rrr(X, Y)
+        assert getattr(routes, route) == len(routes.calls[0][0]._refined) > 0
+        assert routes.svd == 0 if route == "cross" else routes.cross == routes.svd
+        assert all(_one_formula(*call) for call in routes.calls)
+    for _ in range(5):
+        stack = QrStack(r11=np.abs(rng.standard_normal((1, 1))), r12=draw(1, 1), r22=rng.standard_normal((1, 1)))
+        for lam in (stack.r12[0, 0], rng.standard_normal() + 1j * rng.standard_normal()):
+            assert _one_formula(stack, lam, *refine_ritz(stack, lam))
 
 
 def test_every_shift_of_a_large_full_rank_pair_takes_the_cross_product_route():

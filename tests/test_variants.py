@@ -911,10 +911,11 @@ def test_ddmd_rrr_peak_memory_stays_near_the_input():
 def test_refined_lift_of_more_than_96_vectors_holds_no_stack():
     # k = 120: the QR stack, its cross products, the refinement memo and
     # the quotient are dropped before the lift, which then holds U, the
-    # vectors and 1/32 of them.
+    # vectors and 1/32 of them; each refined vector is held once, in its
+    # column of W.
     rng = _rng(73)
     X, Y = rng.standard_normal((10000, 120)), rng.standard_normal((10000, 120))
-    assert _peak_bytes(lambda: ddmd_rrr(X, Y)) <= 1.58 * (X.nbytes + Y.nbytes)
+    assert _peak_bytes(lambda: ddmd_rrr(X, Y)) <= 1.55 * (X.nbytes + Y.nbytes)
 
 
 _ONES = np.ones((3, 3))

@@ -155,6 +155,40 @@ def test_a_dense_weight_lifts_complex_vectors_in_real_arithmetic(orientation):
     np.testing.assert_allclose(lifted, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("call", ["transform", "lift", "norm", "transform_right"])
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+@pytest.mark.parametrize("orientation", ["M", "M-inverse"])
+def test_a_non_finite_operand_is_a_data_error(orientation, kind, call):
+    # One gate for every public operand, whichever factor and orientation
+    # would multiply or solve with it: no NaN image, and no singular factor.
+    W = InnerProduct(np.full(6, 2.0) if kind == "diagonal" else np.tril(np.ones((6, 6))), orientation=orientation)
+    for bad in (np.nan, np.inf, 1j * np.nan):
+        X = np.ones((6, 6), dtype=complex if isinstance(bad, complex) else float)
+        X[2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="contains non-finite entries"):
+                getattr(W, call)(X)
+
+
+def test_a_dense_inverse_transform_holds_no_copy_of_the_factor():
+    # The substitution reads the factor as it is: no boolean copy of the
+    # n x n factor, only the image of X.
+    n = 3000
+    rng = _rng(151)
+    M = InnerProduct(np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) / n, orientation="M-inverse")
+    X, Y = rng.standard_normal((n, 60)), rng.standard_normal((n, 60))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        image = M.transform(X)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * (X.nbytes + Y.nbytes)
+    np.testing.assert_allclose(M.factor @ image, X, atol=1e-12)
+
+
 def test_weighted_eta_identity():
     oracle, F = _orbit(119, 40, 12, spectrum="unit-disc", conditioning=20.0)
     X, Y = F.F[:, :-1], F.F[:, 1:]
