@@ -45,6 +45,8 @@ __all__ = [
 # Column-norm spread above which a pivoted QR preprocessing step is applied
 # before the SVD, so heavily graded columns do not poison the backend.
 _QR_PREPROCESS_SPREAD = 1e8
+# Columns per block of ?geqrt.
+_QR_BLOCK = 32
 
 
 def default_epsilon(n, m):
@@ -128,23 +130,32 @@ class PodBasis:
     sigma_all: np.ndarray
 
 
-def _householder_qr(*blocks, weight=None, name=None):
+def _householder_qr(*blocks, weight=None, name=None, spare=0):
     """Householder QR of the blocks side by side: :func:`_geqrt` of one column-major buffer.
 
     The blocks, of equal height, or their images under the state weight
-    ``weight``, are written into one buffer of their common dtype (at
-    least float64), which the factorization overwrites.  Where ``name``
-    is given, an overflowing column norm of the buffer is first checked
-    (see :func:`_check_norms`).
+    ``weight``, are written into the leading columns of one buffer of
+    their common dtype (at least float64), which the factorization
+    overwrites; ``spare`` unset columns follow them.  Where ``name`` is
+    given, an overflowing column norm of the blocks is first checked (see
+    :func:`_check_norms`).  Returns (buffer, T, R) as :func:`_geqrt`.
     """
     dtype = np.result_type(*blocks, *(() if weight is None else (weight.factor,)), np.float64)
-    a = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), dtype=dtype, order="F")
+    width = sum(b.shape[1] for b in blocks)
+    buf = np.empty((len(blocks[0]), width + spare), dtype=dtype, order="F")
+    a = buf[:, :width]
     for b, out in zip(blocks, np.split(a, np.cumsum([b.shape[1] for b in blocks[:-1]]), axis=1)):
         # A diagonal factor writes its image into the buffer (a no-op copy follows); a dense one's is copied in.
         out[...] = b if weight is None else weight._transform_into(b, out)
     if name is not None:
         _check_norms(a, name)
-    return _geqrt(a)
+    return (buf, *_geqrt(a)[1:])
+
+
+def _reflectors_reaching(r, shape):
+    """The reflectors of a :func:`_geqrt` of ``shape`` up to the end of the block holding reflector r, or all where fewer."""
+    nb = min(_QR_BLOCK, *shape)
+    return min(min(shape), -(-r // nb) * nb)
 
 
 def _geqrt(a):
@@ -157,7 +168,7 @@ def _geqrt(a):
     """
     (geqrt,) = scipy.linalg.get_lapack_funcs(("geqrt",), (a,))
     with _one_blas_thread:
-        a, t, info = geqrt(min(32, *a.shape), a, overwrite_a=True)
+        a, t, info = geqrt(min(_QR_BLOCK, *a.shape), a, overwrite_a=True)
     if info != 0:
         raise BackendError("QR backend failed: ?geqrt returned info = %d" % info)
     return a, t, np.triu(a[: min(a.shape)])
@@ -170,7 +181,8 @@ def _apply_reflectors(a, t, top, out=None, count=None):
     ``a`` in ``out``, a column-major buffer that is zero below the rows of
     ``top``, or in a fresh one.  The reflectors overwrite that buffer in
     place, and it is returned.  Only the first ``count`` reflectors are
-    applied, all by default.
+    applied, all by default, so ``out`` may be columns of ``a`` past them:
+    the compressed pair route forms Q's leading columns there.
     """
     count = t.shape[1] if count is None else count
     C = np.zeros((a.shape[0], top.shape[1]), dtype=a.dtype, order="F") if out is None else out

@@ -250,13 +250,17 @@ def _products_into(out, A, W):
     formed and the bits do not depend on the thread setting.  A real A
     times a complex W runs as real products on W viewed as a real matrix
     with interleaved real and imaginary columns, so A is never cast to
-    complex.
+    complex.  A may lie in ``out``'s memory where each of its rows shares
+    memory only with the same row of ``out``: each block of A is then
+    copied out before its product overwrites those rows.
     """
     real_view = A.dtype == np.float64 and W.dtype == np.complex128
     Wr = np.ascontiguousarray(W).view(np.float64) if real_view else W
+    copy = np.may_share_memory(out, A)
     with _one_blas_thread:
         for start, stop in _row_ranges(A.shape[0], _block_rows(A.shape[0])):
-            out[start:stop] = (A[start:stop] @ Wr).view(complex) if real_view else A[start:stop] @ Wr
+            block = A[start:stop].copy(order="F") if copy else A[start:stop]
+            out[start:stop] = (block @ Wr).view(complex) if real_view else block @ Wr
     return out
 
 

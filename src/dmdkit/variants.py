@@ -16,11 +16,13 @@ import scipy.linalg
 from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .pod import RankPolicy, _apply_reflectors, _check_policy, _householder_qr, _pod_in_place, default_epsilon
+from .pod import _reflectors_reaching
 from .ritz import (
     _eig,
     _image_into,
     _lift,
     _lift_blocks,
+    _products_into,
     _residuals_from_stack,
     _stack_in_place,
     RefinedPair,
@@ -163,10 +165,12 @@ def _project(X, Y, config, policy=None, weight=None, quotient=False):
     and scaled there (see :func:`_check_norms`); the POD factors it in
     place and writes U into the buffer.  The working array then takes the
     weighted and scaled Y where a diagonal factor and the scaling can
-    write it (a dense factor's image is a new array), and B_k is written
-    into columns k to 2k of the buffer.  With ``quotient``,
-    :func:`_quotient` is taken while the scaled Y is held.  ``policy``
-    defaults to the config's, resolved on the shape of X where missing.
+    write it (a dense factor's image is a new array); an unscaled Y that
+    is not column-major is copied there, so B_k and the quotient read the
+    same bits whatever the caller's layout.  B_k is written into columns
+    k to 2k of the buffer.  With ``quotient``, :func:`_quotient` is taken
+    while the scaled Y is held.  ``policy`` defaults to the config's,
+    resolved on the shape of X where missing.
     Returns (basis, buffer, quotient or None); ``basis.U`` is a view of
     the buffer's first k columns.
     """
@@ -184,13 +188,18 @@ def _project(X, Y, config, policy=None, weight=None, quotient=False):
     if G.dtype != np.result_type(Y, *factors) or any(f.ndim == 2 for f in factors):
         G = None
     Ys = Y if weight is None else weight._transform_into(Y, G)
-    if config.scale:
-        # The scaled Y is column-major, as the scaled X (see _scale_arrays).
+    if config.scale or not Ys.flags.f_contiguous:
+        # Y is read column-major, as X, whatever the caller's layout: the
+        # scaled Y, or an unscaled Y of another layout copied as it is.
         out = Ys if Ys is not Y and Ys.flags.f_contiguous else G
         if out is None:
             out = np.empty(Ys.shape, dtype=Ys.dtype, order="F")
-        with np.errstate(over="ignore"):
-            Ys = np.multiply(Ys, inv, out=out)
+        if config.scale:
+            with np.errstate(over="ignore"):
+                Ys = np.multiply(Ys, inv, out=out)
+        else:
+            out[...] = Ys
+            Ys = out
     del G
     _image_into(buf[:, k:2 * k], Ys, basis.V, basis.sigma)
     q = _quotient(basis, Ys) if quotient else None
@@ -342,33 +351,63 @@ def ddmd_rrr(X, Y, config=VariantConfig()):
 
 @_one_blas_thread
 def _compressed_pair(pair, config, engine, weight=None):
-    """The compressed route of a pair: one Householder QR, and a lift from Q's leading columns.
+    """The compressed route of a pair: one Householder QR, and a lift inside its buffer.
 
     [X Y], mapped by the state weight ``weight`` where given, is factored
     in one column-major buffer (:func:`_householder_qr`), and ``engine``, a
     direct pipeline (X, Y, config) -> (decomposition, *more), runs on the
     blocks R_x and R_y of its triangular factor at the threshold of the
     ambient (n, m).  Rows r = min(n, m) on of R_x, and so of the engine's
-    vectors W, are exact zeros, so the vectors are Q_r W[:r]: Q's leading
-    r columns are formed from [I_r; 0] by the reflectors up to the end of
-    the ?geqrt block holding reflector r (the later ones leave it as it
-    is), the buffer is released, and the lift runs by row blocks, holding
-    only Q_r, W and the vectors, which ``weight`` then lifts in place.
-    The one BLAS scope is held from the QR to the end of the lift.
+    vectors W, are exact zeros, so the vectors are Q_r W[:r].  Once R is
+    copied out, Q's leading r columns are formed from [I_r; 0] by the p
+    reflectors up to the end of the ?geqrt block holding reflector r (the
+    later ones leave it as it is) in the buffer's columns past p; the
+    buffer carries the at most 31 more columns this takes.  Q_r then
+    moves into the real slots (whole entries for complex data) of an
+    n x r complex view of the buffer's leading floats, to which the
+    buffer is shrunk before the engine runs.  The lift writes the vectors
+    into that view by row blocks, each block of Q_r's rows copied out
+    before its product overwrites them, and the buffer is shrunk to the
+    n x k vectors, which ``weight`` then lifts in place.  So the route
+    holds only the buffer, besides small arrays, from the QR to the
+    returned vectors, and the one BLAS scope is held throughout.
     """
     n, m = pair.n, pair.m
     r = min(n, m)
     config = dataclasses.replace(config, policy=_resolve_policy(config, (n, m)))
-    XY, T, R = _householder_qr(pair.X, pair.Y, weight=weight, name="[X Y]")
+    p = _reflectors_reaching(r, (n, 2 * m))
+    a, T, R = _householder_qr(pair.X, pair.Y, weight=weight, name="[X Y]", spare=max(0, p + r - 2 * m))
+    a[:, p:] = 0.0
+    Q = _apply_reflectors(a, T, np.eye(r, dtype=a.dtype), out=a[:, p:p + r], count=p)
+    real = a.dtype != complex
+    Z = _complex_view(a, n, r)
+    # In increasing order, each column of Q_r lands on buffer columns that
+    # no later one occupies (p >= r).
+    for j in range(r):
+        (Z.real if real else Z)[:, j] = Q[:, j]
+    del Q, Z
+    Z = _complex_view(a, n, r, shrink=True)
     inner, *rest = engine(R[:, :m], R[:, m:], config)
-    nb = T.shape[0]
-    Q = _apply_reflectors(XY, T, np.eye(r, dtype=XY.dtype), count=min(T.shape[1], -(-r // nb) * nb))
-    del XY, T
-    Z = _lift(Q, inner.vectors[:r])
-    del Q
+    del R
+    W = inner.vectors[:r]
+    _products_into(Z[:, :W.shape[1]], Z.real if real else Z, W)
+    del Z
+    Z = _complex_view(a, n, W.shape[1], shrink=True)
     if weight is not None:
         Z = weight._lift(Z, in_place=True)
     return (dataclasses.replace(inner, vectors=Z, weight=weight), *rest)
+
+
+def _complex_view(a, n, k, shrink=False):
+    """The column-major n x k complex view of the leading floats of the contiguous buffer ``a``.
+
+    With ``shrink``, ``a`` is first shrunk in place to those floats; no
+    other view of ``a`` may then be held, since its memory is reallocated.
+    """
+    size = n * k * (16 // a.itemsize)
+    if shrink:
+        a.resize(size, refcheck=False)
+    return a.reshape(-1, order="F")[:size].view(complex).reshape((n, k), order="F")
 
 
 def _compressed_trajectory(F, config):
@@ -391,13 +430,15 @@ def _compressed_trajectory(F, config):
 def ddmd_rrr_compressed(data, config=VariantConfig()):
     """Refined decomposition after QR compression of the raw data.
 
-    Works on the triangular factor of one thin QR, of the stacked pair
-    (see :func:`_compressed_pair`) or of a column-major copy of the
-    trajectory, which holds Q, and lifts the vectors through the leading
-    columns of Q (by row blocks for real data).  Residuals and Ritz
-    values are unchanged by the unitary change of basis, and the default
-    threshold is read off the ambient shape, so compressed and direct
-    runs truncate identically.  Also exported as ``ddmd_rrr_auto``.
+    Works on the triangular factor of one thin QR, of the stacked pair or
+    of a column-major copy of the trajectory, which holds Q, and lifts the
+    vectors through the leading columns of Q by row blocks.  On a pair
+    (see :func:`_compressed_pair`) the lift runs inside the QR buffer,
+    which becomes the returned vectors, so the call peaks near the size of
+    [X Y].  Residuals and Ritz values are unchanged by the unitary change
+    of basis, and the default threshold is read off the ambient shape, so
+    compressed and direct runs truncate identically.  Also exported as
+    ``ddmd_rrr_auto``.
     """
     _check_config(config, "ddmd_rrr_compressed", "; a pair (X, Y) is passed as one SnapshotPair(X, Y)")
     if isinstance(data, SnapshotPair):

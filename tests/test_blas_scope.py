@@ -169,7 +169,9 @@ def test_blas_threads_are_restored_after_a_conditioning_error(monkeypatch, blas_
 def _inline_refined(Gx, Gy, weight=None, scale=True):
     """The refined engine from public stages, every pair refined; numpy's
     eigvals and U @ W are written inline, as the benchmark's trace does."""
-    scaled = scale_columns(SnapshotPair(Gx, Gy))[0] if scale else SnapshotPair(Gx, Gy)
+    # Unscaled, the library reads column-major copies, whatever the caller's layout.
+    pair = SnapshotPair(Gx, Gy) if scale else SnapshotPair(np.asfortranarray(Gx), np.asfortranarray(Gy))
+    scaled = scale_columns(pair)[0] if scale else pair
     basis = truncated_svd(scaled.X, RankPolicy.spectral(default_epsilon(*scaled.X.shape)))
     B = action_on_basis(scaled.Y, basis.V, basis.sigma)
     stack = qr_stack(basis.U, B)
@@ -182,7 +184,8 @@ def _inline_refined(Gx, Gy, weight=None, scale=True):
 
 
 def _inline_dmd(X, Y, scale=True):
-    scaled = scale_columns(SnapshotPair(X, Y))[0] if scale else SnapshotPair(X, Y)
+    pair = SnapshotPair(X, Y) if scale else SnapshotPair(np.asfortranarray(X), np.asfortranarray(Y))
+    scaled = scale_columns(pair)[0] if scale else pair
     Xs, Ys = scaled.X, scaled.Y
     basis = truncated_svd(Xs, RankPolicy.spectral(default_epsilon(*Xs.shape)))
     S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]

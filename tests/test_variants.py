@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dmdkit import variants
+from dmdkit import variants, weighted
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
 from dmdkit.pod import RankPolicy, default_epsilon, truncated_svd, weighted_pod
@@ -685,12 +685,33 @@ def test_compressed_pair_matches_direct_rrr_and_certifies_its_vectors(dtype):
 
 
 def test_compressed_pair_peak_memory_stays_near_the_input():
-    # The reflector buffer is released once Q's leading m columns are
-    # formed, so the lift holds only those, the coefficients and the vectors.
+    # The lift runs inside the QR buffer: Q's leading m columns are formed
+    # in its dead columns (and 4 spare ones it carries), moved into the
+    # real slots of a complex view of its leading floats, to which it
+    # shrinks, and overwritten by the vectors one row block at a time, so
+    # the route holds the buffer, small arrays and one block.
     rng = _rng(117)
     pair = SnapshotPair(rng.standard_normal((20000, 60)), rng.standard_normal((20000, 60)))
     peak = _peak_bytes(lambda: ddmd_rrr_compressed(pair))
-    assert peak <= 1.6 * (pair.X.nbytes + pair.Y.nbytes)
+    assert peak <= 1.1 * (pair.X.nbytes + pair.Y.nbytes)
+
+
+def test_compressed_pair_vectors_below_full_rank_own_only_their_bytes():
+    # At a fixed rank k < m the buffer shrinks in place to the n x k
+    # vectors, so what the call leaves allocated is the vectors.
+    rng = _rng(118)
+    pair = SnapshotPair(rng.standard_normal((20000, 60)), rng.standard_normal((20000, 60)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        dec = ddmd_rrr_compressed(pair, VariantConfig(policy=RankPolicy.fixed(20)))
+        held, peak = (b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert dec.vectors.shape == (20000, 20) and dec.vectors.flags.f_contiguous
+    assert peak <= 1.1 * (pair.X.nbytes + pair.Y.nbytes)
+    assert held <= 1.02 * dec.vectors.nbytes
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -741,10 +762,11 @@ def test_dmd_peak_memory_stays_near_the_input():
 
 
 def test_fb_dmd_mrf_peak_memory_stays_near_the_input():
-    # fb runs on the compressed pair: [X Y] once, then the reflector
-    # buffer and Q's leading m columns, then those and the vectors.
+    # fb runs on the compressed pair: [X Y] once into the QR buffer, in
+    # which Q's leading m columns are formed and then overwritten by the
+    # vectors, one row block at a time.
     X, Y = _gaussian_pair(127)
-    assert _peak_bytes(lambda: fb_dmd_mrf(X, Y)) <= 1.6 * (X.nbytes + Y.nbytes)
+    assert _peak_bytes(lambda: fb_dmd_mrf(X, Y)) <= 1.1 * (X.nbytes + Y.nbytes)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -957,7 +979,7 @@ def test_compressed_pair_lifts_through_the_reflectors_that_reach_the_vectors(mon
            "two_sided_weighted_dmd": lambda: two_sided_weighted_dmd(X, Y, M, N)}[pipeline]
     apply = variants._apply_reflectors
     with monkeypatch.context() as patch:
-        patch.setattr(variants, "_apply_reflectors", lambda a, t, top, count=None: apply(a, t, top))
+        patch.setattr(variants, "_apply_reflectors", lambda a, t, top, out=None, count=None: apply(a, t, top))
         full = run()
     shapes = []
     get_funcs = scipy.linalg.get_lapack_funcs
@@ -975,10 +997,65 @@ def test_compressed_pair_lifts_through_the_reflectors_that_reach_the_vectors(mon
 
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spy_funcs)
     lifted = run()
-    # the lift is the last ?gemqrt
-    assert shapes[-1] == (n, min(n, 2 * m, -(-m // 32) * 32))
+    # Q's leading columns are formed by the first ?gemqrt, before the engine's own
+    assert shapes[0] == (n, min(n, 2 * m, -(-m // 32) * 32))
     for field in ("lambdas", "vectors", "residuals", "ordering"):
         assert getattr(lifted, field).tobytes() == getattr(full, field).tobytes(), field
+
+
+@variants._one_blas_thread
+def _compressed_pair_lifting_apart(pair, config, engine, weight=None):
+    """The compressed pair route with Q's leading columns formed in a fresh
+    array, the QR buffer released, and the vectors lifted into another."""
+    n, m = pair.n, pair.m
+    r = min(n, m)
+    config = dataclasses.replace(config, policy=variants._resolve_policy(config, (n, m)))
+    a, T, R = variants._householder_qr(pair.X, pair.Y, weight=weight, name="[X Y]")
+    inner, *rest = engine(R[:, :m], R[:, m:], config)
+    nb = T.shape[0]
+    Q = variants._apply_reflectors(a, T, np.eye(r, dtype=a.dtype), count=min(T.shape[1], -(-r // nb) * nb))
+    del a, T
+    Z = variants._lift(Q, inner.vectors[:r])
+    del Q
+    if weight is not None:
+        Z = weight._lift(Z, in_place=True)
+    return (dataclasses.replace(inner, vectors=Z, weight=weight), *rest)
+
+
+@pytest.mark.parametrize("n, m, dtype", [(6000, 33, float), (6000, 60, complex)])
+@pytest.mark.parametrize("pipeline", ["fb_dmd_mrf", "ddmd_rrr_compressed", "two_sided_weighted_dmd"])
+def test_compressed_pair_lift_in_its_buffer_keeps_the_bits_of_a_lift_apart(monkeypatch, pipeline, n, m, dtype):
+    # At m = 33 only 2 dead columns of the buffer take Q's leading
+    # columns, and it carries 31 spare ones; complex data take whole
+    # entries of the buffer.  Either way the vectors are those of a lift
+    # from Q's leading columns held apart, at no higher peak.
+    Q, A, G = _lifted_system(151 + m, n, m, dtype)
+    X, Y = Q @ G, Q @ (A @ G)
+    M, N = InnerProduct.diagonal(np.linspace(0.5, 2.0, n)), InnerProduct.diagonal(np.linspace(1.0, 0.5, m))
+    run = {"fb_dmd_mrf": lambda: fb_dmd_mrf(X, Y)[0],
+           "ddmd_rrr_compressed": lambda: ddmd_rrr_compressed(SnapshotPair(X, Y)),
+           "two_sided_weighted_dmd": lambda: two_sided_weighted_dmd(X, Y, M, N)}[pipeline]
+    inside, peak = run(), _peak_bytes(run)
+    monkeypatch.setattr(variants, "_compressed_pair", _compressed_pair_lifting_apart)
+    monkeypatch.setattr(weighted, "_compressed_pair", _compressed_pair_lifting_apart)
+    apart, peak_apart = run(), _peak_bytes(run)
+    for field in ("lambdas", "vectors", "residuals", "ordering"):
+        assert getattr(inside, field).tobytes() == getattr(apart, field).tobytes(), field
+    assert peak <= peak_apart
+
+
+@pytest.mark.parametrize("n, m", [(300, 24), (200, 16), (100, 10), (500, 30), (60, 12), (1000, 20)])
+@pytest.mark.parametrize("pipeline", [dmd, exact_dmd, ddmd_rrr], ids=["dmd", "exact_dmd", "ddmd_rrr"])
+def test_unscaled_pipelines_do_not_depend_on_the_layout_of_the_pair(pipeline, n, m):
+    # Unscaled, Y is copied column-major before B_k and the quotient read
+    # it, as the scaling writes it column-major.
+    rng = _rng(157 + n)
+    X, Y = rng.standard_normal((n, m)), rng.standard_normal((n, m))
+    config = VariantConfig(scale=False)
+    row = pipeline(np.ascontiguousarray(X), np.ascontiguousarray(Y), config)
+    col = pipeline(np.asfortranarray(X), np.asfortranarray(Y), config)
+    for field in ("lambdas", "vectors", "residuals", "ordering"):
+        assert getattr(row, field).tobytes() == getattr(col, field).tobytes(), field
 
 
 _BAD_CONFIGS = [5, None, "all", np.ones((4, 3))]

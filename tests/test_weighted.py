@@ -111,9 +111,9 @@ def test_right_weight_shape_is_the_column_count():
 def test_weighted_peak_memory_holds_no_transformed_pair(pipeline):
     # weighted_dmd: M transforms each snapshot matrix in turn into the
     # front end's one working array.  Two-sided: M writes both into the QR
-    # buffer, which is released once Q's leading m columns are formed, and
-    # N acts on the blocks of the triangular factor.  M lifts the vectors
-    # in place.
+    # buffer, N acts on the blocks of the triangular factor, and the lift
+    # runs inside the buffer, which Q's leading m columns and then the
+    # vectors overwrite.  M lifts the vectors in place.
     rng = _rng(71)
     X = rng.standard_normal((20000, 60))
     Y = rng.standard_normal((20000, 60))
@@ -130,7 +130,7 @@ def test_weighted_peak_memory_holds_no_transformed_pair(pipeline):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= (1.65 if pipeline == "weighted" else 1.6) * (X.nbytes + Y.nbytes)
+    assert peak <= (1.65 if pipeline == "weighted" else 1.1) * (X.nbytes + Y.nbytes)
 
 
 @pytest.mark.parametrize("orientation", ["M", "M-inverse"])
