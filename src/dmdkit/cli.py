@@ -24,7 +24,7 @@ from .errors import BackendError, ConditioningError, DataError
 from .inner import InnerProduct
 from .matrixio import _store_row_blocks, load_matrix
 from .pod import RankPolicy
-from .ritz import _lift_blocks, koopman_log_map
+from .ritz import _product_blocks, koopman_log_map
 from .snapshots import SequentialTrajectory, SnapshotPair
 from .variants import (
     VariantConfig,
@@ -200,7 +200,7 @@ def cmd_decompose(args):
             raise DataError("no vectors present to store in --modes-out")
         # A NaN coefficient column lifts to a NaN column of Q @ W, and only
         # there, so the coefficients tell which vectors are present.
-        blocks = [(0, dec.vectors)] if Q is None else _lift_blocks(Q, dec.vectors)
+        blocks = [(0, dec.vectors)] if Q is None else _product_blocks(Q, dec.vectors)
         _store_row_blocks(blocks, n, np.flatnonzero(present), args.modes_out, int(np.iscomplexobj(dec.vectors)))
         print("modes: %s (%d columns)" % (args.modes_out, int(present.sum())), file=sys.stderr)
     return 0

@@ -130,32 +130,23 @@ class PodBasis:
     sigma_all: np.ndarray
 
 
-def _householder_qr(*blocks, weight=None, name=None, spare=0):
+def _householder_qr(*blocks, weight=None, name=None):
     """Householder QR of the blocks side by side: :func:`_geqrt` of one column-major buffer.
 
     The blocks, of equal height, or their images under the state weight
-    ``weight``, are written into the leading columns of one buffer of
-    their common dtype (at least float64), which the factorization
-    overwrites; ``spare`` unset columns follow them.  Where ``name`` is
-    given, an overflowing column norm of the blocks is first checked (see
-    :func:`_check_norms`).  Returns (buffer, T, R) as :func:`_geqrt`.
+    ``weight``, are written into one buffer of their common dtype (at
+    least float64), which the factorization overwrites.  Where ``name``
+    is given, an overflowing column norm of the blocks is first checked
+    (see :func:`_check_norms`).  Returns (buffer, T, R) as :func:`_geqrt`.
     """
     dtype = np.result_type(*blocks, *(() if weight is None else (weight.factor,)), np.float64)
-    width = sum(b.shape[1] for b in blocks)
-    buf = np.empty((len(blocks[0]), width + spare), dtype=dtype, order="F")
-    a = buf[:, :width]
+    a = np.empty((len(blocks[0]), sum(b.shape[1] for b in blocks)), dtype=dtype, order="F")
     for b, out in zip(blocks, np.split(a, np.cumsum([b.shape[1] for b in blocks[:-1]]), axis=1)):
         # A diagonal factor writes its image into the buffer (a no-op copy follows); a dense one's is copied in.
         out[...] = b if weight is None else weight._transform_into(b, out)
     if name is not None:
         _check_norms(a, name)
-    return (buf, *_geqrt(a)[1:])
-
-
-def _reflectors_reaching(r, shape):
-    """The reflectors of a :func:`_geqrt` of ``shape`` up to the end of the block holding reflector r, or all where fewer."""
-    nb = min(_QR_BLOCK, *shape)
-    return min(min(shape), -(-r // nb) * nb)
+    return (a, *_geqrt(a)[1:])
 
 
 def _geqrt(a):
@@ -174,22 +165,21 @@ def _geqrt(a):
     return a, t, np.triu(a[: min(a.shape)])
 
 
-def _apply_reflectors(a, t, top, out=None, count=None):
-    """Q [top; 0] for the factors (a, T) of :func:`_geqrt` (LAPACK ?gemqrt).
+def _apply_reflectors(a, t, top, out=None):
+    """Q [top; 0] for the reflectors ``a`` and block factors ``t`` of :func:`_geqrt` (LAPACK ?gemqrt).
 
     ``top`` has the dtype of ``a``; it is zero-padded to the height of
     ``a`` in ``out``, a column-major buffer that is zero below the rows of
     ``top``, or in a fresh one.  The reflectors overwrite that buffer in
-    place, and it is returned.  Only the first ``count`` reflectors are
-    applied, all by default, so ``out`` may be columns of ``a`` past them:
-    the compressed pair route forms Q's leading columns there.
+    place, and it is returned.  The leading r reflectors alone are
+    ``a[:, :r]`` with ``t[:r, :r]``: the compressed pair route forms Q's
+    leading r columns by them, in columns of ``a`` past them.
     """
-    count = t.shape[1] if count is None else count
     C = np.zeros((a.shape[0], top.shape[1]), dtype=a.dtype, order="F") if out is None else out
     C[: top.shape[0]] = top
     (gemqrt,) = scipy.linalg.get_lapack_funcs(("gemqrt",), (a,))
     with _one_blas_thread:
-        C, info = gemqrt(a[:, :count], t[:, :count], C, overwrite_c=True)
+        C, info = gemqrt(a, t, C, overwrite_c=True)
     if info != 0:
         raise BackendError("QR backend failed: ?gemqrt returned info = %d" % info)
     return C

@@ -15,8 +15,9 @@ The stack is written once, into one column-major buffer, and a level-3
 Householder QR (LAPACK ?geqrt) overwrites it; Q is never formed.  Every
 residual, a refined vector's certificate included, is read off the blocks
 by one formula (:func:`_residuals_from_stack`), and every tall product,
-the image B_k and the lift U_k W, runs by row blocks on one BLAS thread
-(:func:`_products_into`).
+the image B_k and every lift, runs by the row blocks of one generator
+(:func:`_product_blocks`), on one BLAS thread (:func:`_products_into`)
+everywhere but the trajectory route.
 
 Refinement costs one k x k Hermitian eigensolve per distinct shift: the
 eigenvector of the smallest eigenvalue of the cross-product matrix
@@ -221,13 +222,9 @@ def _eig(S):
     return lambdas.astype(complex), W
 
 
-# Rows per block of the trajectory route's lift, :func:`_lift_blocks`.
-_LIFT_BLOCK = 2048
-
-
 def _block_rows(n):
-    """Rows per block of a tall product of :func:`_products_into`: n/32, at least 2 and at most ``_LIFT_BLOCK``."""
-    return min(_LIFT_BLOCK, max(2, -(-n // 32)))
+    """Rows per block of a tall product of n rows: n/32, at least 2 and at most 2048."""
+    return min(2048, max(2, -(-n // 32)))
 
 
 def _row_ranges(n, rows):
@@ -242,54 +239,44 @@ def _row_ranges(n, rows):
         start = stop
 
 
-def _products_into(out, A, W):
-    """A @ W for a tall A and a small W, written into ``out`` by row blocks: the one rule of every tall product.
+def _product_blocks(A, W, copy=False):
+    """A @ W for a tall A and a small W as (start, block) pairs in row order: the one rule of every tall product.
 
-    Each block of :func:`_block_rows` rows is one product on one BLAS
-    thread (the one BLAS scope), so no temporary of the result's size is
-    formed and the bits do not depend on the thread setting.  A real A
+    Each block is one product on :func:`_block_rows` rows of A.  A real A
     times a complex W runs as real products on W viewed as a real matrix
     with interleaved real and imaginary columns, so A is never cast to
-    complex.  A may lie in ``out``'s memory where each of its rows shares
-    memory only with the same row of ``out``: each block of A is then
-    copied out before its product overwrites those rows.
+    complex.  With ``copy``, each block of A is copied out before its
+    product is formed, so a consumer may overwrite those rows of A.  Each
+    block is yielded as it is formed and not held by the generator, so a
+    consumer that drops it before asking for the next holds one block at
+    a time.  The products run at the caller's BLAS thread setting.
     """
     real_view = A.dtype == np.float64 and W.dtype == np.complex128
     Wr = np.ascontiguousarray(W).view(np.float64) if real_view else W
-    copy = np.may_share_memory(out, A)
+    for start, stop in _row_ranges(A.shape[0], _block_rows(A.shape[0])):
+        block = A[start:stop].copy(order="F") if copy else A[start:stop]
+        yield start, (block @ Wr).view(complex) if real_view else block @ Wr
+
+
+def _products_into(out, A, W):
+    """A @ W written into ``out`` by the blocks of :func:`_product_blocks`, inside the one BLAS scope.
+
+    Each block runs on one BLAS thread, so no temporary of the result's
+    size is formed and the bits do not depend on the thread setting.  A
+    may lie in ``out``'s memory where each of its rows shares memory only
+    with the same row of ``out``: each block of A is then copied out
+    before its product overwrites those rows.
+    """
     with _one_blas_thread:
-        for start, stop in _row_ranges(A.shape[0], _block_rows(A.shape[0])):
-            block = A[start:stop].copy(order="F") if copy else A[start:stop]
-            out[start:stop] = (block @ Wr).view(complex) if real_view else block @ Wr
+        for start, block in _product_blocks(A, W, copy=np.may_share_memory(out, A)):
+            out[start:start + len(block)] = block
+            del block  # not held while the next block is formed
     return out
 
 
 def _lift(A, W):
     """A @ W by :func:`_products_into`, into a fresh column-major array."""
     return _products_into(np.empty((A.shape[0], W.shape[1]), dtype=np.result_type(A, W), order="F"), A, W)
-
-
-def _lift_blocks(A, W):
-    """The trajectory route's A @ W, as (start, block) pairs in row order.
-
-    The trajectory route keeps the process's BLAS threads (see
-    :func:`_compressed_trajectory`).  For a real A and a complex W, W is
-    viewed as a real matrix with interleaved real and imaginary columns,
-    so A is never cast to complex; each block is one real product on at
-    most ``_LIFT_BLOCK`` + 1 rows of A.  On the kernels measured (OpenBLAS
-    0.3.31, Haswell) this rounds like numpy's mixed product A @ W bit for
-    bit for a column-major A with at most 96 columns.  Any other dtype, or
-    a single row or column, takes the plain product as one block: split by
-    rows, a complex product of one column rounds differently on two
-    threads.  Each block is yielded as it is formed, so a consumer holds
-    one block at a time.
-    """
-    if A.dtype != np.float64 or W.dtype != np.complex128 or min(A.shape[0], W.shape[1]) < 2:
-        yield 0, A @ W
-        return
-    Wr = np.ascontiguousarray(W).view(np.float64)
-    for start, stop in _row_ranges(A.shape[0], _LIFT_BLOCK):
-        yield start, (A[start:stop] @ Wr).view(complex)
 
 
 def ritz_pairs(S_k, U_k):

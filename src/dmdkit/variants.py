@@ -16,12 +16,11 @@ import scipy.linalg
 from ._blas import _one_blas_thread
 from .errors import BackendError, ConditioningError, DataError, ShapeError
 from .pod import RankPolicy, _apply_reflectors, _check_policy, _householder_qr, _pod_in_place, default_epsilon
-from .pod import _reflectors_reaching
 from .ritz import (
     _eig,
     _image_into,
     _lift,
-    _lift_blocks,
+    _product_blocks,
     _products_into,
     _residuals_from_stack,
     _stack_in_place,
@@ -287,7 +286,10 @@ def dmd(X, Y, config=VariantConfig()):
     del basis, buf
     residuals = _residuals_from_stack(stack, lambdas, W)
     del stack
-    return _package(lambdas, _lift(U, W), residuals, None, "dmd", U.shape[1])
+    # U goes before _package casts a real lift to complex.
+    k, Z = U.shape[1], _lift(U, W)
+    del U
+    return _package(lambdas, Z, residuals, None, "dmd", k)
 
 
 @_one_blas_thread
@@ -359,30 +361,28 @@ def _compressed_pair(pair, config, engine, weight=None):
     blocks R_x and R_y of its triangular factor at the threshold of the
     ambient (n, m).  Rows r = min(n, m) on of R_x, and so of the engine's
     vectors W, are exact zeros, so the vectors are Q_r W[:r].  Once R is
-    copied out, Q's leading r columns are formed from [I_r; 0] by the p
-    reflectors up to the end of the ?geqrt block holding reflector r (the
-    later ones leave it as it is) in the buffer's columns past p; the
-    buffer carries the at most 31 more columns this takes.  Q_r then
-    moves into the real slots (whole entries for complex data) of an
-    n x r complex view of the buffer's leading floats, to which the
-    buffer is shrunk before the engine runs.  The lift writes the vectors
-    into that view by row blocks, each block of Q_r's rows copied out
-    before its product overwrites them, and the buffer is shrunk to the
-    n x k vectors, which ``weight`` then lifts in place.  So the route
-    holds only the buffer, besides small arrays, from the QR to the
-    returned vectors, and the one BLAS scope is held throughout.
+    copied out, Q_r = Q [I_r; 0] is formed by exactly the first r
+    reflectors (the later ones would only add exact zeros to it) in the
+    buffer's dead columns r to 2r.  Q_r then moves into the real slots
+    (whole entries for complex data) of an n x r complex view of the
+    buffer's leading floats, to which the buffer is shrunk before the
+    engine runs.  The lift writes the vectors into that view by row
+    blocks, each block of Q_r's rows copied out before its product
+    overwrites them, and the buffer is shrunk to the n x k vectors, which
+    ``weight`` then lifts in place.  So the route holds only the buffer,
+    besides small arrays, from the QR to the returned vectors, and the
+    one BLAS scope is held throughout.
     """
     n, m = pair.n, pair.m
     r = min(n, m)
     config = dataclasses.replace(config, policy=_resolve_policy(config, (n, m)))
-    p = _reflectors_reaching(r, (n, 2 * m))
-    a, T, R = _householder_qr(pair.X, pair.Y, weight=weight, name="[X Y]", spare=max(0, p + r - 2 * m))
-    a[:, p:] = 0.0
-    Q = _apply_reflectors(a, T, np.eye(r, dtype=a.dtype), out=a[:, p:p + r], count=p)
+    a, T, R = _householder_qr(pair.X, pair.Y, weight=weight, name="[X Y]")
+    a[:, r:2 * r] = 0.0
+    Q = _apply_reflectors(a[:, :r], T[:r, :r], np.eye(r, dtype=a.dtype), out=a[:, r:2 * r])
     real = a.dtype != complex
     Z = _complex_view(a, n, r)
     # In increasing order, each column of Q_r lands on buffer columns that
-    # no later one occupies (p >= r).
+    # no later one occupies.
     for j in range(r):
         (Z.real if real else Z)[:, j] = Q[:, j]
     del Q, Z
@@ -415,11 +415,13 @@ def _compressed_trajectory(F, config):
 
     Returns (Q, inner): the thin QR factor Q, in F's buffer where F is a
     column-major double array, and the engine's decomposition on R, whose
-    vectors are coefficients in Q.  The route keeps scipy's QR, outside
-    the one BLAS scope, the explicit Q, and the lift through it by
-    :func:`_lift_blocks`, which ``decompose --seq`` streams to its modes
-    file, because bench/tracing.py recomposes it bit for bit (ROADMAP
-    item 2); its bits depend on the thread count.
+    vectors are coefficients in Q.  The route keeps scipy's QR and the
+    explicit Q outside the one BLAS scope, because bench/tracing.py
+    recomposes it bit for bit (ROADMAP item 2).  Its lift through Q runs
+    by the row blocks of :func:`_product_blocks` at the process's thread
+    setting, in ``ddmd_rrr_compressed`` and in the modes file that
+    ``decompose --seq`` streams alike, so its bits depend on the thread
+    count.
     """
     config = dataclasses.replace(config, policy=_resolve_policy(config, (F.shape[0], F.shape[1] - 1)))
     _check_norms(F, "F")
@@ -432,20 +434,22 @@ def ddmd_rrr_compressed(data, config=VariantConfig()):
 
     Works on the triangular factor of one thin QR, of the stacked pair or
     of a column-major copy of the trajectory, which holds Q, and lifts the
-    vectors through the leading columns of Q by row blocks.  On a pair
-    (see :func:`_compressed_pair`) the lift runs inside the QR buffer,
-    which becomes the returned vectors, so the call peaks near the size of
-    [X Y].  Residuals and Ritz values are unchanged by the unitary change
-    of basis, and the default threshold is read off the ambient shape, so
-    compressed and direct runs truncate identically.  Also exported as
-    ``ddmd_rrr_auto``.
+    vectors through the leading columns of Q by the row blocks of the one
+    tall-product rule (:func:`dmdkit.ritz._product_blocks`).  On a pair
+    (see :func:`_compressed_pair`) those columns are formed by exactly
+    the reflectors that reach them and the lift runs inside the QR
+    buffer, which becomes the returned vectors, so the call peaks near
+    the size of [X Y].  Residuals and Ritz values are unchanged by the
+    unitary change of basis, and the default threshold is read off the
+    ambient shape, so compressed and direct runs truncate identically.
+    Also exported as ``ddmd_rrr_auto``.
     """
     _check_config(config, "ddmd_rrr_compressed", "; a pair (X, Y) is passed as one SnapshotPair(X, Y)")
     if isinstance(data, SnapshotPair):
         return _compressed_pair(data, config, lambda X, Y, c: (_rrr_pipeline(X, Y, c, "rrr-compressed"),))[0]
     Q, inner = _compressed_trajectory(np.array(_as_trajectory(data).F, order="F"), config)
     Z = np.empty((Q.shape[0], inner.k), dtype=complex, order="F")
-    for start, block in _lift_blocks(Q, inner.vectors):
+    for start, block in _product_blocks(Q, inner.vectors):
         Z[start:start + len(block)] = block
         del block  # not held while the next block is formed
     return dataclasses.replace(inner, vectors=Z)

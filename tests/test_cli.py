@@ -307,8 +307,8 @@ def test_modes_out_bytes_equal_the_stored_vectors(traj_file, tmp_path, capsys, v
     assert modes.read_bytes() == (tmp_path / "ref.dmm").read_bytes()
 
 
-# Rows around the 2048-row blocks of the lift: a one-row tail that joins
-# the last block, a two-row tail, and two blocks and a tail.
+# At these sizes the lift's blocks hold n/32 rows, and the last block
+# takes the tail of up to n/32 + 1 rows.
 @pytest.mark.parametrize("n", [2049, 2050, 4099])
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("rank", [None, 1])
@@ -331,6 +331,20 @@ def test_streamed_modes_equal_the_library_vectors(tmp_path, capsys, n, dtype, ra
     assert [complex(r["lambda_re"], r["lambda_im"]) for r in records] == dec.lambdas.tolist()
     assert [r["residual"] for r in records] == dec.residuals.tolist()
     store_matrix(dec.vectors, tmp_path / "ref.dmm")
+    assert (tmp_path / "m.dmm").read_bytes() == (tmp_path / "ref.dmm").read_bytes()
+
+
+# n/32 rows per block below 65,505 rows, 2048 from there on.
+@pytest.mark.parametrize("n", [5000, 65504, 65505, 69633])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_streamed_modes_equal_the_library_vectors_below_and_above_the_block_cap(tmp_path, n, dtype):
+    rng = np.random.default_rng(n)
+    F = rng.standard_normal((n, 6)) + (1j * rng.standard_normal((n, 6)) if dtype is complex else 0)
+    store_matrix(F, tmp_path / "t.dmm")
+    del F
+    assert main(["decompose", "--seq", str(tmp_path / "t.dmm"), "--variant", "rrr-compressed",
+                 "--out", str(tmp_path / "r.json"), "--modes-out", str(tmp_path / "m.dmm")]) == 0
+    store_matrix(ddmd_rrr_compressed(load_matrix(tmp_path / "t.dmm")).vectors, tmp_path / "ref.dmm")
     assert (tmp_path / "m.dmm").read_bytes() == (tmp_path / "ref.dmm").read_bytes()
 
 
