@@ -171,9 +171,11 @@ def _apply_reflectors(a, t, top, out=None):
     ``top`` has the dtype of ``a``; it is zero-padded to the height of
     ``a`` in ``out``, a column-major buffer that is zero below the rows of
     ``top``, or in a fresh one.  The reflectors overwrite that buffer in
-    place, and it is returned.  The leading r reflectors alone are
-    ``a[:, :r]`` with ``t[:r, :r]``: the compressed pair route forms Q's
-    leading r columns by them, in columns of ``a`` past them.
+    place, and it is returned.  Leading reflectors alone are leading
+    columns of ``a`` and ``t``; the compressed pair route forms Q's
+    leading columns by those up to the end of a ?geqrt block, into
+    columns of ``a`` where that block's last reflectors meet only zeros
+    (see :func:`dmdkit.variants._compressed_pair`).
     """
     C = np.zeros((a.shape[0], top.shape[1]), dtype=a.dtype, order="F") if out is None else out
     C[: top.shape[0]] = top

@@ -361,12 +361,18 @@ def _compressed_pair(pair, config, engine, weight=None):
     blocks R_x and R_y of its triangular factor at the threshold of the
     ambient (n, m).  Rows r = min(n, m) on of R_x, and so of the engine's
     vectors W, are exact zeros, so the vectors are Q_r W[:r].  Once R is
-    copied out, Q_r = Q [I_r; 0] is formed by exactly the first r
-    reflectors (the later ones would only add exact zeros to it) in the
-    buffer's dead columns r to 2r.  Q_r then moves into the real slots
-    (whole entries for complex data) of an n x r complex view of the
-    buffer's leading floats, to which the buffer is shrunk before the
-    engine runs.  The lift writes the vectors into that view by row
+    copied out, Q_r = Q [I_r; 0] is formed in the buffer's dead columns r
+    to 2r by one ?gemqrt over the p reflectors up to the end of the ?geqrt
+    block holding reflector r: the later ones would only add exact zeros,
+    and a block cut at r would round Q_r differently in its last bits.
+    Where p > r, those columns also hold that block's last p - r
+    reflectors, which ?gemqrt applies first, to rows of [I_r; 0] that are
+    all zero.  Their entries meet only exact zeros, so Q_r may overwrite
+    them and keeps the bits of a lift through all reflectors into a fresh
+    array, with no column beyond the buffer.  Q_r then moves into the
+    real slots (whole entries for complex data) of an n x r complex view
+    of the buffer's leading floats, to which the buffer is shrunk before
+    the engine runs.  The lift writes the vectors into that view by row
     blocks, each block of Q_r's rows copied out before its product
     overwrites them, and the buffer is shrunk to the n x k vectors, which
     ``weight`` then lifts in place.  So the route holds only the buffer,
@@ -377,8 +383,9 @@ def _compressed_pair(pair, config, engine, weight=None):
     r = min(n, m)
     config = dataclasses.replace(config, policy=_resolve_policy(config, (n, m)))
     a, T, R = _householder_qr(pair.X, pair.Y, weight=weight, name="[X Y]")
+    p = min(T.shape[1], -(-r // len(T)) * len(T))  # len(T) is the ?geqrt block
     a[:, r:2 * r] = 0.0
-    Q = _apply_reflectors(a[:, :r], T[:r, :r], np.eye(r, dtype=a.dtype), out=a[:, r:2 * r])
+    Q = _apply_reflectors(a[:, :p], T[:, :p], np.eye(r, dtype=a.dtype), out=a[:, r:2 * r])
     real = a.dtype != complex
     Z = _complex_view(a, n, r)
     # In increasing order, each column of Q_r lands on buffer columns that
@@ -436,13 +443,12 @@ def ddmd_rrr_compressed(data, config=VariantConfig()):
     of a column-major copy of the trajectory, which holds Q, and lifts the
     vectors through the leading columns of Q by the row blocks of the one
     tall-product rule (:func:`dmdkit.ritz._product_blocks`).  On a pair
-    (see :func:`_compressed_pair`) those columns are formed by exactly
-    the reflectors that reach them and the lift runs inside the QR
-    buffer, which becomes the returned vectors, so the call peaks near
-    the size of [X Y].  Residuals and Ritz values are unchanged by the
-    unitary change of basis, and the default threshold is read off the
-    ambient shape, so compressed and direct runs truncate identically.
-    Also exported as ``ddmd_rrr_auto``.
+    (see :func:`_compressed_pair`) those columns are formed, and the
+    lift runs, inside the QR buffer, which becomes the returned vectors,
+    so the call peaks near the size of [X Y].  Residuals and Ritz values
+    are unchanged by the unitary change of basis, and the default
+    threshold is read off the ambient shape, so compressed and direct
+    runs truncate identically.  Also exported as ``ddmd_rrr_auto``.
     """
     _check_config(config, "ddmd_rrr_compressed", "; a pair (X, Y) is passed as one SnapshotPair(X, Y)")
     if isinstance(data, SnapshotPair):

@@ -775,20 +775,22 @@ def test_dmd_peak_memory_on_a_real_spectrum_stays_near_the_input():
     assert _peak_bytes(lambda: dmd(X, Y)) <= 1.65 * (X.nbytes + Y.nbytes)
 
 
-# The compressed pair route's peak above the start of a call, as a multiple
-# of X+Y, by shape: the QR buffer of [X Y] is all it holds besides k-sized
-# arrays and one row block, whatever m is modulo the ?geqrt block of 32.
+# Shapes at which the compressed pair route's peak above the start of a
+# call is held to 1.1x X+Y: the QR buffer of [X Y] is all it holds besides
+# k-sized arrays and one row block, whatever m is modulo the ?geqrt block
+# of 32.  The 20000 x 60 pair is held by each pipeline's own peak test.
 # Where n < m the triangular factor is as large as that buffer and the
-# engine runs the direct route on it, so the bound there is that route's.
-_COMPRESSED_PAIR_PEAKS = {
-    (20000, 32): 1.1, (20000, 33): 1.1, (20000, 60): 1.1, (20000, 64): 1.1, (20000, 65): 1.1,
-    (100, 400): 5.0,
-}
+# engine runs the direct route on it, so it reads 3-5x until the engine
+# works on k-sized arrays (ROADMAP item 17).
+_COMPRESSED_PAIR_PEAK_SHAPES = [
+    (20000, 32), (20000, 33), (20000, 64), (20000, 65),
+    pytest.param(100, 400, marks=pytest.mark.xfail(strict=True, reason="R and the direct engine where n < m")),
+]
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n, m", list(_COMPRESSED_PAIR_PEAKS))
+@pytest.mark.parametrize("n, m", _COMPRESSED_PAIR_PEAK_SHAPES)
 @pytest.mark.parametrize("pipeline", ["fb_dmd_mrf", "ddmd_rrr_compressed", "two_sided_weighted_dmd"])
 def test_compressed_pair_peak_memory_holds_its_bound_on_every_shape(pipeline, n, m, dtype, order):
     rng = _rng(173 + m)
@@ -802,7 +804,7 @@ def test_compressed_pair_peak_memory_holds_its_bound_on_every_shape(pipeline, n,
     run = {"fb_dmd_mrf": lambda: fb_dmd_mrf(X, Y),
            "ddmd_rrr_compressed": lambda: ddmd_rrr_compressed(SnapshotPair(X, Y)),
            "two_sided_weighted_dmd": lambda: two_sided_weighted_dmd(X, Y, M, N)}[pipeline]
-    assert _peak_bytes(run) <= _COMPRESSED_PAIR_PEAKS[n, m] * (X.nbytes + Y.nbytes)
+    assert _peak_bytes(run) <= 1.1 * (X.nbytes + Y.nbytes)
 
 
 def test_fb_dmd_mrf_peak_memory_stays_near_the_input():
@@ -1012,18 +1014,27 @@ def test_array_records_compare_by_identity_and_hash(make):
 @pytest.mark.parametrize("pipeline", ["fb_dmd_mrf", "ddmd_rrr_compressed", "two_sided_weighted_dmd"])
 def test_compressed_pair_lifts_through_the_reflectors_that_reach_the_vectors(monkeypatch, pipeline, n, m, dtype):
     # Rows min(n, m) on of R_x, and so of the engine's vectors, are exact
-    # zeros; Q's leading columns are formed by exactly the first min(n, m)
-    # reflectors, in the QR buffer, and the vectors keep the bits of the
-    # same lift into a fresh array.
+    # zeros; Q's leading columns are formed by the reflectors up to the end
+    # of the ?geqrt block (32 columns, or all 2m where fewer) holding that
+    # reflector, in the QR buffer over that block's last reflectors, and
+    # the vectors keep the bits of all reflectors applied into a fresh array.
     Q, A, G = _lifted_system(133 + m, n, m, dtype)
     X, Y = Q @ G, Q @ (A @ G)
     M, N = InnerProduct.diagonal(np.linspace(0.5, 2.0, n)), InnerProduct.diagonal(np.linspace(1.0, 0.5, m))
     run = {"fb_dmd_mrf": lambda: fb_dmd_mrf(X, Y)[0],
            "ddmd_rrr_compressed": lambda: ddmd_rrr_compressed(SnapshotPair(X, Y)),
            "two_sided_weighted_dmd": lambda: two_sided_weighted_dmd(X, Y, M, N)}[pipeline]
-    apply = variants._apply_reflectors
+    apply, qr, factors = variants._apply_reflectors, variants._householder_qr, []
+
+    def householder_qr(*blocks, **kwargs):
+        # All reflectors, copied before the route reuses the buffer's columns.
+        a, T, R = qr(*blocks, **kwargs)
+        factors[:] = a[:, :T.shape[1]].copy(order="F"), T
+        return a, T, R
+
     with monkeypatch.context() as patch:
-        patch.setattr(variants, "_apply_reflectors", lambda a, t, top, out=None, count=None: apply(a, t, top))
+        patch.setattr(variants, "_householder_qr", householder_qr)
+        patch.setattr(variants, "_apply_reflectors", lambda a, t, top, out=None: apply(*factors, top))
         full = run()
     shapes = []
     get_funcs = scipy.linalg.get_lapack_funcs
@@ -1042,22 +1053,23 @@ def test_compressed_pair_lifts_through_the_reflectors_that_reach_the_vectors(mon
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", spy_funcs)
     lifted = run()
     # Q's leading columns are formed by the first ?gemqrt, before the engine's own
-    assert shapes[0] == (n, min(n, m))
+    assert shapes[0] == (n, min(n, 2 * m, -(-m // 32) * 32))
     for field in ("lambdas", "vectors", "residuals", "ordering"):
         assert getattr(lifted, field).tobytes() == getattr(full, field).tobytes(), field
 
 
 @variants._one_blas_thread
 def _compressed_pair_lifting_apart(pair, config, engine, weight=None):
-    """The compressed pair route with Q's leading columns formed by all
-    reflectors in a fresh array, the QR buffer released, and the vectors
-    lifted into another."""
+    """The compressed pair route with Q's leading columns formed in a fresh
+    array, the QR buffer released, and the vectors lifted into another."""
     n, m = pair.n, pair.m
     r = min(n, m)
     config = dataclasses.replace(config, policy=variants._resolve_policy(config, (n, m)))
     a, T, R = variants._householder_qr(pair.X, pair.Y, weight=weight, name="[X Y]")
     inner, *rest = engine(R[:, :m], R[:, m:], config)
-    Q = variants._apply_reflectors(a[:, :T.shape[1]], T, np.eye(r, dtype=a.dtype))
+    nb = T.shape[0]
+    p = min(T.shape[1], -(-r // nb) * nb)
+    Q = variants._apply_reflectors(a[:, :p], T[:, :p], np.eye(r, dtype=a.dtype))
     del a, T
     Z = variants._lift(Q, inner.vectors[:r])
     del Q
@@ -1066,38 +1078,14 @@ def _compressed_pair_lifting_apart(pair, config, engine, weight=None):
     return (dataclasses.replace(inner, vectors=Z, weight=weight), *rest)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n, m", [(3000, 60), (3000, 64), (3000, 33), (3000, 65), (90, 60), (90, 12), (50, 40)])
-@pytest.mark.parametrize("pipeline", ["fb_dmd_mrf", "ddmd_rrr_compressed", "two_sided_weighted_dmd"])
-def test_compressed_pair_vectors_agree_with_a_lift_through_all_reflectors(monkeypatch, pipeline, n, m, dtype):
-    # The reflectors past min(n, m) would add exact zeros to [I; 0], so Q's
-    # leading columns formed without them are the same columns; only the
-    # width of the last ?geqrt block applied changes, and with it how
-    # ?gemqrt rounds.  The engine never sees Q, so the Ritz values,
-    # residuals and ordering keep their bits.
-    Q, A, G = _lifted_system(161 + m, n, m, dtype)
-    X, Y = Q @ G, Q @ (A @ G)
-    M, N = InnerProduct.diagonal(np.linspace(0.5, 2.0, n)), InnerProduct.diagonal(np.linspace(1.0, 0.5, m))
-    run = {"fb_dmd_mrf": lambda: fb_dmd_mrf(X, Y)[0],
-           "ddmd_rrr_compressed": lambda: ddmd_rrr_compressed(SnapshotPair(X, Y)),
-           "two_sided_weighted_dmd": lambda: two_sided_weighted_dmd(X, Y, M, N)}[pipeline]
-    inside = run()
-    monkeypatch.setattr(variants, "_compressed_pair", _compressed_pair_lifting_apart)
-    monkeypatch.setattr(weighted, "_compressed_pair", _compressed_pair_lifting_apart)
-    apart = run()
-    for field in ("lambdas", "residuals", "ordering"):
-        assert getattr(inside, field).tobytes() == getattr(apart, field).tobytes(), field
-    np.testing.assert_allclose(inside.vectors, apart.vectors, rtol=0, atol=1e-15)
-
-
 @pytest.mark.parametrize("n, m, dtype", [(6000, 33, float), (6000, 60, complex)])
 @pytest.mark.parametrize("pipeline", ["fb_dmd_mrf", "ddmd_rrr_compressed", "two_sided_weighted_dmd"])
 def test_compressed_pair_lift_in_its_buffer_keeps_the_bits_of_a_lift_apart(monkeypatch, pipeline, n, m, dtype):
-    # Q's leading columns are formed in the buffer's dead columns by
-    # exactly the reflectors that reach them, where real data take the
-    # real slots of a complex view and complex data whole entries.  Either
-    # way the vectors are those of a lift from Q's leading columns formed
-    # by all reflectors and held apart, at no higher peak.
+    # At m = 33 Q's leading columns are formed in the buffer's dead
+    # columns 33 to 66, over the last 31 reflectors of the ?geqrt block
+    # they need; complex data take whole entries of the buffer.  Either
+    # way the vectors are those of a lift from Q's leading columns held
+    # apart, at no higher peak.
     Q, A, G = _lifted_system(151 + m, n, m, dtype)
     X, Y = Q @ G, Q @ (A @ G)
     M, N = InnerProduct.diagonal(np.linspace(0.5, 2.0, n)), InnerProduct.diagonal(np.linspace(1.0, 0.5, m))
