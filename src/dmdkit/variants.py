@@ -2,9 +2,10 @@
 
 Each variant composes the same stages: optional column scaling, truncated
 POD of X, the basis image B_k = Y V_k Sigma_k^{-1}, a Rayleigh quotient,
-an eigensolve, and residual-ordered packaging.  They differ in how the
-quotient is formed, whether vectors are refined, and where the vectors
-live (POD subspace vs range of Y).
+an eigensolve, the ordering of the pairs by residual on their k x k
+coefficients W, and one lift of the ordered W into the reported vectors.
+They differ in how the quotient is formed, whether vectors are refined,
+and where the vectors live (POD subspace vs range of Y).
 """
 
 import dataclasses
@@ -228,45 +229,29 @@ def _quotient(basis, Ys):
     return (S, *_eig(S))
 
 
-def _permute_columns(Z, perm):
-    """Z[:, perm] written into Z itself, one cycle of the permutation at a time.
+def _order(lambdas, residuals, W):
+    """(perm, lambdas, residuals, W) in report order, by :func:`order_pairs`.
 
-    Column i receives column perm[i]; each cycle is followed with one
-    column buffer, so no second copy of Z is formed.
-    """
-    done = np.zeros(len(perm), dtype=bool)
-    for start in range(len(perm)):
-        if done[start] or perm[start] == start:
-            continue
-        held, i = Z[:, start].copy(), start
-        while perm[i] != start:
-            Z[:, i] = Z[:, perm[i]]
-            done[i] = True
-            i = perm[i]
-        Z[:, i] = held
-        done[i] = True
-    return Z
-
-
-def _package(lambdas, Z, residuals, refined, variant, rank, weight=None):
-    """Order the pairs by residual into a decomposition.
-
-    Z must be an array the pipeline allocated itself: a column-major
-    complex Z is reordered in place, so it is not copied.
+    W's columns are taken C-contiguous, as the lift reads them, so the
+    vectors are lifted straight into report order and no n-row array is
+    reordered after the lift.
     """
     lambdas = np.asarray(lambdas, dtype=complex)
-    Z = np.asarray(Z, dtype=complex, order="F")
     residuals = np.asarray(residuals, dtype=np.float64)
     perm = order_pairs(residuals, lambdas)
-    refined = refined if refined is not None else [None] * len(lambdas)
+    return perm, lambdas[perm], residuals[perm], np.take(W, perm, axis=1)
+
+
+def _package(lambdas, Z, residuals, ordering, refined, variant, weight=None):
+    """The rank-k decomposition of pairs in report order (see :func:`_order`); a real lift Z is cast to complex."""
     return RitzDecomposition(
-        lambdas=lambdas[perm],
-        vectors=_permute_columns(Z, perm),
-        residuals=residuals[perm],
-        refined=tuple(refined[i] for i in perm),
-        ordering=perm,
+        lambdas=lambdas,
+        vectors=np.asarray(Z, dtype=complex, order="F"),
+        residuals=residuals,
+        refined=tuple(refined) if refined is not None else (None,) * len(lambdas),
+        ordering=ordering,
         variant=variant,
-        rank=int(rank),
+        rank=len(lambdas),
         weight=weight,
     )
 
@@ -286,10 +271,11 @@ def dmd(X, Y, config=VariantConfig()):
     del basis, buf
     residuals = _residuals_from_stack(stack, lambdas, W)
     del stack
+    perm, lambdas, residuals, W = _order(lambdas, residuals, W)
     # U goes before _package casts a real lift to complex.
-    k, Z = U.shape[1], _lift(U, W)
+    Z = _lift(U, W)
     del U
-    return _package(lambdas, Z, residuals, None, "dmd", k)
+    return _package(lambdas, Z, residuals, perm, None, "dmd")
 
 
 @_one_blas_thread
@@ -298,6 +284,8 @@ def _rrr_pipeline(X, Y, config, variant, weight=None):
 
     ``weight`` is the state weight that :func:`_project` applies; it also
     tags the output and lifts the vectors back to ambient coordinates.
+    The pairs are ordered on the k x k coefficients W, refined where the
+    config asks, and then lifted once, straight into report order.
     """
     basis, buf, _ = _project(X, Y, config, weight=weight)
     U, stack = _split(basis, buf)
@@ -323,7 +311,7 @@ def _rrr_pipeline(X, Y, config, variant, weight=None):
             W = W.astype(complex)
     refined = [None] * k
     for i in chosen:
-        # Each refined vector is written into its column of W, which its record views.
+        # Each refined vector is written into its column of W.
         w, sigma_min = refine_ritz(stack, lambdas[i])
         W[:, i], residuals[i] = w, sigma_min
         refined[i] = RefinedPair(w=W[:, i], sigma_min=sigma_min, rho=refined_rayleigh_value(S, w))
@@ -331,11 +319,14 @@ def _rrr_pipeline(X, Y, config, variant, weight=None):
     # The stack, its memo and S go first, and blocks of n/32 rows follow,
     # so the lift holds U, Z and 1/32 of Z.
     del stack, S
+    perm, lambdas, residuals, W = _order(lambdas, residuals, W)
+    # Each record views its column of the ordered W, so a refined vector is held once.
+    refined = [None if refined[i] is None else dataclasses.replace(refined[i], w=W[:, j]) for j, i in enumerate(perm)]
     Z = _lift(U, W)
     del U
     if weight is not None:
         Z = weight._lift(Z, in_place=True)
-    return _package(lambdas, Z, residuals, refined, variant, k, weight=weight)
+    return _package(lambdas, Z, residuals, perm, refined, variant, weight=weight)
 
 
 def ddmd_rrr(X, Y, config=VariantConfig()):
@@ -482,6 +473,7 @@ def exact_dmd(X, Y, config=VariantConfig()):
     B = buf[:, k:2 * k].copy(order="F")  # so the buffer is freed
     del basis, buf
     guard = 1e3 * _EPS * float(np.linalg.norm(S, 2))
+    perm, lambdas, residuals, W = _order(lambdas, np.full(k, np.nan), W)
     alive = np.abs(lambdas) > guard
     if not np.any(alive):
         raise ConditioningError(
@@ -494,7 +486,7 @@ def exact_dmd(X, Y, config=VariantConfig()):
         Z = _lift(B, W / np.where(alive, lambdas, np.nan))
         del B
         Z /= _column_norms(Z)
-    return _package(lambdas, Z, np.full(k, np.nan), None, "exact", k)
+    return _package(lambdas, Z, residuals, perm, None, "exact")
 
 
 def exact_dmd_sequential_diagnostic(F, decomposition):
@@ -614,9 +606,9 @@ def _fb_engine(X, Y, config):
         with np.errstate(over="ignore"):
             lambdas, omegas, evidence = lambdas / c, omegas / c / c, evidence / c
 
-    dec = _package(lambdas, _lift(Uf, W), _residuals_from_stack(stack_f, lambdas, W), None, "fb", k)
-    perm = dec.ordering
-    return dec, FbSpectrum(omegas=omegas[perm], sign_evidence=np.asarray(evidence, dtype=complex)[perm])
+    perm, lambdas, residuals, W = _order(lambdas, _residuals_from_stack(stack_f, lambdas, W), W)
+    return (_package(lambdas, _lift(Uf, W), residuals, perm, None, "fb"),
+            FbSpectrum(omegas=omegas[perm], sign_evidence=np.asarray(evidence, dtype=complex)[perm]))
 
 
 def select_pairs(decomposition, residual_cap):

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from dmdkit.errors import DataError, ShapeError
+from dmdkit.inner import InnerProduct
 from dmdkit.matrixio import load_matrix
-from dmdkit.variants import VariantConfig, ddmd_rrr, exact_dmd
+from dmdkit.snapshots import SnapshotPair
+from dmdkit.variants import VariantConfig, ddmd_rrr, ddmd_rrr_compressed, dmd, exact_dmd, fb_dmd_mrf
 from dmdkit.verify import (
     corrupted_sigma_etas,
     explicit_residuals,
@@ -17,6 +19,7 @@ from dmdkit.verify import (
     trajectory,
     write_fixture_set,
 )
+from dmdkit.weighted import two_sided_weighted_dmd, weighted_dmd
 
 
 def _rng(seed):
@@ -120,11 +123,29 @@ def test_invariant_subspace_pair_is_noise_free():
     assert np.all(np.isnan(eta))
 
 
-def test_eta_identity_on_healthy_run():
+# Each pipeline on (X, Y), with diagonal state and snapshot weights M and N
+# where it takes them.
+_ETA_PIPELINES = {
+    "dmd": lambda X, Y, M, N: dmd(X, Y),
+    "ddmd_rrr": lambda X, Y, M, N: ddmd_rrr(X, Y),
+    "ddmd_rrr_compressed": lambda X, Y, M, N: ddmd_rrr_compressed(SnapshotPair(X, Y)),
+    "fb_dmd_mrf": lambda X, Y, M, N: fb_dmd_mrf(X, Y)[0],
+    "weighted_dmd": lambda X, Y, M, N: weighted_dmd(X, Y, M),
+    "two_sided_weighted_dmd": lambda X, Y, M, N: two_sided_weighted_dmd(X, Y, M, N),
+}
+
+
+@pytest.mark.parametrize("pipeline", list(_ETA_PIPELINES))
+def test_eta_identity_on_healthy_run(pipeline):
+    # Per column: vector j carries residual j, so each certificate equals
+    # the true residual of its own vector.
     oracle = make_oracle(40, spectrum="unit-disc", conditioning=25.0, seed=15)
     f1 = _rng(16).standard_normal(40)
     F = trajectory(oracle, f1 / np.linalg.norm(f1), 12)
-    dec = ddmd_rrr(F.F[:, :-1], F.F[:, 1:])
+    X, Y = F.F[:, :-1], F.F[:, 1:]
+    M = InnerProduct.diagonal(np.linspace(0.5, 2.0, X.shape[0]))
+    N = InnerProduct.diagonal(np.linspace(1.0, 0.5, X.shape[1]))
+    dec = _ETA_PIPELINES[pipeline](X, Y, M, N)
     true, eta = explicit_residuals(oracle, dec)
     mask = np.isfinite(eta) & (dec.residuals > 1e-8)
     assert np.any(mask)
