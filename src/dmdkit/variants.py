@@ -223,9 +223,20 @@ def _quotient(basis, Ys):
     so that a recomposition from the public stages stays bit-identical.  Their POD's kernels hold the
     scope, as inside :func:`truncated_svd`, which a recomposition calls.
     Both pipelines share this quotient and its eigensolve, so exact_dmd's
-    Ritz values stay bitwise dmd's.
+    Ritz values stay bitwise dmd's.  A complex U, private to every caller,
+    is conjugated in place for U* Y and back, so no n x k copy of it is
+    held beside the working array and the buffer.
     """
-    S = ((basis.U.conj().T @ Ys) @ basis.V) / basis.sigma[None, :]
+    U = basis.U
+    conjugate = np.iscomplexobj(U)
+    if conjugate:
+        np.conjugate(U, out=U)
+    try:
+        UY = U.T @ Ys
+    finally:
+        if conjugate:
+            np.conjugate(U, out=U)
+    S = (UY @ basis.V) / basis.sigma[None, :]
     return (S, *_eig(S))
 
 

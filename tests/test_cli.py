@@ -4,12 +4,12 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import dmdkit
+from conftest import traced_peak
 from dmdkit.cli import main
 from dmdkit.inner import InnerProduct
 from dmdkit.matrixio import load_matrix, store_matrix
@@ -360,13 +360,7 @@ def test_compressed_trajectory_route_holds_little_beyond_the_loaded_file(tmp_pat
     argv = ["decompose", "--seq", str(tmp_path / "t.dmm"), "--variant", "rrr-compressed",
             "--out", str(tmp_path / "r.json"), "--modes-out", str(tmp_path / "m.dmm")]
     main(argv)  # warm caches and imports outside the traced call
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        rc = main(argv)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    rc, peak = traced_peak(lambda: main(argv))
     assert rc == 0
     assert peak <= 1.3 * 40000 * 41 * 8, peak / (40000 * 41 * 8)
 

@@ -1,12 +1,11 @@
 """Round trips and corruption handling of the DMM1 and CSV formats."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from dmdkit.errors import DataError, ShapeError
 from dmdkit import matrixio
 from dmdkit.matrixio import MAGIC, load_matrix, store_matrix
@@ -215,14 +214,12 @@ def test_row_blocks_of_chosen_columns_give_the_bytes_of_those_columns(tmp_path, 
 def test_oversized_header_is_rejected_before_allocating(tmp_path):
     path = tmp_path / "huge.dmm"
     path.write_bytes(MAGIC + np.uint64(2**40).tobytes() + np.uint64(1).tobytes() + bytes([0]) + bytes(10))
-    tracemalloc.start()
-    try:
+
+    def load():
         with pytest.raises(DataError, match="truncated payload"):
             load_matrix(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+
+    assert traced_peak(load)[1] < 1 << 20
 
 
 def test_empty_dmm_is_rejected(tmp_path):
@@ -232,24 +229,13 @@ def test_empty_dmm_is_rejected(tmp_path):
         load_matrix(path)
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def test_column_major_store_and_load_make_no_copies(tmp_path):
     rng = np.random.Generator(np.random.Philox(10))
     a = np.asfortranarray(rng.standard_normal((20000, 60)) + 1j * rng.standard_normal((20000, 60)))
     path = tmp_path / "big.dmm"
-    _, peak = _traced_peak(lambda: store_matrix(a, path))
+    _, peak = traced_peak(lambda: store_matrix(a, path))
     assert peak < 1 << 20
-    b, peak = _traced_peak(lambda: load_matrix(path))
+    b, peak = traced_peak(lambda: load_matrix(path))
     # The array itself, plus the finiteness scan's boolean mask.
     assert peak < a.nbytes + a.size + (1 << 20)
     assert np.array_equal(a, b)
@@ -259,7 +245,7 @@ def test_row_major_store_copies_one_block_at_a_time(tmp_path):
     rng = np.random.Generator(np.random.Philox(11))
     a = rng.standard_normal((20000, 60)) + 1j * rng.standard_normal((20000, 60))
     path = tmp_path / "big.dmm"
-    _, peak = _traced_peak(lambda: store_matrix(a, path))
+    _, peak = traced_peak(lambda: store_matrix(a, path))
     assert peak < matrixio._STORE_BLOCK_BYTES + a.shape[0] * a.itemsize + (1 << 20)
     assert np.array_equal(load_matrix(path), a)
 

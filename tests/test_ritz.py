@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmdkit
+from conftest import traced_peak
 from dmdkit import ritz, variants
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit._blas import _MODULES, _blas_threads, _one_blas_thread
@@ -147,12 +147,7 @@ def test_qr_stack_holds_the_stack_once():
     rng = _rng(23)
     n, k = 20000, 30
     U, B = rng.standard_normal((n, k)), rng.standard_normal((n, k))
-    tracemalloc.start()
-    try:
-        qr_stack(U, B)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: qr_stack(U, B))
     assert peak <= U.nbytes + B.nbytes + 2**20
 
 
@@ -773,13 +768,7 @@ def test_lift_takes_the_plain_product_for_other_operands():
 def test_lift_never_casts_the_tall_operand_to_complex():
     for order in ("C", "F"):
         A, W = _lift_operands(6, 20000, 40, 30, order)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            Z = _lift(A, W)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        Z, peak = traced_peak(lambda: _lift(A, W))
         # The result and one block of rows; a complex copy of A is 12.8 MB.
         assert peak < Z.nbytes + (2 << 20), order
         assert Z.flags.f_contiguous, order

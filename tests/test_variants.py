@@ -1,6 +1,7 @@
 """End-to-end pipelines: classic, refined, compressed, exact, fb, selection."""
 
 import dataclasses
+import functools
 import sys
 import tracemalloc
 import warnings
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import traced_peak
 from dmdkit import variants, weighted
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
@@ -58,18 +60,6 @@ def _lifted_system(seed, n, m, dtype=complex):
     Q, _ = np.linalg.qr(draw(n, r))
     A = draw(r, r)
     return Q, A * (0.9 / np.abs(np.linalg.eigvals(A)).max()), draw(r, m)
-
-
-def _peak_bytes(call):
-    """tracemalloc peak of ``call()`` above the level it started from."""
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 def test_dmd_recovers_diagonal_operator():
@@ -488,11 +478,32 @@ def test_huge_finite_data_scales_like_unit_data():
     assert np.all(np.abs(big.residuals - ref.residuals) <= 1e-12 * ref.residuals)
 
 
+# Every public pipeline, called on the pair (X, Y) or the trajectory F, with
+# the state weight M, the snapshot-index weight N and a VariantConfig.
+_PIPELINES = {
+    "dmd": lambda X, Y, F, M, N, c=VariantConfig(): dmd(X, Y, c),
+    "exact_dmd": lambda X, Y, F, M, N, c=VariantConfig(): exact_dmd(X, Y, c),
+    "fb_dmd_mrf": lambda X, Y, F, M, N, c=VariantConfig(): fb_dmd_mrf(X, Y, c)[0],
+    "ddmd_rrr": lambda X, Y, F, M, N, c=VariantConfig(): ddmd_rrr(X, Y, c),
+    "ddmd_rrr_compressed": lambda X, Y, F, M, N, c=VariantConfig(): ddmd_rrr_compressed(SnapshotPair(X, Y), c),
+    "ddmd_rrr_compressed_trajectory": lambda X, Y, F, M, N, c=VariantConfig(): ddmd_rrr_compressed(F, c),
+    "ddmd_rrr_auto": lambda X, Y, F, M, N, c=VariantConfig(): ddmd_rrr_auto(SnapshotPair(X, Y), c),
+    "ddmd_rrr_auto_trajectory": lambda X, Y, F, M, N, c=VariantConfig(): ddmd_rrr_auto(F, c),
+    "weighted_dmd": lambda X, Y, F, M, N, c=VariantConfig(): weighted_dmd(X, Y, M, c),
+    "two_sided_weighted_dmd": lambda X, Y, F, M, N, c=VariantConfig(): two_sided_weighted_dmd(X, Y, M, N, c),
+}
+
+
+def _scaled(name, refine="all"):
+    """The pipeline ``name`` on an unweighted pair, scaled or not."""
+    return lambda X, Y, scale: _PIPELINES[name](X, Y, None, None, None, VariantConfig(scale=scale, refine=refine))
+
+
 _SCALED_PIPELINES = [
-    pytest.param(lambda X, Y, scale: ddmd_rrr(X, Y, VariantConfig(scale=scale, refine="none")), id="rrr-none"),
-    pytest.param(lambda X, Y, scale: ddmd_rrr(X, Y, VariantConfig(scale=scale, refine="all")), id="rrr-all"),
-    pytest.param(lambda X, Y, scale: dmd(X, Y, VariantConfig(scale=scale)), id="dmd"),
-    pytest.param(lambda X, Y, scale: fb_dmd_mrf(X, Y, VariantConfig(scale=scale))[0], id="fb"),
+    pytest.param(_scaled("ddmd_rrr", "none"), id="rrr-none"),
+    pytest.param(_scaled("ddmd_rrr"), id="rrr-all"),
+    pytest.param(_scaled("dmd"), id="dmd"),
+    pytest.param(_scaled("fb_dmd_mrf"), id="fb"),
 ]
 
 
@@ -540,22 +551,6 @@ def test_fb_spectrum_of_scaled_data_is_scaled(s):
     for got, want in ((dec.lambdas, s * ref_dec.lambdas), (fb.sign_evidence, s * ref.sign_evidence),
                       (fb.omegas, s * s * ref.omegas)):
         np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want), rtol=1e-12)
-
-
-# Every public pipeline, called on the pair (X, Y) or the trajectory F, with
-# the state weight M and the snapshot-index weight N.
-_PIPELINES = {
-    "dmd": lambda X, Y, F, M, N: dmd(X, Y),
-    "exact_dmd": lambda X, Y, F, M, N: exact_dmd(X, Y),
-    "fb_dmd_mrf": lambda X, Y, F, M, N: fb_dmd_mrf(X, Y)[0],
-    "ddmd_rrr": lambda X, Y, F, M, N: ddmd_rrr(X, Y),
-    "ddmd_rrr_compressed": lambda X, Y, F, M, N: ddmd_rrr_compressed(SnapshotPair(X, Y)),
-    "ddmd_rrr_compressed_trajectory": lambda X, Y, F, M, N: ddmd_rrr_compressed(F),
-    "ddmd_rrr_auto": lambda X, Y, F, M, N: ddmd_rrr_auto(SnapshotPair(X, Y)),
-    "ddmd_rrr_auto_trajectory": lambda X, Y, F, M, N: ddmd_rrr_auto(F),
-    "weighted_dmd": lambda X, Y, F, M, N: weighted_dmd(X, Y, M),
-    "two_sided_weighted_dmd": lambda X, Y, F, M, N: two_sided_weighted_dmd(X, Y, M, N),
-}
 
 
 def _complex_trajectory(seed, n, m):
@@ -671,14 +666,8 @@ def test_compressed_pair_vectors_below_full_rank_own_only_their_bytes():
     # vectors, so what the call leaves allocated is the vectors.
     rng = _rng(118)
     pair = SnapshotPair(rng.standard_normal((20000, 60)), rng.standard_normal((20000, 60)))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        dec = ddmd_rrr_compressed(pair, VariantConfig(policy=RankPolicy.fixed(20)))
-        held, peak = (b - base for b in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    (dec, held), peak = traced_peak(lambda: (ddmd_rrr_compressed(pair, VariantConfig(policy=RankPolicy.fixed(20))),
+                                             tracemalloc.get_traced_memory()[0]))
     assert dec.vectors.shape == (20000, 20) and dec.vectors.flags.f_contiguous
     assert peak <= 1.1 * (pair.X.nbytes + pair.Y.nbytes)
     assert held <= 1.02 * dec.vectors.nbytes
@@ -710,81 +699,78 @@ def test_exact_dmd_vectors_are_the_normalized_images(order):
         np.testing.assert_allclose(dec.vectors[:, j], z / np.linalg.norm(z), rtol=0, atol=1e-13)
 
 
-def _gaussian_pair(seed):
-    rng = _rng(seed)
-    return rng.standard_normal((20000, 60)), rng.standard_normal((20000, 60))
-
-
-def test_exact_dmd_peak_memory_stays_near_the_input():
-    # One working array beside the (U B) buffer; B is copied out and the
-    # buffer dropped before the exact vectors are formed, straight from B
-    # in real arithmetic, and normalized without a copy.
-    X, Y = _gaussian_pair(123)
-    assert _peak_bytes(lambda: exact_dmd(X, Y)) <= 1.65 * (X.nbytes + Y.nbytes)
-
-
-def test_dmd_peak_memory_stays_near_the_input():
-    # One working array beside the (U B) buffer; the residuals are read
-    # off its QR in place, which is dropped before the vectors are lifted,
-    # straight into report order.
-    X, Y = _gaussian_pair(125)
-    assert _peak_bytes(lambda: dmd(X, Y)) <= 1.65 * (X.nbytes + Y.nbytes)
-
-
-@pytest.mark.parametrize("pipeline", ["dmd", "exact_dmd", "ddmd_rrr-none", "ddmd_rrr-all", "weighted_dmd-none"])
-def test_dmd_peak_memory_on_a_real_spectrum_stays_near_the_input(pipeline):
-    # A real spectrum gives a real W, ordered before a real lift, which
-    # _package casts to complex; U is dropped before that cast.  Refining
-    # every pair makes W complex instead.
-    rng = _rng(171)
-    n, m = 20000, 60
-    B = rng.standard_normal((m, m))
-    A, G = (B + B.T) / (2 * np.sqrt(m)), rng.standard_normal((m, m))
-    Q = np.linalg.qr(rng.standard_normal((n, m)))[0]
-    X, Y = Q @ G, Q @ (A @ G)
-    del Q
-    assert np.isrealobj(np.linalg.eigvals(A))
-    none, M = VariantConfig(refine="none"), InnerProduct.diagonal(np.linspace(0.5, 2.0, n))
-    run = {"dmd": lambda: dmd(X, Y),
-           "exact_dmd": lambda: exact_dmd(X, Y),
-           "ddmd_rrr-none": lambda: ddmd_rrr(X, Y, none),
-           "ddmd_rrr-all": lambda: ddmd_rrr(X, Y),
-           "weighted_dmd-none": lambda: weighted_dmd(X, Y, M, none)}[pipeline]
-    out = []
-    assert _peak_bytes(lambda: out.append(run())) <= 1.65 * (X.nbytes + Y.nbytes)
-    assert not np.any(out[0].lambdas.imag)
-
-
-# Shapes at which the compressed pair route's peak above the start of a
-# call is held to 1.1x X+Y: the QR buffer of [X Y] is all it holds besides
+# Each pipeline's bound on its tracemalloc peak above the start of a call,
+# as a multiple of X+Y.  The direct pipelines hold one n x m working array
+# beside one n x 2k buffer, which their QR overwrites, and no copy of U
+# (a complex U is conjugated in place for U* Y); the lift then holds U, the
+# vectors and one row block, written straight into report order.  A real
+# spectrum gives a real W and a real lift, which _package casts to complex
+# after U is dropped.  The compressed pair route (fb, the
+# pair route and two-sided) holds only the QR buffer of [X Y] besides
 # k-sized arrays and one row block, whatever m is modulo the ?geqrt block
-# of 32 (m = 32, 33, 64 and 65), and at m = 60.
-# Where n < m the triangular factor is as large as that buffer and the
-# engine runs the direct route on it, so it reads 3-5x until the engine
-# works on k-sized arrays (ROADMAP item 17).
-_COMPRESSED_PAIR_PEAK_SHAPES = [
-    (20000, 32), (20000, 33), (20000, 60), (20000, 64), (20000, 65),
-    pytest.param(100, 400, marks=pytest.mark.xfail(strict=True, reason="R and the direct engine where n < m")),
+# of 32.  "-none" is the pipeline without refinement.
+_PEAK_BOUNDS = {
+    "dmd": 1.65, "exact_dmd": 1.65, "ddmd_rrr": 1.65, "ddmd_rrr-none": 1.65,
+    "weighted_dmd": 1.65, "weighted_dmd-none": 1.65,
+    "fb_dmd_mrf": 1.1, "ddmd_rrr_compressed": 1.1, "two_sided_weighted_dmd": 1.1,
+}
+_COMPRESSED_PAIR = ("fb_dmd_mrf", "ddmd_rrr_compressed", "two_sided_weighted_dmd")
+# The input classes, (n, m, dtype, spectrum, order), and the pipelines each
+# holds to its bound.  Where n < m the triangular factor is as large as the
+# QR buffer and the engine runs the direct route on it, so the compressed
+# pair route reads 3-5x until the engine works on k-sized arrays (ROADMAP
+# item 17): those rows are strict expected failures.
+_PEAK_ROWS = [
+    *(((20000, m, dtype, "gaussian", order), _COMPRESSED_PAIR)
+      for m in (32, 33, 64, 65) for dtype in (float, complex) for order in "CF"),
+    *(((20000, 60, dtype, "gaussian", order), _COMPRESSED_PAIR + ("dmd", "exact_dmd", "ddmd_rrr", "weighted_dmd"))
+      for dtype in (float, complex) for order in "CF"),
+    ((20000, 60, float, "real", "C"), ("dmd", "exact_dmd", "ddmd_rrr-none", "ddmd_rrr", "weighted_dmd-none")),
+    *(((100, 400, dtype, "gaussian", order), _COMPRESSED_PAIR) for dtype in (float, complex) for order in "CF"),
 ]
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("n, m", _COMPRESSED_PAIR_PEAK_SHAPES)
-@pytest.mark.parametrize("pipeline", ["fb_dmd_mrf", "ddmd_rrr_compressed", "two_sided_weighted_dmd"])
-def test_compressed_pair_peak_memory_holds_its_bound_on_every_shape(pipeline, n, m, dtype, order):
+@functools.lru_cache(maxsize=1)
+def _peak_pair(n, m, dtype, spectrum, order):
+    """The pair of one input class, drawn once and held while its cases run."""
+    if spectrum == "real":
+        # Y = Q A G with A symmetric, so every Ritz value is real
+        rng = _rng(171)
+        B = rng.standard_normal((m, m))
+        A, G = (B + B.T) / (2 * np.sqrt(m)), rng.standard_normal((m, m))
+        Q = np.linalg.qr(rng.standard_normal((n, m)))[0]
+        assert np.isrealobj(np.linalg.eigvals(A))
+        return Q @ G, Q @ (A @ G)
     rng = _rng(173 + m)
 
     def draw():
         g = rng.standard_normal((n, m))
         return np.asarray(g + 1j * rng.standard_normal((n, m)) if dtype is complex else g, order=order)
 
-    X, Y = draw(), draw()
-    M, N = InnerProduct.diagonal(np.linspace(0.5, 2.0, n)), InnerProduct.diagonal(np.linspace(1.0, 0.5, m))
-    run = {"fb_dmd_mrf": lambda: fb_dmd_mrf(X, Y),
-           "ddmd_rrr_compressed": lambda: ddmd_rrr_compressed(SnapshotPair(X, Y)),
-           "two_sided_weighted_dmd": lambda: two_sided_weighted_dmd(X, Y, M, N)}[pipeline]
-    assert _peak_bytes(run) <= 1.1 * (X.nbytes + Y.nbytes)
+    return draw(), draw()
+
+
+def _peak_cases():
+    for row, names in _PEAK_ROWS:
+        n, m, dtype, spectrum, order = row
+        marks = pytest.mark.xfail(strict=True, reason="R and the direct engine where n < m") if n < m else ()
+        for name in names:
+            yield pytest.param(name, row, marks=marks,
+                               id="%s-%dx%d-%s-%s-%s" % (name, n, m, dtype.__name__, spectrum, order))
+
+
+@pytest.mark.parametrize("name, row", _peak_cases())
+def test_peak_memory_holds_each_pipelines_bound_on_every_input_class(name, row):
+    n, m, _, spectrum, _ = row
+    X, Y = _peak_pair(*row)
+    M, N = _weights("diagonal", n, m)
+    pipeline, _, refine = name.partition("-")
+    config = VariantConfig(refine=refine or "all")
+    dec, peak = traced_peak(lambda: _PIPELINES[pipeline](X, Y, None, M, N, config))
+    assert peak <= _PEAK_BOUNDS[name] * (X.nbytes + Y.nbytes)
+    if spectrum == "real":
+        # the real-W branch is the one measured
+        assert not np.any(dec.lambdas.imag)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -818,17 +804,15 @@ def test_fb_factors_one_n_row_matrix(monkeypatch, dtype):
 
 
 @pytest.mark.parametrize("scale", [True, False])
-@pytest.mark.parametrize("pipeline", [
-    dmd, ddmd_rrr, exact_dmd, fb_dmd_mrf,
-    pytest.param(lambda X, Y, c: ddmd_rrr_compressed(SnapshotPair(X, Y), c), id="ddmd_rrr_compressed"),
-])
+@pytest.mark.parametrize("pipeline", [name for name in _PIPELINES if not name.endswith("_trajectory")])
 def test_overflowing_basis_image_is_a_conditioning_error(pipeline, scale):
     # finite data whose B_k = Y V Sigma^-1 exceeds the double range
     rng = _rng(98)
     X = 1e-200 * rng.standard_normal((40, 8))
     Y = 1e150 * rng.standard_normal((40, 8))
+    M, N = _weights("diagonal", *X.shape)
     with pytest.raises(ConditioningError, match="overflow"):
-        pipeline(X, Y, VariantConfig(scale=scale))
+        _PIPELINES[pipeline](X, Y, None, M, N, VariantConfig(scale=scale))
 
 
 def test_float32_input_runs_in_double_precision():
@@ -924,13 +908,13 @@ def test_long_double_beyond_the_double_range_is_a_data_error(dtype):
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
-@pytest.mark.parametrize("pipeline", [
-    dmd, ddmd_rrr, exact_dmd, fb_dmd_mrf,
-    pytest.param(lambda X, Y: ddmd_rrr_compressed(X), id="ddmd_rrr_compressed"),
-])
+@pytest.mark.parametrize("pipeline", list(_PIPELINES))
 def test_empty_snapshots_are_a_shape_error(pipeline, shape):
-    with pytest.raises(ShapeError):
-        pipeline(np.zeros(shape), np.zeros(shape))
+    # the weights fit a 4 x 3 pair, so the error is the snapshots' own
+    X = np.zeros(shape)
+    M, N = InnerProduct.identity(4), InnerProduct.identity(3)
+    with pytest.raises(ShapeError, match="must be non-empty"):
+        _PIPELINES[pipeline](X, X, X, M, N)
 
 
 def test_trajectory_input_type_flexibility():
@@ -940,14 +924,6 @@ def test_trajectory_input_type_flexibility():
     assert np.array_equal(from_array.lambdas, from_traj.lambdas)
 
 
-def test_ddmd_rrr_peak_memory_stays_near_the_input():
-    # The scaled X and then Y live only in one working array beside the
-    # (U B) buffer, which its QR overwrites; the lift holds U, the vectors
-    # and 1/32 of them, written straight into report order.
-    X, Y = _gaussian_pair(71)
-    assert _peak_bytes(lambda: ddmd_rrr(X, Y)) <= 1.65 * (X.nbytes + Y.nbytes)
-
-
 def test_refined_lift_of_more_than_96_vectors_holds_no_stack():
     # k = 120: the QR stack, its cross products, the refinement memo and
     # the quotient are dropped before the lift, which then holds U, the
@@ -955,7 +931,7 @@ def test_refined_lift_of_more_than_96_vectors_holds_no_stack():
     # column of W.
     rng = _rng(73)
     X, Y = rng.standard_normal((10000, 120)), rng.standard_normal((10000, 120))
-    assert _peak_bytes(lambda: ddmd_rrr(X, Y)) <= 1.55 * (X.nbytes + Y.nbytes)
+    assert traced_peak(lambda: ddmd_rrr(X, Y))[1] <= 1.55 * (X.nbytes + Y.nbytes)
 
 
 _ONES = np.ones((3, 3))
@@ -1060,68 +1036,57 @@ def test_compressed_pair_lift_in_its_buffer_keeps_the_bits_of_a_lift_apart(monke
     # apart, at no higher peak.
     Q, A, G = _lifted_system(151 + m, n, m, dtype)
     X, Y = Q @ G, Q @ (A @ G)
-    M, N = InnerProduct.diagonal(np.linspace(0.5, 2.0, n)), InnerProduct.diagonal(np.linspace(1.0, 0.5, m))
-    run = {"fb_dmd_mrf": lambda: fb_dmd_mrf(X, Y)[0],
-           "ddmd_rrr_compressed": lambda: ddmd_rrr_compressed(SnapshotPair(X, Y)),
-           "two_sided_weighted_dmd": lambda: two_sided_weighted_dmd(X, Y, M, N)}[pipeline]
-    inside, peak = run(), _peak_bytes(run)
+    M, N = _weights("diagonal", n, m)
+    inside, peak = traced_peak(lambda: _PIPELINES[pipeline](X, Y, None, M, N))
     monkeypatch.setattr(variants, "_compressed_pair", _compressed_pair_lifting_apart)
     monkeypatch.setattr(weighted, "_compressed_pair", _compressed_pair_lifting_apart)
-    apart, peak_apart = run(), _peak_bytes(run)
+    apart, peak_apart = traced_peak(lambda: _PIPELINES[pipeline](X, Y, None, M, N))
     for field in ("lambdas", "vectors", "residuals", "ordering"):
         assert getattr(inside, field).tobytes() == getattr(apart, field).tobytes(), field
     assert peak <= peak_apart
 
 
 @pytest.mark.parametrize("n, m", [(300, 24), (200, 16), (100, 10), (500, 30), (60, 12), (1000, 20)])
-@pytest.mark.parametrize("pipeline", [dmd, exact_dmd, ddmd_rrr], ids=["dmd", "exact_dmd", "ddmd_rrr"])
+@pytest.mark.parametrize("pipeline", ["dmd", "exact_dmd", "ddmd_rrr"])
 def test_unscaled_pipelines_do_not_depend_on_the_layout_of_the_pair(pipeline, n, m):
     # Unscaled, Y is copied column-major before B_k and the quotient read
     # it, as the scaling writes it column-major.
     rng = _rng(157 + n)
     X, Y = rng.standard_normal((n, m)), rng.standard_normal((n, m))
     config = VariantConfig(scale=False)
-    row = pipeline(np.ascontiguousarray(X), np.ascontiguousarray(Y), config)
-    col = pipeline(np.asfortranarray(X), np.asfortranarray(Y), config)
+    row = _PIPELINES[pipeline](np.ascontiguousarray(X), np.ascontiguousarray(Y), None, None, None, config)
+    col = _PIPELINES[pipeline](np.asfortranarray(X), np.asfortranarray(Y), None, None, None, config)
     for field in ("lambdas", "vectors", "residuals", "ordering"):
         assert getattr(row, field).tobytes() == getattr(col, field).tobytes(), field
 
 
 _BAD_CONFIGS = [5, None, "all", np.ones((4, 3))]
-_ENTRIES = {
-    "dmd": lambda X, Y, c: dmd(X, Y, c),
-    "exact_dmd": lambda X, Y, c: exact_dmd(X, Y, c),
-    "ddmd_rrr": lambda X, Y, c: ddmd_rrr(X, Y, c),
-    "ddmd_rrr_compressed": lambda X, Y, c: ddmd_rrr_compressed(SnapshotPair(X, Y), c),
-    "fb_dmd_mrf": lambda X, Y, c: fb_dmd_mrf(X, Y, c),
-    "weighted_dmd": lambda X, Y, c: weighted_dmd(X, Y, InnerProduct.identity(len(X)), c),
-    "two_sided_weighted_dmd": lambda X, Y, c: two_sided_weighted_dmd(
-        X, Y, InnerProduct.identity(len(X)), InnerProduct.identity(X.shape[1]), c),
-}
 
 
 @pytest.mark.parametrize("config", _BAD_CONFIGS, ids=["int", "none", "str", "array"])
-@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize("entry", list(_PIPELINES))
 def test_a_config_that_is_not_a_variant_config_is_rejected_before_any_work(monkeypatch, entry, config):
     calls = []
     monkeypatch.setattr(variants, "_householder_qr", lambda *blocks: calls.append("qr"))
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda *args, **kwargs: calls.append("lapack"))
     X = _rng(137).standard_normal((30, 8))
+    M, N = InnerProduct.identity(30), InnerProduct.identity(8)
     with pytest.raises(DataError, match="config must be a VariantConfig"):
-        _ENTRIES[entry](X, X, config)
+        _PIPELINES[entry](X, X, X, M, N, config)
     assert calls == []
 
 
-@pytest.mark.parametrize("entry", list(_ENTRIES))
+@pytest.mark.parametrize("entry", list(_PIPELINES))
 def test_a_column_norm_beyond_the_double_range_is_one_conditioning_error(entry):
     # Finite entries whose column norms overflow: named where the norms are
     # read, before any NaN is formed, on every route.
     rng = _rng(141)
     X, Y = 5e307 * rng.uniform(size=(200, 12)), 5e307 * rng.uniform(size=(200, 12))
+    M, N = InnerProduct.identity(200), InnerProduct.identity(12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConditioningError, match="the 2-norm of column 0 of .* overflows double precision"):
-            _ENTRIES[entry](X, Y, VariantConfig())
+            _PIPELINES[entry](X, Y, X, M, N, VariantConfig())
 
 
 def test_a_pair_passed_as_two_arrays_to_the_compressed_route_names_snapshot_pair():

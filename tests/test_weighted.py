@@ -1,15 +1,15 @@
 """Elliptic-geometry pipelines and the weighted eigenvalue bound."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from dmdkit.errors import ConditioningError, DataError, ShapeError
 from dmdkit.inner import InnerProduct
 from dmdkit.pod import weighted_pod
-from dmdkit.variants import VariantConfig, ddmd_rrr, select_pairs
+from dmdkit.variants import ddmd_rrr, select_pairs
 from dmdkit.verify import (
     explicit_residuals,
     invariant_subspace_pair,
@@ -107,26 +107,6 @@ def test_right_weight_shape_is_the_column_count():
         two_sided_weighted_dmd(X, Y, M, InnerProduct.identity(18))
 
 
-def test_weighted_peak_memory_holds_no_transformed_pair():
-    # M transforms each snapshot matrix in turn into the front end's one
-    # working array, and lifts the vectors in place.  The two-sided
-    # pipeline's peak is held by the compressed pair route's shape table
-    # in tests/test_variants.py.
-    rng = _rng(71)
-    X = rng.standard_normal((20000, 60))
-    Y = rng.standard_normal((20000, 60))
-    M = InnerProduct.diagonal(np.linspace(0.5, 2.0, 20000))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        weighted_dmd(X, Y, M)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.65 * (X.nbytes + Y.nbytes)
-
-
 @pytest.mark.parametrize("orientation", ["M", "M-inverse"])
 def test_a_dense_weight_lifts_complex_vectors_in_real_arithmetic(orientation):
     # The real factor acts on [Re Z | Im Z]; it is never cast to complex.
@@ -135,14 +115,7 @@ def test_a_dense_weight_lifts_complex_vectors_in_real_arithmetic(orientation):
     M = InnerProduct(M.factor, orientation=orientation)
     rng = _rng(145)
     Z = rng.standard_normal((n, 40)) + 1j * rng.standard_normal((n, 40))
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        lifted = M.lift(Z)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    lifted, peak = traced_peak(lambda: M.lift(Z))
     assert peak < M.factor.nbytes + 3 * Z.nbytes
     L = M.factor.astype(complex)
     want = np.linalg.solve(L.conj().T, Z) if orientation == "M" else L @ Z
@@ -172,13 +145,7 @@ def test_a_dense_inverse_transform_holds_no_copy_of_the_factor():
     rng = _rng(151)
     M = InnerProduct(np.eye(n) + np.tril(rng.standard_normal((n, n)), -1) / n, orientation="M-inverse")
     X, Y = rng.standard_normal((n, 60)), rng.standard_normal((n, 60))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        image = M.transform(X)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    image, peak = traced_peak(lambda: M.transform(X))
     assert peak <= 0.6 * (X.nbytes + Y.nbytes)
     np.testing.assert_allclose(M.factor @ image, X, atol=1e-12)
 
