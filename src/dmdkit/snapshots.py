@@ -140,12 +140,28 @@ def _inexact_norms(d):
     return ~(d >= np.sqrt(np.finfo(np.float64).tiny)) | np.isinf(d)
 
 
+def _ldexp(A, e, out):
+    """A with column j times 2^e_j, into ``out`` (A itself included), real and imaginary parts apart.
+
+    Exact wherever no scaled entry leaves the normal range; one that
+    overflows is left infinite for the caller to report.
+    """
+    with np.errstate(over="ignore"):
+        if A.dtype.kind == "c":
+            np.ldexp(A.real, e, out=out.real)
+            np.ldexp(A.imag, e, out=out.imag)
+        else:
+            np.ldexp(A, e, out=out)
+    return out
+
+
 def _column_norms(X):
     """Column 2-norms that stay finite and accurate for finite columns.
 
     A column whose plain norm overflows or underflows (see
-    :func:`_inexact_norms`) is measured again as max|x| * ||x / max|x|||;
-    every other column keeps the bits of ``np.linalg.norm(X, axis=0)``.
+    :func:`_inexact_norms`) is measured again as 2^p ||2^-p x||, p the
+    binary exponent of max|x| (see :func:`_ldexp`); every other column keeps
+    the bits of ``np.linalg.norm(X, axis=0)``.
     A zero column stays zero and a column holding an infinity stays
     infinite.  A column-major X is measured 1/32 of its columns at a
     time, which rounds the same bits, so no full-size temporary is formed.
@@ -158,8 +174,8 @@ def _column_norms(X):
         redo = _inexact_norms(d)
         if redo.any():
             Xr = X[:, redo]
-            top = np.abs(Xr).max(axis=0)
-            d[redo] = np.where(np.isinf(top) | (top == 0.0), top, top * np.linalg.norm(Xr / top, axis=0))
+            p = np.frexp(np.abs(Xr).max(axis=0))[1]
+            d[redo] = np.ldexp(np.linalg.norm(_ldexp(Xr, -p, Xr), axis=0), p)
     return d
 
 
@@ -178,56 +194,39 @@ def _check_norms(A, name, d=None):
         raise ConditioningError("the 2-norm of column %d of %s overflows double precision" % (over[0], name))
 
 
-def _scale_factors(Xf):
-    """(1 / norms, norms) of the columns of a column-major X, as :func:`_scale_arrays` applies them.
+def _exponents(A):
+    """(e, norms): e_j, minus the binary exponent of ||a_j||, takes column j to a 2-norm in [1/2, 1).
 
-    Zero columns, and columns whose norm is below the normal range, get
-    factor 1 and norm 0; a norm beyond the double range is a
-    :class:`ConditioningError` (see :func:`_check_norms`).
+    A zero column gets e_j = 0, and a norm at or above 2^1023, whose 2^-e_j
+    is no double, e_j = -1023 (a norm in [1, 2)).  A norm beyond the double
+    range is a :class:`ConditioningError` (see :func:`_check_norms`).
     """
-    d = _column_norms(Xf)
-    _check_norms(Xf, "X", d)
-    nz = d >= np.finfo(np.float64).tiny
-    return 1.0 / np.where(nz, d, 1.0), np.where(nz, d, 0.0)
-
-
-def _scale_arrays(X, Y):
-    """Divide matched columns of X and Y by the column norms of X.
-
-    Zero columns, and columns whose norm is below the normal range, are
-    left untouched.  Returns the scaled copies and the norms, 0 for each
-    column left untouched (see :func:`_scale_factors`).  A scaled Y may overflow; the pipelines
-    report that as a :class:`ConditioningError` where B_k is formed.  The
-    norms and both copies are column-major, so the bits do not depend on
-    the memory layout of X and Y.
-    """
-    Xf = np.asfortranarray(X)
-    inv, norms = _scale_factors(Xf)
-    with np.errstate(over="ignore"):
-        return _scaled(X, Xf, inv), _scaled(Y, np.asfortranarray(Y), inv), norms
-
-
-def _scaled(A, Af, inv):
-    """A * inv from Af, the column-major A, which is scaled in place where it is a copy."""
-    return Af * inv if np.may_share_memory(Af, A) else np.multiply(Af, inv, out=Af)
+    d = _column_norms(A)
+    _check_norms(A, "X", d)
+    return -np.minimum(np.frexp(d)[1], 1023), d
 
 
 def scale_columns(pair):
-    """Rescale a pair to unit X-columns; near optimal spectral conditioning.
+    """Rescale a pair by powers of two to X-columns of 2-norm in [1/2, 1); near optimal conditioning.
 
-    Returns the scaled :class:`SnapshotPair` and the column 2-norms of X
-    it divided by, a float64 vector; a zero entry marks a column left in
-    place, one that is zero or whose norm is below the normal range
-    (pseudoinverse semantics: no finite factor restores it).  The scaled
-    X has condition number within sqrt(m) of the best achievable by any
-    positive diagonal column scaling.  A Y that leaves the double range
+    Column j of X and Y is multiplied by 2^e_j (see :func:`_exponents`),
+    which is exact at every scale, subnormal included.  Returns the scaled
+    :class:`SnapshotPair`, column-major copies, and the float64 divisors
+    2^-e_j, 0 for a zero column, which stays in place: X == X_s * divisors
+    bit for bit wherever no scaled entry falls below the normal range.  By
+    van der Sluis (Numer. Math. 14, 1969) the scaled X, its column norms
+    within a factor 2 of each other (4 where one reaches 2^1023), has
+    condition number within 2 sqrt(m) (4 sqrt(m)) of the best any positive
+    diagonal column scaling achieves.  A Y that leaves the double range
     once scaled is a :class:`ConditioningError`, and so is an X column
     whose 2-norm does.
     """
-    Xs, Ys, norms = _scale_arrays(pair.X, pair.Y)
-    if not _all_finite(Ys):
+    X, Y = np.array(pair.X, order="F"), np.array(pair.Y, order="F")
+    e, d = _exponents(X)
+    _ldexp(X, e, X)
+    if not _all_finite(_ldexp(Y, e, Y)):
         raise ConditioningError("scale_columns: the scaled Y overflows double precision")
-    return SnapshotPair(Xs, Ys), norms
+    return SnapshotPair(X, Y), np.ldexp(np.sign(d), -e)
 
 
 def companion_decomposition(F):

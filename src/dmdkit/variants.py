@@ -32,7 +32,7 @@ from .ritz import (
     refine_ritz,
     refined_rayleigh_value,
 )
-from .snapshots import _EPS, SnapshotPair, _as_trajectory, _check_norms, _column_norms, _scale_factors
+from .snapshots import _EPS, SnapshotPair, _as_trajectory, _check_norms, _column_norms, _exponents, _ldexp
 from .snapshots import companion_decomposition
 
 __all__ = [
@@ -162,7 +162,7 @@ def _project(X, Y, config, policy=None, weight=None, quotient=False):
     a time beside one buffer of 2 min(n, m) columns.  X, weighted
     (``weight`` maps both snapshot matrices into the Euclidean coordinates
     of its geometry), is copied once into the column-major working array
-    and scaled there (see :func:`_check_norms`); the POD factors it in
+    and scaled there (see :func:`_exponents`); the POD factors it in
     place and writes U into the buffer.  The working array then takes the
     weighted and scaled Y where a diagonal factor and the scaling can
     write it (a dense factor's image is a new array); an unscaled Y that
@@ -177,9 +177,10 @@ def _project(X, Y, config, policy=None, weight=None, quotient=False):
     factors = () if weight is None else (weight.factor,)
     G = X if weight is None else weight._transform_into(X, None)
     G = np.array(G, order="F") if G is X else np.asfortranarray(G)
-    inv = _scale_factors(G)[0]
+    # The norms are checked unscaled too, and e = 0 then only copies.
+    e = _exponents(G)[0] * config.scale
     if config.scale:
-        np.multiply(G, inv, out=G)
+        _ldexp(G, e, G)
     basis, buf = _pod_in_place(G, policy or config.policy, columns=2 * min(G.shape),
                                dtype=np.result_type(G, Y, *factors))
     k = basis.rank
@@ -194,12 +195,7 @@ def _project(X, Y, config, policy=None, weight=None, quotient=False):
         out = Ys if Ys is not Y and Ys.flags.f_contiguous else G
         if out is None:
             out = np.empty(Ys.shape, dtype=Ys.dtype, order="F")
-        if config.scale:
-            with np.errstate(over="ignore"):
-                Ys = np.multiply(Ys, inv, out=out)
-        else:
-            out[...] = Ys
-            Ys = out
+        Ys = _ldexp(Ys, e, out)
     del G
     _image_into(buf[:, k:2 * k], Ys, basis.V, basis.sigma)
     q = _quotient(basis, Ys) if quotient else None

@@ -26,7 +26,7 @@ from .inner import _require_weight
 from .matrixio import store_matrix
 from .pod import truncated_svd
 from .ritz import _lift, action_on_basis, data_driven_residuals
-from .snapshots import _EPS, SequentialTrajectory, SnapshotPair, _as_trajectory, _scale_arrays
+from .snapshots import _EPS, SequentialTrajectory, SnapshotPair, _as_trajectory, scale_columns
 from .variants import _quotient
 
 __all__ = [
@@ -297,7 +297,8 @@ def corrupted_sigma_etas(oracle, F):
     orders of magnitude below 1.
     """
     traj = _as_trajectory(F)
-    Xs, Ys, _ = _scale_arrays(traj.F[:, :-1], traj.F[:, 1:])
+    scaled = scale_columns(SnapshotPair(traj.F[:, :-1], traj.F[:, 1:]))[0]
+    Xs, Ys = scaled.X, scaled.Y
     basis = truncated_svd(Xs)
     basis = dataclasses.replace(basis, sigma=np.maximum(basis.sigma, _CORRUPTED_SIGMA_FLOOR * basis.sigma[0]))
     _, lambdas, W = _quotient(basis, Ys)

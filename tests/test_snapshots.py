@@ -80,18 +80,36 @@ def test_matrices_are_promoted_to_double_precision():
         assert SequentialTrajectory(A).F is A
 
 
+def _assert_power_of_two_scaling(pair, scaled, divisors):
+    """Divisors 2^-e_j (0 for a zero column), scaled norms in [1/2, 1), and X == X_s * divisors bit for bit."""
+    assert divisors.dtype == np.float64 and divisors.shape == (pair.m,)
+    nz = divisors != 0
+    assert np.all(np.frexp(divisors[nz])[0] == 0.5)
+    norms = _column_norms(scaled.X)
+    assert np.all((norms[nz] >= 0.5) & (norms[nz] < 1.0))
+    assert np.array_equal(scaled.X * divisors, pair.X)
+    assert scaled.X.flags.f_contiguous and scaled.Y.flags.f_contiguous
+
+
 def test_scale_columns_normalizes_and_records():
-    X = np.array([[3.0, 0.0], [4.0, 0.0]])
-    Y = np.array([[1.0, 1.0], [0.0, 1.0]])
-    scaled, norms = scale_columns(SnapshotPair(X, Y))
-    assert norms.dtype == np.float64 and norms.shape == (2,)
-    assert np.allclose(np.linalg.norm(scaled.X[:, :1], axis=0), 1.0)
-    # zero column stays put, factor 0 marks it for rank truncation
-    assert norms[1] == 0.0
-    assert np.array_equal(scaled.X[:, 1], X[:, 1])
-    assert np.array_equal(scaled.Y[:, 1], Y[:, 1])
-    assert norms[0] == 5.0
-    assert np.allclose(scaled.Y[:, 0], Y[:, 0] / 5.0)
+    X = np.array([[3.0, 0.0, 1.0], [4.0, 0.0, 1.0]])
+    Y = np.array([[1.0, 1.0, 2.0], [0.0, 1.0, 3.0]])
+    pair = SnapshotPair(X, Y)
+    scaled, divisors = scale_columns(pair)
+    _assert_power_of_two_scaling(pair, scaled, divisors)
+    # ||(3, 4)|| = 5 = 0.625 * 2^3; ||(1, 1)|| = sqrt(2) = 0.707... * 2^1
+    assert np.array_equal(divisors, [8.0, 0.0, 2.0])
+    assert np.array_equal(scaled.X[:, 0], [0.375, 0.5])
+    assert np.array_equal(scaled.Y, Y / [8.0, 1.0, 2.0])
+    # a zero column stays in place, divisor 0
+    assert np.array_equal(scaled.X[:, 1], X[:, 1]) and np.array_equal(scaled.Y[:, 1], Y[:, 1])
+    # a norm at or above 2^1023, whose divisor 2^1024 is not a double, is scaled into [1, 2)
+    big = SnapshotPair(np.full((2, 1), 2.0 ** 1023), np.ones((2, 1)))
+    scaled, divisors = scale_columns(big)
+    assert divisors[0] == 2.0 ** 1023 and np.array_equal(scaled.X * divisors, big.X)
+    for A in (X, 1j * X + 2.0 * Y):
+        pair = SnapshotPair(A, Y)
+        _assert_power_of_two_scaling(pair, *scale_columns(pair))
 
 
 def test_column_norms_rescale_only_overflowing_columns():
@@ -126,19 +144,39 @@ def test_scale_columns_of_tiny_data():
     rng = _rng(16)
     X = rng.standard_normal((40, 8))
     Y = rng.standard_normal((40, 8))
-    ref, ref_norms = scale_columns(SnapshotPair(X, Y))
-    scaled, norms = scale_columns(SnapshotPair(1e-165 * X, Y))
-    np.testing.assert_allclose(norms, 1e-165 * ref_norms, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(scaled.X, ref.X, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(scaled.Y, 1e165 * ref.Y, rtol=1e-14, atol=0)
-    # a column whose norm is subnormal has no finite reciprocal and stays put
+    ref, ref_divisors = scale_columns(SnapshotPair(X, Y))
+    # a power of two moves only the divisors and Y, exactly
+    scaled, divisors = scale_columns(SnapshotPair(2.0 ** -600 * X, Y))
+    assert np.array_equal(divisors, 2.0 ** -600 * ref_divisors)
+    assert np.array_equal(scaled.X, ref.X) and np.array_equal(scaled.Y, 2.0 ** 600 * ref.Y)
+    for s in (1e-165, 1e-310):
+        pair = SnapshotPair(s * X, s * Y)
+        _assert_power_of_two_scaling(pair, *scale_columns(pair))
+    # a column whose norm is subnormal is scaled exactly, with its Y column
     X[:, 2] *= 1e-320
-    scaled, norms = scale_columns(SnapshotPair(X, Y))
-    assert norms[2] == 0.0
-    assert np.array_equal(scaled.X[:, 2], X[:, 2]) and np.array_equal(scaled.Y[:, 2], Y[:, 2])
+    Y[:, 2] *= 1e-315
+    pair = SnapshotPair(X, Y)
+    scaled, divisors = scale_columns(pair)
+    _assert_power_of_two_scaling(pair, scaled, divisors)
+    assert divisors[2] < np.finfo(np.float64).tiny
+    assert np.array_equal(scaled.Y * divisors, Y)
     # tiny X columns with a huge Y: the scaled Y leaves the double range
     with pytest.raises(ConditioningError, match="overflows"):
         scale_columns(SnapshotPair(1e-200 * X, 1e150 * Y))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_scale_columns_does_not_depend_on_memory_layout(dtype):
+    # row-major, column-major and negatively strided copies of one pair,
+    # graded from subnormal to huge columns, give byte-identical output
+    rng = _rng(17)
+    G = rng.standard_normal((30, 9)) + (1j * rng.standard_normal((30, 9)) if dtype is complex else 0.0)
+    G = G * np.logspace(-310, 300, 9)
+    outs = []
+    for A in (np.ascontiguousarray(G), np.asfortranarray(G), np.ascontiguousarray(G[::-1, ::-1])[::-1, ::-1]):
+        scaled, divisors = scale_columns(SnapshotPair(A[:, :-1], A[:, 1:]))
+        outs.append([scaled.X.tobytes("A"), scaled.Y.tobytes("A"), divisors.tobytes()])
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_companion_matches_polynomial_roots():

@@ -553,6 +553,35 @@ def test_fb_spectrum_of_scaled_data_is_scaled(s):
         np.testing.assert_allclose(np.sort_complex(got), np.sort_complex(want), rtol=1e-12)
 
 
+# Uniformly subnormal data, and a block of columns moved into the subnormal
+# range in X and Y together: either leaves the operator, and so every
+# certificate, as it is.  A trajectory has no such block, since a state is a
+# column of both X and Y.
+_SUBNORMAL_CASES = [pytest.param(name, case, dtype, id="%s-%s-%s" % (name, case, dtype.__name__))
+                    for name in _PIPELINES for case in ("1e-310", "block") for dtype in (float, complex)
+                    if case == "1e-310" or not name.endswith("_trajectory")]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, case, dtype", _SUBNORMAL_CASES)
+def test_subnormal_data_is_certified_like_unit_data(name, case, dtype):
+    rng = _rng(5)
+    F = rng.standard_normal((50, 11))
+    if dtype is complex:
+        F = F + 1j * rng.standard_normal((50, 11))
+    M, N = _weights("diagonal", 50, 10)
+    ref = _PIPELINES[name](F[:, :-1], F[:, 1:], F, M, N)
+    if case == "1e-310":
+        dec = _PIPELINES[name](1e-310 * F[:, :-1], 1e-310 * F[:, 1:], 1e-310 * F, M, N)
+    else:
+        s = np.where(np.arange(10) < 5, 2.0 ** -1030, 1.0)
+        dec = _PIPELINES[name](s * F[:, :-1], s * F[:, 1:], None, M, N)
+    assert dec.rank == ref.rank == 10
+    assert match_eigenvalues(dec.lambdas, ref.lambdas) <= 1e-12 * np.abs(ref.lambdas).max()
+    np.testing.assert_allclose(np.sort(dec.residuals), np.sort(ref.residuals), rtol=0,
+                               atol=1e-12 * np.max(ref.residuals))
+
+
 def _complex_trajectory(seed, n, m):
     Q, A, G = _lifted_system(seed, n, m)
     cols = [G[:, 0]]
@@ -713,20 +742,23 @@ _PEAK_BOUNDS = {
     "dmd": 1.65, "exact_dmd": 1.65, "ddmd_rrr": 1.65, "ddmd_rrr-none": 1.65,
     "weighted_dmd": 1.65, "weighted_dmd-none": 1.65,
     "fb_dmd_mrf": 1.1, "ddmd_rrr_compressed": 1.1, "two_sided_weighted_dmd": 1.1,
+    "ddmd_rrr_compressed-none": 1.1, "two_sided_weighted_dmd-none": 1.1,
 }
 _COMPRESSED_PAIR = ("fb_dmd_mrf", "ddmd_rrr_compressed", "two_sided_weighted_dmd")
 # The input classes, (n, m, dtype, spectrum, order), and the pipelines each
 # holds to its bound.  Where n < m the triangular factor is as large as the
 # QR buffer and the engine runs the direct route on it, so the compressed
 # pair route reads 3-5x until the engine works on k-sized arrays (ROADMAP
-# item 17): those rows are strict expected failures.
+# item 17): those rows are strict expected failures.  They run unrefined,
+# since refining k = 100 pairs costs seconds and the peak is R's copy.
 _PEAK_ROWS = [
     *(((20000, m, dtype, "gaussian", order), _COMPRESSED_PAIR)
       for m in (32, 33, 64, 65) for dtype in (float, complex) for order in "CF"),
     *(((20000, 60, dtype, "gaussian", order), _COMPRESSED_PAIR + ("dmd", "exact_dmd", "ddmd_rrr", "weighted_dmd"))
       for dtype in (float, complex) for order in "CF"),
     ((20000, 60, float, "real", "C"), ("dmd", "exact_dmd", "ddmd_rrr-none", "ddmd_rrr", "weighted_dmd-none")),
-    *(((100, 400, dtype, "gaussian", order), _COMPRESSED_PAIR) for dtype in (float, complex) for order in "CF"),
+    *(((100, 400, dtype, "gaussian", order), ("fb_dmd_mrf", "ddmd_rrr_compressed-none", "two_sided_weighted_dmd-none"))
+      for dtype in (float, complex) for order in "CF"),
 ]
 
 
