@@ -201,7 +201,7 @@ def cmd_decompose(args):
         # A NaN coefficient column lifts to a NaN column of Q @ W, and only
         # there, so the coefficients tell which vectors are present.
         blocks = [(0, dec.vectors)] if Q is None else _product_blocks(Q, dec.vectors)
-        _store_row_blocks(blocks, n, np.flatnonzero(present), args.modes_out, int(np.iscomplexobj(dec.vectors)))
+        _store_row_blocks(blocks, n, np.flatnonzero(present), args.modes_out, dec.vectors.dtype)
         print("modes: %s (%d columns)" % (args.modes_out, int(present.sum())), file=sys.stderr)
     return 0
 

@@ -179,13 +179,9 @@ class InnerProduct:
         if not _all_finite(X):
             raise DataError("snapshot matrix contains non-finite entries")
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.factor.ndim == 2:
-                # (X K^{-*})* = K^{-1} X* and (X K)* = K* X*.
-                image = (self._solve(X.conj().T, adjoint=False) if self.orientation == "M"
-                         else self._apply(X.conj().T, adjoint=True)).conj().T
-            else:
-                # A real diagonal K: X K^{-*} = X K^{-1}, and X K, column by column.
-                image = (self._solve if self.orientation == "M" else self._apply)(X.T, adjoint=False).T
+            # (X K^{-*})* = K^{-1} X* and (X K)* = K* X*, for either kind of factor K.
+            image = (self._solve(X.conj().T, adjoint=False) if self.orientation == "M"
+                     else self._apply(X.conj().T, adjoint=True)).conj().T
         return _finite_image(image)
 
     # -- norms and materialization -------------------------------------------

@@ -22,8 +22,6 @@ MAGIC = b"DMMATRX1"
 # Scalar kind byte -> payload dtype, for the reader and the writer.
 _DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<c16")}
 _HEADER_LEN = len(MAGIC) + 8 + 8 + 1
-# Bytes per chunk of whole columns when a matrix that is not column-major is stored.
-_STORE_BLOCK_BYTES = 1 << 22
 
 
 def _format_for(path):
@@ -39,28 +37,20 @@ def _header(n, m, kind):
     return MAGIC + np.uint64(n).tobytes() + np.uint64(m).tobytes() + bytes([kind])
 
 
-def _store_row_blocks(blocks, n, columns, path, kind):
-    """Write the chosen ``columns`` of an n-row matrix, given by row blocks, as DMM1 of scalar ``kind``.
+def _store_row_blocks(blocks, n, columns, path, dtype):
+    """Write the chosen ``columns`` of an n-row matrix of payload ``dtype``, given by row blocks, as DMM1.
 
-    ``blocks`` yields (start, rows) pairs that cover rows 0..n-1; each
-    column piece of a block is written at its offset in the column-major
-    payload, so only one block is held at a time.  A block of all n rows
-    goes out in chunks of whole columns of at most ``_STORE_BLOCK_BYTES``,
-    uncopied where the block is column-major.  ``columns`` are ascending.
-    This is the only DMM1 writer.
+    ``blocks`` yields (start, rows) pairs that cover rows 0..n-1.  The
+    piece of column ``columns[c]`` in a block is written at payload offset
+    (c n + start) itemsize, so only one block is held at a time, and a
+    block of all n rows writes whole columns in payload order, uncopied
+    where the block is column-major.  This is the only DMM1 writer.
     """
+    kind = int(np.dtype(dtype).kind == "c")
     dtype = _DTYPES[kind]
-    step = max(1, _STORE_BLOCK_BYTES // max(1, n * dtype.itemsize))
     with open(path, "wb") as fh:
         fh.write(_header(n, len(columns), kind))
         for start, rows in blocks:
-            if len(rows) == n:
-                # Whole columns follow one another in the payload.
-                every = len(columns) == rows.shape[1]
-                for c in range(0, len(columns), step):
-                    chunk = rows[:, c : c + step] if every else rows[:, columns[c : c + step]]
-                    fh.write(np.asfortranarray(chunk, dtype=dtype).T)
-                continue
             for c, j in enumerate(columns):
                 fh.seek(_HEADER_LEN + (c * n + start) * dtype.itemsize)
                 fh.write(np.ascontiguousarray(rows[:, j], dtype=dtype))
@@ -86,7 +76,7 @@ def store_matrix(a, path):
                 fh.write(("\n" if i else "") + ",".join(repr(float(v)) for v in row))
             fh.write("\n")
         return
-    _store_row_blocks([(0, a)], a.shape[0], range(a.shape[1]), path, int(np.iscomplexobj(a)))
+    _store_row_blocks([(0, a)], a.shape[0], range(a.shape[1]), path, a.dtype)
 
 
 def _load_csv(path):

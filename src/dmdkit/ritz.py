@@ -193,7 +193,13 @@ def _stack_in_place(buf):
 
 
 def _normalized_stack(R):
-    """The :class:`QrStack` of (U_k  B_k)'s triangular factor R, its rows scaled in place to a nonnegative diagonal."""
+    """The :class:`QrStack` of (U_k  B_k)'s triangular factor R, its rows scaled in place to a nonnegative diagonal.
+
+    An R that overflowed in the QR of finite data is a conditioning error,
+    raised before any arithmetic on it.
+    """
+    if not _all_finite(R):
+        raise ConditioningError("the QR of (U_k B_k) overflows double precision")
     k = R.shape[1] // 2
     diag = np.diagonal(R)
     phases = np.ones(diag.shape[0], dtype=R.dtype if np.iscomplexobj(R) else np.float64)

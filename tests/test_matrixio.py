@@ -9,6 +9,7 @@ from conftest import traced_peak
 from dmdkit.errors import DataError, ShapeError
 from dmdkit import matrixio
 from dmdkit.matrixio import MAGIC, load_matrix, store_matrix
+from dmdkit.ritz import _block_rows, _row_ranges
 
 
 def test_dmm_real_round_trip_is_bit_exact(tmp_path):
@@ -164,6 +165,9 @@ def _layouts():
         yield kind + "-F-sliced", np.asfortranarray(base)[3:30, ::-2]
         yield kind + "-column", base[:, 4:5]
         yield kind + "-F-column", np.asfortranarray(base)[:, 4:5]
+    wide = np.random.Generator(np.random.Philox(12)).standard_normal((4, 300))
+    yield "wide-C", wide
+    yield "wide-F", np.asfortranarray(wide)
 
 
 _LAYOUTS = list(_layouts())
@@ -180,35 +184,27 @@ def test_dmm_bytes_and_round_trip_for_every_layout(tmp_path, name, a):
     assert b.tobytes(order="F") == np.asfortranarray(a).tobytes(order="F")
 
 
-def test_store_in_column_blocks_matches_one_transpose(tmp_path, monkeypatch):
-    # Blocks of a few columns must give the bytes of a single transpose.
-    monkeypatch.setattr(matrixio, "_STORE_BLOCK_BYTES", 3 * 16 * 50)
-    rng = np.random.Generator(np.random.Philox(9))
-    a = rng.standard_normal((50, 11)) + 1j * rng.standard_normal((50, 11))
-    store_matrix(a, tmp_path / "a.dmm")
-    assert (tmp_path / "a.dmm").read_bytes() == _dmm_bytes(a)
+def _blocks(a, rows):
+    """``a`` as one block of all its rows, or by the row blocks of :func:`dmdkit.ritz._row_ranges`."""
+    if rows is None:
+        return [(0, a)]
+    return ((start, a[start:stop]) for start, stop in _row_ranges(len(a), rows))
 
 
-_WIDE = np.random.Generator(np.random.Philox(12)).standard_normal((4, 300))
-
-
-@pytest.mark.parametrize("name, a", _LAYOUTS + [("wide-C", _WIDE), ("wide-F", np.asfortranarray(_WIDE))],
-                         ids=[name for name, _ in _LAYOUTS] + ["wide-C", "wide-F"])
-def test_dmm_bytes_one_column_per_chunk_for_every_layout(tmp_path, monkeypatch, name, a):
-    monkeypatch.setattr(matrixio, "_STORE_BLOCK_BYTES", 1)
-    store_matrix(a, tmp_path / "a.dmm")
-    assert (tmp_path / "a.dmm").read_bytes() == _dmm_bytes(a)
-
-
-@pytest.mark.parametrize("height", [1, 5, 36, 37])
-def test_row_blocks_of_chosen_columns_give_the_bytes_of_those_columns(tmp_path, height):
-    # the writer behind decompose --modes-out: row blocks, some columns
-    rng = np.random.Generator(np.random.Philox(13))
-    a = rng.standard_normal((37, 12)) + 1j * rng.standard_normal((37, 12))
-    columns = np.array([0, 3, 4, 11])
-    blocks = ((i, a[i : i + height]) for i in range(0, 37, height))
-    matrixio._store_row_blocks(blocks, 37, columns, tmp_path / "a.dmm", 1)
-    assert (tmp_path / "a.dmm").read_bytes() == _dmm_bytes(a[:, columns])
+@pytest.mark.parametrize("rows", [None, 1, 5, "product"], ids=["whole", "rows-1", "rows-5", "rows-product"])
+@pytest.mark.parametrize("chosen", [False, True], ids=["all", "chosen"])
+@pytest.mark.parametrize("name, a", _LAYOUTS, ids=[name for name, _ in _LAYOUTS])
+def test_the_one_writer_gives_the_bytes_of_the_stored_columns(tmp_path, name, a, chosen, rows):
+    # The writer behind store_matrix and decompose --modes-out: any row blocks, any ascending columns
+    columns = np.flatnonzero(np.arange(a.shape[1]) % 3 != 1) if chosen else np.arange(a.shape[1])
+    rows = _block_rows(len(a)) if rows == "product" else rows
+    matrixio._store_row_blocks(_blocks(a, rows), len(a), columns, tmp_path / "a.dmm", a.dtype)
+    store_matrix(a[:, columns], tmp_path / "ref.dmm")
+    got = (tmp_path / "a.dmm").read_bytes()
+    assert got == (tmp_path / "ref.dmm").read_bytes() == _dmm_bytes(a[:, columns])
+    b = load_matrix(tmp_path / "a.dmm")
+    assert b.dtype == a.dtype and b.shape == (len(a), len(columns))
+    assert b.tobytes(order="F") == np.asfortranarray(a[:, columns]).tobytes(order="F")
 
 
 def test_oversized_header_is_rejected_before_allocating(tmp_path):
@@ -242,11 +238,12 @@ def test_column_major_store_and_load_make_no_copies(tmp_path):
 
 
 def test_row_major_store_copies_one_block_at_a_time(tmp_path):
+    # one column at a time
     rng = np.random.Generator(np.random.Philox(11))
     a = rng.standard_normal((20000, 60)) + 1j * rng.standard_normal((20000, 60))
     path = tmp_path / "big.dmm"
     _, peak = traced_peak(lambda: store_matrix(a, path))
-    assert peak < matrixio._STORE_BLOCK_BYTES + a.shape[0] * a.itemsize + (1 << 20)
+    assert peak < a.shape[0] * a.itemsize + (1 << 20)
     assert np.array_equal(load_matrix(path), a)
 
 

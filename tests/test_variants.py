@@ -377,6 +377,34 @@ def test_fb_backward_rank_guard():
     assert err.value.sigma_min < 1e-14 * err.value.sigma_max
 
 
+_GRADINGS = {
+    "one-x-column-1e20": (np.where(np.arange(10) == 3, 1e20, 1.0), 1.0),
+    "one-x-column-1e300": (np.where(np.arange(10) == 3, 1e300, 1.0), 1.0),
+    "five-x-columns-1e-300": (np.where(np.arange(10) < 5, 1e-300, 1.0), 1.0),
+    "one-y-column-1e20": (1.0, np.where(np.arange(10) == 3, 1e20, 1.0)),
+}
+
+
+@pytest.mark.parametrize("grading", list(_GRADINGS))
+def test_fb_needs_the_inverse_of_the_data_operator(grading):
+    # fb's backward problem inverts the data operator Y X^+.  Grading the
+    # columns of an independent Gaussian pair apart makes that operator
+    # numerically singular: fb refuses, where dmd and ddmd_rrr certify k = 10.
+    # The same grading of a pair Y = A X, whose operator A is well conditioned
+    # whatever X's columns are, leaves fb certifying k = 10.
+    sx, sy = _GRADINGS[grading]
+    for seed in range(4):
+        rng = _rng(seed)
+        X, Y = rng.standard_normal((50, 10)) * sx, rng.standard_normal((50, 10)) * sy
+        with pytest.raises(ConditioningError, match="S_back is singular"):
+            fb_dmd_mrf(X, Y)
+        assert dmd(X, Y).rank == ddmd_rrr(X, Y).rank == 10
+        A = make_oracle(50, conditioning=10, seed=seed).A
+        X = rng.standard_normal((50, 10)) * sx * sy
+        dec, _ = fb_dmd_mrf(X, A @ X)
+        assert dec.rank == 10 and np.all(np.isfinite(dec.residuals))
+
+
 def test_select_pairs_cap_semantics():
     _, F = _orbit(87, 30, 10, spectrum="unit-disc", conditioning=10.0)
     dec = ddmd_rrr(F.F[:, :-1], F.F[:, 1:])
@@ -745,19 +773,22 @@ _PEAK_BOUNDS = {
     "ddmd_rrr_compressed-none": 1.1, "two_sided_weighted_dmd-none": 1.1,
 }
 _COMPRESSED_PAIR = ("fb_dmd_mrf", "ddmd_rrr_compressed", "two_sided_weighted_dmd")
-# The input classes, (n, m, dtype, spectrum, order), and the pipelines each
-# holds to its bound.  Where n < m the triangular factor is as large as the
-# QR buffer and the engine runs the direct route on it, so the compressed
-# pair route reads 3-5x until the engine works on k-sized arrays (ROADMAP
-# item 17): those rows are strict expected failures.  They run unrefined,
-# since refining k = 100 pairs costs seconds and the peak is R's copy.
+_SEVEN = _COMPRESSED_PAIR + ("dmd", "exact_dmd", "ddmd_rrr", "weighted_dmd")
+# The input classes, (n, m, dtype, spectrum, order, k), and the pipelines
+# each holds to its bound; k is a fixed rank, or None for the default
+# threshold.  Where n < m the triangular factor is as large as the QR buffer
+# and the engine runs the direct route on it, so the compressed pair route
+# reads 3-5x until the engine works on k-sized arrays (ROADMAP item 17):
+# those rows are strict expected failures.  They run unrefined, since
+# refining k = 100 pairs costs seconds and the peak is R's copy.
 _PEAK_ROWS = [
-    *(((20000, m, dtype, "gaussian", order), _COMPRESSED_PAIR)
+    *(((20000, m, dtype, "gaussian", order, None), _COMPRESSED_PAIR)
       for m in (32, 33, 64, 65) for dtype in (float, complex) for order in "CF"),
-    *(((20000, 60, dtype, "gaussian", order), _COMPRESSED_PAIR + ("dmd", "exact_dmd", "ddmd_rrr", "weighted_dmd"))
-      for dtype in (float, complex) for order in "CF"),
-    ((20000, 60, float, "real", "C"), ("dmd", "exact_dmd", "ddmd_rrr-none", "ddmd_rrr", "weighted_dmd-none")),
-    *(((100, 400, dtype, "gaussian", order), ("fb_dmd_mrf", "ddmd_rrr_compressed-none", "two_sided_weighted_dmd-none"))
+    *(((20000, 60, dtype, "gaussian", order, None), _SEVEN) for dtype in (float, complex) for order in "CF"),
+    ((20000, 60, float, "gaussian", "C", 20), _SEVEN),
+    ((20000, 60, float, "real", "C", None), ("dmd", "exact_dmd", "ddmd_rrr-none", "ddmd_rrr", "weighted_dmd-none")),
+    *(((100, 400, dtype, "gaussian", order, None),
+       ("fb_dmd_mrf", "ddmd_rrr_compressed-none", "two_sided_weighted_dmd-none"))
       for dtype in (float, complex) for order in "CF"),
 ]
 
@@ -784,21 +815,22 @@ def _peak_pair(n, m, dtype, spectrum, order):
 
 def _peak_cases():
     for row, names in _PEAK_ROWS:
-        n, m, dtype, spectrum, order = row
+        n, m, dtype, spectrum, order, k = row
         marks = pytest.mark.xfail(strict=True, reason="R and the direct engine where n < m") if n < m else ()
         for name in names:
-            yield pytest.param(name, row, marks=marks,
-                               id="%s-%dx%d-%s-%s-%s" % (name, n, m, dtype.__name__, spectrum, order))
+            yield pytest.param(name, row, marks=marks, id="%s-%dx%d-%s-%s-%s%s" % (
+                name, n, m, dtype.__name__, spectrum, order, "" if k is None else "-k%d" % k))
 
 
 @pytest.mark.parametrize("name, row", _peak_cases())
 def test_peak_memory_holds_each_pipelines_bound_on_every_input_class(name, row):
-    n, m, _, spectrum, _ = row
-    X, Y = _peak_pair(*row)
+    n, m, _, spectrum, _, k = row
+    X, Y = _peak_pair(*row[:5])
     M, N = _weights("diagonal", n, m)
     pipeline, _, refine = name.partition("-")
-    config = VariantConfig(refine=refine or "all")
+    config = VariantConfig(policy=None if k is None else RankPolicy.fixed(k), refine=refine or "all")
     dec, peak = traced_peak(lambda: _PIPELINES[pipeline](X, Y, None, M, N, config))
+    assert k is None or dec.rank == k
     assert peak <= _PEAK_BOUNDS[name] * (X.nbytes + Y.nbytes)
     if spectrum == "real":
         # the real-W branch is the one measured
@@ -845,6 +877,26 @@ def test_overflowing_basis_image_is_a_conditioning_error(pipeline, scale):
     M, N = _weights("diagonal", *X.shape)
     with pytest.raises(ConditioningError, match="overflow"):
         _PIPELINES[pipeline](X, Y, None, M, N, VariantConfig(scale=scale))
+
+
+# Five of X's columns at 1e-308 beside a normal Y scale B_k near the double
+# range, and the QR of (U_k B_k) overflows on the compressed pair route.  The
+# stack's triangular factor is checked before any arithmetic on it, so every
+# entry either certifies or raises ConditioningError, and no RuntimeWarning escapes.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(_PIPELINES))
+def test_an_overflowing_residual_stack_is_a_conditioning_error(name):
+    rng = np.random.default_rng(1)
+    X, Y = rng.standard_normal((50, 10)), rng.standard_normal((50, 10))
+    X[:, :5] *= 1e-308
+    M, N = _weights("identity", 50, 10)
+    try:
+        dec = _PIPELINES[name](X, Y, np.column_stack([X, Y[:, -1]]), M, N)
+    except ConditioningError as exc:
+        assert "overflows double precision" in str(exc)
+        return
+    assert dec.rank == 10 and np.all(np.isfinite(dec.lambdas))
+    assert np.all(np.isfinite(dec.residuals)) or dec.variant == "exact"
 
 
 def test_float32_input_runs_in_double_precision():

@@ -394,6 +394,33 @@ def test_a_matrix_of_no_columns_maps_to_no_columns(orientation, kind):
     assert W.transform_right(np.zeros((0, 30))).shape == (0, 30)
 
 
+@pytest.mark.parametrize("rows", [9, 0])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("kind", ["diagonal", "dense"])
+@pytest.mark.parametrize("orientation", ["M", "M-inverse"])
+def test_transform_right_is_one_expression_for_both_factor_kinds(orientation, kind, dtype, order, rows):
+    # X K^{-*} for M and X K for its inverse, by the factor's own solve or product on X*
+    rng = _rng(157)
+    X = rng.standard_normal((rows, 6))
+    if dtype is complex:
+        X = X + 1j * rng.standard_normal((rows, 6))
+    X = np.asarray(X, order=order)
+    d = np.linspace(0.5, 2.0, 6)
+    K = d if kind == "diagonal" else np.tril(rng.standard_normal((6, 6)), -1) / 6 + np.diag(d)
+    got = InnerProduct(K, orientation=orientation).transform_right(X)
+    assert got.shape == X.shape and got.dtype == X.dtype
+    if kind == "diagonal":
+        # a real diagonal K scales each column as X / d or X * d, bit for bit on data with no zero real or
+        # imaginary part (numpy takes d as d + 0i, so such a zero's sign may turn under the conjugations),
+        # and the image keeps X's layout
+        want = X / d if orientation == "M" else X * d
+        assert got.tobytes() == want.tobytes() and got.flags.c_contiguous == want.flags.c_contiguous
+        return
+    want = X @ np.linalg.inv(K).conj().T if orientation == "M" else X @ K
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * max(1.0, np.abs(want).max(initial=0.0)))
+
+
 @pytest.mark.parametrize("call", [
     pytest.param(lambda w: weighted_dmd(np.eye(3), np.eye(3), w), id="weighted_dmd"),
     pytest.param(lambda w: weighted_pod(np.eye(3), w), id="weighted_pod"),
